@@ -45,10 +45,10 @@ PeerIndex::ScratchLease::~ScratchLease() {
 
 std::unique_ptr<PeerIndex::SearchScratch> PeerIndex::AcquireScratch() const {
   {
-    const std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_pool_.empty()) {
-      std::unique_ptr<SearchScratch> scratch = std::move(scratch_pool_.back());
-      scratch_pool_.pop_back();
+    const std::lock_guard<std::mutex> lock(search_.mutex);
+    if (!search_.pool.empty()) {
+      std::unique_ptr<SearchScratch> scratch = std::move(search_.pool.back());
+      search_.pool.pop_back();
       return scratch;
     }
   }
@@ -57,11 +57,12 @@ std::unique_ptr<PeerIndex::SearchScratch> PeerIndex::AcquireScratch() const {
 
 void PeerIndex::ReleaseScratch(std::unique_ptr<SearchScratch> scratch) const {
   if (scratch->score_evals != 0) {
-    score_evals_.fetch_add(scratch->score_evals, std::memory_order_relaxed);
+    search_.score_evals.fetch_add(scratch->score_evals,
+                                  std::memory_order_relaxed);
     scratch->score_evals = 0;
   }
-  const std::lock_guard<std::mutex> lock(scratch_mutex_);
-  scratch_pool_.push_back(std::move(scratch));
+  const std::lock_guard<std::mutex> lock(search_.mutex);
+  search_.pool.push_back(std::move(scratch));
 }
 
 PeerIndex::PeerIndex(const core::CoordinateStore& store,
@@ -143,14 +144,15 @@ PeerIndex::Slot PeerIndex::AppendSlot(std::size_t id) {
   return slot;
 }
 
-void PeerIndex::SelectNeighbors(const std::vector<RankedSlot>& candidates,
-                                std::vector<Slot>& chosen) const {
+void PeerIndex::SelectNeighbors(std::span<const RankedSlot> candidates,
+                                std::vector<Slot>& chosen,
+                                std::vector<Slot>& pruned) const {
   // Relative-neighborhood prune: a candidate already "covered" by a chosen
   // neighbor (closer to it than to the subject) is skipped first and only
   // backfilled if the list stays short — the DEG/HNSW diversity heuristic
   // that keeps greedy routing from collapsing into one cluster.
   chosen.clear();
-  std::vector<Slot> pruned;
+  pruned.clear();
   for (const RankedSlot& candidate : candidates) {
     if (chosen.size() >= options_.degree) {
       break;
@@ -176,7 +178,7 @@ void PeerIndex::SelectNeighbors(const std::vector<RankedSlot>& candidates,
   }
 }
 
-void PeerIndex::LinkBack(Slot to, Slot from) {
+void PeerIndex::LinkBack(Slot to, Slot from, SearchScratch& scratch) {
   Slot* edges = adj_.data() + static_cast<std::size_t>(to) * options_.degree;
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
     if (edges[e] == from) {
@@ -190,15 +192,15 @@ void PeerIndex::LinkBack(Slot to, Slot from) {
   // Full list: re-prune the union of the existing edges and the newcomer
   // relative to `to`'s snapshot; the newcomer survives only if it beats the
   // diversity of what is already there.
-  std::vector<RankedSlot> candidates;
-  candidates.reserve(options_.degree + 1);
+  std::vector<RankedSlot>& candidates = scratch.relink;
+  candidates.clear();
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
     candidates.push_back(RankedSlot{SnapDistanceSquared(to, edges[e]), edges[e]});
   }
   candidates.push_back(RankedSlot{SnapDistanceSquared(to, from), from});
   std::sort(candidates.begin(), candidates.end(), Better);
-  std::vector<Slot> chosen;
-  SelectNeighbors(candidates, chosen);
+  std::vector<Slot>& chosen = scratch.rechosen;
+  SelectNeighbors(candidates, chosen, scratch.pruned);
   adj_len_[to] = static_cast<std::uint32_t>(chosen.size());
   std::copy(chosen.begin(), chosen.end(), edges);
 }
@@ -286,8 +288,8 @@ void PeerIndex::LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch) 
   }
   // Entry points come from the index Rng: construction order + seed fully
   // determine the adjacency (duplicates are fine, the visited set dedups).
-  std::vector<Slot> entries;
-  entries.reserve(options_.entry_points);
+  std::vector<Slot>& entries = scratch.entries;
+  entries.clear();
   for (std::size_t t = 0; t < options_.entry_points; ++t) {
     entries.push_back(
         static_cast<Slot>(rng_.UniformInt(static_cast<std::uint64_t>(linked))));
@@ -296,13 +298,13 @@ void PeerIndex::LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch) 
   BeamSearch(
       entries, options_.ef_construction, slot,
       [&](Slot s) { return DistanceSquaredToSnapshot(row, s); }, scratch);
-  std::vector<Slot> chosen;
-  SelectNeighbors(scratch.out, chosen);
+  std::vector<Slot>& chosen = scratch.chosen;
+  SelectNeighbors(scratch.out, chosen, scratch.pruned);
   adj_len_[slot] = static_cast<std::uint32_t>(chosen.size());
   std::copy(chosen.begin(), chosen.end(),
             adj_.data() + static_cast<std::size_t>(slot) * options_.degree);
   for (const Slot s : chosen) {
-    LinkBack(s, slot);
+    LinkBack(s, slot, scratch);
   }
 }
 
@@ -525,7 +527,7 @@ eval::KnnResult PeerIndex::SearchFrom(std::size_t exclude_id, std::size_t k,
     // Exact mode (the beam covers the membership, or the coarse layer
     // would probe every cell): the oracle itself over the members in slot
     // order — the bit-identity the parity tests rely on.
-    score_evals_.fetch_add(id_of_.size(), std::memory_order_relaxed);
+    search_.score_evals.fetch_add(id_of_.size(), std::memory_order_relaxed);
     return eval::BruteForceKnnRow(*store_, query_u, id_of_, k, ordering,
                                   exclude_id);
   }

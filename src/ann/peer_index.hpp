@@ -59,9 +59,9 @@
 // const searches concurrently — results are bit-identical to a serial run
 // because the walk is a pure function of (graph, entries, key function).
 // Mutators (Add/Remove/Update/ApplyUpdates/RebuildAll) are NOT safe
-// against concurrent searches; callers serialize them behind a writer
-// lock (svc::CoordinateService holds its reader–writer lock exclusively
-// around every mutation).
+// against concurrent searches.  Copying is a read: an index may be copied
+// while it serves searches, which is how svc::CoordinateService refreshes
+// a private replica off its reader lock and publishes it by pointer swap.
 #pragma once
 
 #include <atomic>
@@ -122,6 +122,15 @@ class PeerIndex {
   PeerIndex(const core::CoordinateStore& store,
             std::span<const std::size_t> members,
             const PeerIndexOptions& options);
+
+  /// Copies the graph, the snapshots, the Rng state, the coarse layer and
+  /// the evaluation count, over the same store: the copy answers every
+  /// search and replays every mutation exactly as the source would.  The
+  /// copy gets a scratch pool and pool lock of its own, so copying only
+  /// reads the source and may run concurrently with its searches.
+  /// Assignment reuses the target's buffers (no allocation once sized).
+  PeerIndex(const PeerIndex&) = default;
+  PeerIndex& operator=(const PeerIndex&) = default;
 
   [[nodiscard]] std::size_t Size() const noexcept { return id_of_.size(); }
   [[nodiscard]] bool Contains(std::size_t id) const noexcept {
@@ -192,7 +201,7 @@ class PeerIndex {
   /// scores plus coarse centroid scores (the work an exact scan would
   /// spend Size() of per query) — the bench's cost model.
   [[nodiscard]] std::uint64_t ScoreEvaluations() const noexcept {
-    return score_evals_.load(std::memory_order_relaxed);
+    return search_.score_evals.load(std::memory_order_relaxed);
   }
 
  private:
@@ -219,10 +228,16 @@ class PeerIndex {
     std::vector<RankedSlot> cells;       ///< coarse-cell ranking buffer
     std::vector<Slot> entries;           ///< beam seed slots
     std::uint64_t score_evals = 0;       ///< folded into the index atomic
+    // Link temporaries, so a relink allocates nothing once warm.
+    std::vector<Slot> chosen;            ///< LinkSlot: the new out-edges
+    std::vector<RankedSlot> relink;      ///< LinkBack: full list + newcomer
+    std::vector<Slot> rechosen;          ///< LinkBack: the re-pruned list
+    std::vector<Slot> pruned;            ///< SelectNeighbors: backfill
   };
 
   /// RAII lease: pops a scratch from the free list (or makes one), folds
-  /// its evaluation count into score_evals_ and returns it on destruction.
+  /// its evaluation count into the index counter and returns it on
+  /// destruction.
   class ScratchLease {
    public:
     explicit ScratchLease(const PeerIndex& index);
@@ -258,11 +273,12 @@ class PeerIndex {
   void LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch);
   /// Relative-neighborhood prune over `candidates` (sorted best-first by
   /// distance to the subject's snapshot); keeps up to degree, backfills
-  /// with pruned candidates to keep the graph dense.
-  void SelectNeighbors(const std::vector<RankedSlot>& candidates,
-                       std::vector<Slot>& chosen) const;
+  /// with pruned candidates (buffered in `pruned`) to keep the graph dense.
+  void SelectNeighbors(std::span<const RankedSlot> candidates,
+                       std::vector<Slot>& chosen,
+                       std::vector<Slot>& pruned) const;
   /// Adds the back-edge to -> from, re-pruning to's list when full.
-  void LinkBack(Slot to, Slot from);
+  void LinkBack(Slot to, Slot from, SearchScratch& scratch);
 
   /// (Re)builds the IVF coarse layer from the current snapshots: seeded
   /// k-means over an evenly-spaced subsample, one medoid entry per cell.
@@ -310,10 +326,22 @@ class PeerIndex {
 
   // Search-scratch free list + the folded evaluation counter; the only
   // mutable state a const search touches, which is what makes concurrent
-  // queries safe.
-  mutable std::mutex scratch_mutex_;
-  mutable std::vector<std::unique_ptr<SearchScratch>> scratch_pool_;
-  mutable std::atomic<std::uint64_t> score_evals_{0};
+  // queries safe.  A copied index starts with an empty pool and a lock of
+  // its own, and the source's count.
+  struct SearchState {
+    SearchState() = default;
+    SearchState(const SearchState& other) noexcept
+        : score_evals(other.score_evals.load(std::memory_order_relaxed)) {}
+    SearchState& operator=(const SearchState& other) noexcept {
+      score_evals.store(other.score_evals.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+      return *this;
+    }
+    std::mutex mutex;
+    std::vector<std::unique_ptr<SearchScratch>> pool;  // guarded by mutex
+    std::atomic<std::uint64_t> score_evals{0};
+  };
+  mutable SearchState search_;
 };
 
 }  // namespace dmfsgd::ann

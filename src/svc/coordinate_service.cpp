@@ -54,48 +54,54 @@ CoordinateService::CoordinateService(const datasets::Dataset& dataset,
     }
   }
   simulation_.EnableDriftTracking();
-  index_.emplace(store(), config_.index);
+  index_ = std::make_unique<ann::PeerIndex>(store(), config_.index);
+  spare_ = std::make_unique<ann::PeerIndex>(*index_);
   if (!config_.snapshot_dir.empty()) {
     log_.emplace(config_.snapshot_dir, store());
   }
 }
 
 // -- ingest plane -----------------------------------------------------------
+//
+// Every writer holds writer_mutex_ for its whole call and state_mutex_
+// exclusive only while it writes store rows; AccountIngest releases the
+// state lock before refreshes and epochs that need not hold it.
 
 bool CoordinateService::Ingest(core::NodeId prober, core::NodeId target,
                                std::optional<double> observed_quantity) {
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   if (prober >= NodeCount() || target >= NodeCount()) {
     throw std::out_of_range("svc::CoordinateService::Ingest: node id out of range");
   }
   if (prober == target) {
     throw std::invalid_argument("svc::CoordinateService::Ingest: self-probe");
   }
+  const std::lock_guard<std::mutex> writer(writer_mutex_);
+  std::unique_lock<std::shared_mutex> state(state_mutex_);
   const bool applied = simulation_.Ingest(prober, target, observed_quantity);
-  if (applied) {
-    AccountIngest(1);
-  }
+  AccountIngest(applied ? 1 : 0, state);
   return applied;
 }
 
 core::NodeId CoordinateService::IngestProbe(core::NodeId prober) {
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   if (prober >= NodeCount()) {
     throw std::out_of_range(
         "svc::CoordinateService::IngestProbe: node id out of range");
   }
+  const std::lock_guard<std::mutex> writer(writer_mutex_);
+  std::unique_lock<std::shared_mutex> state(state_mutex_);
   const std::size_t before = simulation_.MeasurementCount();
   const core::NodeId target = simulation_.IngestProbe(prober);
-  AccountIngest(simulation_.MeasurementCount() - before);
+  AccountIngest(simulation_.MeasurementCount() - before, state);
   return target;
 }
 
 void CoordinateService::IngestRounds(std::size_t rounds) {
   for (std::size_t round = 0; round < rounds; ++round) {
-    // One round per exclusive hold — a round is the service's largest
-    // indivisible ingest, and re-taking the lock between rounds lets
-    // waiting queries interleave with long warm-ups.
-    const std::unique_lock<std::shared_mutex> lock(state_mutex_);
+    // One round per hold — a round is the service's largest indivisible
+    // ingest, and re-taking the locks between rounds lets waiting queries
+    // and writers interleave with long warm-ups.
+    const std::lock_guard<std::mutex> writer(writer_mutex_);
+    std::unique_lock<std::shared_mutex> state(state_mutex_);
     const std::size_t before = simulation_.MeasurementCount();
     if (config_.compile_rounds) {
       simulation_.RunRoundsCompiled(1);
@@ -104,22 +110,24 @@ void CoordinateService::IngestRounds(std::size_t rounds) {
     }
     // Per-round accounting keeps the staleness bound honest at round
     // granularity.
-    AccountIngest(simulation_.MeasurementCount() - before);
+    AccountIngest(simulation_.MeasurementCount() - before, state);
   }
 }
 
 std::size_t CoordinateService::IngestTrace(std::size_t begin, std::size_t end) {
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
+  const std::lock_guard<std::mutex> writer(writer_mutex_);
+  std::unique_lock<std::shared_mutex> state(state_mutex_);
   const std::size_t applied = simulation_.ReplayTrace(begin, end);
-  AccountIngest(applied);
+  AccountIngest(applied, state);
   return applied;
 }
 
 // -- query plane ------------------------------------------------------------
 
 double CoordinateService::ScoreLocked(std::size_t i, std::size_t j) const {
+  const double score = simulation_.engine().Predict(i, j);
   query_count_.fetch_add(1, std::memory_order_relaxed);
-  return simulation_.engine().Predict(i, j);
+  return score;
 }
 
 double CoordinateService::QueryScore(std::size_t i, std::size_t j) const {
@@ -150,8 +158,9 @@ eval::KnnResult CoordinateService::QueryNearestPeers(std::size_t i,
                                                      std::size_t k,
                                                      std::size_t ef) const {
   const std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  eval::KnnResult peers = index_->SearchFrom(i, k, DefaultOrdering(), ef);
   query_count_.fetch_add(1, std::memory_order_relaxed);
-  return index_->SearchFrom(i, k, DefaultOrdering(), ef);
+  return peers;
 }
 
 eval::KnnOrdering CoordinateService::DefaultOrdering() const noexcept {
@@ -166,7 +175,7 @@ eval::KnnOrdering CoordinateService::DefaultOrdering() const noexcept {
 // -- snapshot plane ---------------------------------------------------------
 
 void CoordinateService::Checkpoint() {
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
+  const std::lock_guard<std::mutex> writer(writer_mutex_);
   if (log_) {
     AppendEpoch();
   }
@@ -188,7 +197,8 @@ std::size_t CoordinateService::CurrentStaleness() const {
 
 // -- cadence ----------------------------------------------------------------
 
-void CoordinateService::AccountIngest(std::size_t count) {
+void CoordinateService::AccountIngest(std::size_t count,
+                                      std::unique_lock<std::shared_mutex>& state) {
   if (count == 0) {
     return;
   }
@@ -196,8 +206,16 @@ void CoordinateService::AccountIngest(std::size_t count) {
   staleness_ += count;
   since_epoch_ += count;
   if (staleness_ >= config_.staleness_budget) {
-    RefreshIndex();
+    // At exactly the budget the refresh runs off the state lock: readers
+    // keep seeing staleness == budget until the publish, and the writer
+    // mutex stops any ingest from raising it.  A batch that alone went past
+    // the budget must publish before readers can observe it.
+    if (staleness_ == config_.staleness_budget) {
+      state.unlock();
+    }
+    RefreshIndex(state);
   }
+  state.unlock();
   if (log_ && since_epoch_ >= config_.snapshot_interval) {
     AppendEpoch();
   }
@@ -222,10 +240,19 @@ std::vector<core::NodeId> CoordinateService::TakeMask(
   return ids;
 }
 
-void CoordinateService::RefreshIndex() {
+void CoordinateService::RefreshIndex(std::unique_lock<std::shared_mutex>& state) {
+  // The spare replays exactly what the published index would have, so the
+  // adjacency, the index Rng stream and every answer are those of an
+  // in-place update.  Copying and updating only read the store and the
+  // published index, which the writer mutex keeps still.
   DrainDirty();
   const std::vector<core::NodeId> dirty = TakeMask(pending_index_);
-  const ann::PeerIndex::UpdateStats update = index_->ApplyUpdates(dirty);
+  *spare_ = *index_;
+  const ann::PeerIndex::UpdateStats update = spare_->ApplyUpdates(dirty);
+  if (!state.owns_lock()) {
+    state.lock();
+  }
+  std::swap(index_, spare_);
   ++stats_.index_refreshes;
   stats_.index_relinks += update.relinked;
   if (update.rebuilt) {
@@ -235,11 +262,14 @@ void CoordinateService::RefreshIndex() {
 }
 
 void CoordinateService::AppendEpoch() {
+  // Under the writer mutex alone: an epoch only reads store rows, and no
+  // one else writes them.
   DrainDirty();
   const std::vector<core::NodeId> dirty = TakeMask(pending_snapshot_);
   log_->AppendDelta(store(), dirty);
-  ++stats_.epochs;
   since_epoch_ = 0;
+  const std::unique_lock<std::shared_mutex> state(state_mutex_);
+  ++stats_.epochs;
 }
 
 }  // namespace dmfsgd::svc

@@ -36,21 +36,32 @@
 // absorbs drift: any staleness budget yields the same scores, and exact-
 // mode k-NN (ef >= n) the same peers.
 //
-// Concurrency (DESIGN.md §18): the service is a reader–writer split over
-// one shared_mutex.  The const query plane (QueryScore / QueryQuantity /
-// QueryLevel / QueryNearestPeers, plus stats() and CurrentStaleness())
-// takes the lock shared — any number of query threads run concurrently,
-// each leasing its own search scratch from the index underneath — while
-// the ingest and snapshot planes (Ingest* / Checkpoint) take it exclusive,
-// so index refreshes and coordinate writes never race a query.  Queries
-// are pure reads: on a quiescent service, N-thread query results are
-// bit-identical to single-thread (the walk is a pure function of the
-// index and the store — pinned by the concurrent-query tests).
+// Concurrency (DESIGN.md §18): writers and readers lock separately.  The
+// const query plane (QueryScore / QueryQuantity / QueryLevel /
+// QueryNearestPeers, plus stats() and CurrentStaleness()) takes a
+// shared_mutex shared — any number of query threads run concurrently, each
+// leasing its own search scratch from the index underneath.  Writers
+// (Ingest* / Checkpoint) serialize on a writer mutex for their whole call
+// and take the shared_mutex exclusive only to apply measurements and to
+// publish.  Index maintenance is copy-on-write: a refresh copies the
+// published index into a spare, applies the drained drift to the spare
+// with no state lock held, and publishes by swapping the two pointers.
+// Snapshot epochs hold the writer mutex alone (they only read the store,
+// which no one else writes).  The one exception is a batch that alone
+// pushes staleness past the budget (an IngestRounds round, a long trace
+// window): its refresh publishes inside the batch's exclusive hold, so
+// CurrentStaleness() never exceeds the budget.  A query observes the state
+// before or after a write, never a torn one; on a quiescent service,
+// N-thread query results are bit-identical to single-thread (the walk is a
+// pure function of the index and the store — pinned by the concurrent-query
+// tests).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <vector>
@@ -134,8 +145,8 @@ class CoordinateService {
   // -- query plane (live bilinear scores, DESIGN.md §16, §18) ---------------
   //
   // All Query* methods are const shared-lock readers: safe from any number
-  // of threads concurrently, and concurrently with the exclusive ingest
-  // plane (a query observes the state before or after an ingest, never a
+  // of threads concurrently, and concurrently with the ingest and snapshot
+  // planes (a query observes the state before or after an ingest, never a
   // torn one).
 
   /// x̂_ij = u_i · v_j, live.  Throws std::out_of_range on bad indices.
@@ -202,13 +213,17 @@ class CoordinateService {
   }
 
  private:
-  /// Cadence bookkeeping after `count` applied measurements: drains the
-  /// engine dirty set into the two pending masks lazily (only when a
-  /// consumer is due — the drain is destructive and O(n), so the hot ingest
-  /// path must not pay it per measurement).
-  void AccountIngest(std::size_t count);
+  /// Cadence bookkeeping after `count` applied measurements, called under
+  /// the writer mutex with `state` held exclusive; releases `state` before
+  /// any work that need not hold it.  Drains the engine dirty set into the
+  /// two pending masks lazily (only when a consumer is due — the drain is
+  /// destructive and O(n), so the hot ingest path must not pay it per
+  /// measurement).
+  void AccountIngest(std::size_t count, std::unique_lock<std::shared_mutex>& state);
   void DrainDirty();
-  void RefreshIndex();
+  /// Copies the published index into the spare, applies the pending drift
+  /// there, then takes `state` exclusive (if not already held) and swaps.
+  void RefreshIndex(std::unique_lock<std::shared_mutex>& state);
   void AppendEpoch();
   [[nodiscard]] std::vector<core::NodeId> TakeMask(
       std::vector<unsigned char>& mask);
@@ -217,23 +232,30 @@ class CoordinateService {
   [[nodiscard]] double ScoreLocked(std::size_t i, std::size_t j) const;
 
   ServiceConfig config_;
+
+  // Writers serialize here for their whole call.  Guards what only writers
+  // touch (the engine's dirty set and protocol state, the spare index, the
+  // log, the pending masks, the epoch cadence) and keeps the store rows
+  // still while a writer reads them off the state lock.
+  std::mutex writer_mutex_;
   core::DmfsgdSimulation simulation_;
-  std::optional<ann::PeerIndex> index_;    // engaged for the service's life
+  std::unique_ptr<ann::PeerIndex> spare_;  // refreshed off the state lock
   std::optional<SnapshotLogWriter> log_;   // engaged iff persistence is on
-
-  // The reader–writer split (DESIGN.md §18): Query*/stats/CurrentStaleness
-  // share, Ingest*/Checkpoint are exclusive.  The query counter is atomic
-  // because lock-sharing queries may bump it concurrently.
-  mutable std::shared_mutex state_mutex_;
-  mutable std::atomic<std::uint64_t> query_count_{0};
-
   // Dirty ids awaiting each consumer (the engine drain feeds both): byte
   // masks so merging a drain is O(drained), materialized ascending on use.
   std::vector<unsigned char> pending_index_;
   std::vector<unsigned char> pending_snapshot_;
-  std::size_t staleness_ = 0;    ///< ingests since the last index refresh
   std::size_t since_epoch_ = 0;  ///< ingests since the last delta epoch
+
+  // The reader–writer split (DESIGN.md §18): Query*/stats/CurrentStaleness
+  // share; writers take it exclusive to write store rows and to publish
+  // what readers read below.  The query counter is atomic because
+  // lock-sharing queries may bump it concurrently.
+  mutable std::shared_mutex state_mutex_;
+  std::unique_ptr<ann::PeerIndex> index_;  // the published index
+  std::size_t staleness_ = 0;  ///< ingests since the last index refresh
   Stats stats_;
+  mutable std::atomic<std::uint64_t> query_count_{0};
 };
 
 }  // namespace dmfsgd::svc

@@ -171,6 +171,85 @@ TEST(PeerIndexDrift, ApplyUpdatesRelinksOnlyTheDriftedFew) {
   EXPECT_EQ(again.epsilon_skips, 4u);
 }
 
+std::vector<std::vector<std::size_t>> Adjacency(const PeerIndex& index) {
+  std::vector<std::vector<std::size_t>> adjacency;
+  for (const std::size_t id : index.Members()) {
+    adjacency.push_back(index.NeighborsOf(id));
+  }
+  return adjacency;
+}
+
+// svc::CoordinateService refreshes a copy of its published index and swaps
+// it in, so a copy — constructed, or assigned over an unrelated index —
+// must replay every ApplyUpdates batch exactly as its source, through
+// relinks (the copied Rng stream) and a RebuildAll escalation, with the
+// coarse layer off and on; and copying must not disturb the source.
+TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
+  for (const std::size_t cells : {0u, 12u}) {
+    SCOPED_TRACE(cells);
+    common::Rng rng(85);
+    CoordinateStore store(300, 8);
+    for (std::size_t i = 0; i < store.NodeCount(); ++i) {
+      store.RandomizeRow(i, rng);
+    }
+    PeerIndexOptions options;
+    options.ivf_cells = cells;
+    options.ivf_nprobe = 3;
+    options.ef_construction = 4;  // narrow link beams: the Rng stream matters
+    options.entry_points = 1;
+    PeerIndex source(store, options);
+    const std::vector<std::size_t> queries{0, 77, 150, 299};
+    std::vector<eval::KnnResult> answers;
+    for (const std::size_t q : queries) {
+      answers.push_back(source.SearchFrom(q, 10, KnnOrdering::kSmallestFirst));
+    }
+    const std::uint64_t evaluations = source.ScoreEvaluations();
+
+    const PeerIndex constructed(source);
+    PeerIndexOptions other = options;
+    other.seed = options.seed + 1;
+    other.ivf_cells = cells == 0 ? 5 : 0;
+    PeerIndex assigned(store, std::vector<std::size_t>{1, 2, 3, 4, 5, 6}, other);
+    assigned = constructed;
+    PeerIndex copy(source);  // the one the batches replay on
+    EXPECT_EQ(source.ScoreEvaluations(), evaluations);
+    EXPECT_EQ(constructed.ScoreEvaluations(), evaluations);
+    EXPECT_EQ(assigned.ScoreEvaluations(), evaluations);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto again = source.SearchFrom(queries[q], 10, KnnOrdering::kSmallestFirst);
+      EXPECT_EQ(again.ids, answers[q].ids);
+      EXPECT_EQ(again.scores, answers[q].scores);
+    }
+    EXPECT_EQ(assigned.Size(), source.Size());
+    EXPECT_EQ(Adjacency(assigned), Adjacency(source));
+    EXPECT_EQ(assigned.CellEntries(), source.CellEntries());
+
+    // Relinks, a bulk drift past rebuild_fraction, then relinks again.
+    bool rebuilt = false;
+    for (const auto& [first, count] :
+         {std::pair<std::size_t, std::size_t>{10, 12}, {0, 200}, {250, 20}}) {
+      std::vector<core::NodeId> dirty;
+      for (std::size_t i = first; i < first + count; ++i) {
+        store.RandomizeRow(i, rng);
+        dirty.push_back(static_cast<core::NodeId>(i));
+      }
+      const auto expected = source.ApplyUpdates(dirty);
+      for (PeerIndex* replica : {&copy, &assigned}) {
+        const auto stats = replica->ApplyUpdates(dirty);
+        EXPECT_EQ(stats.relinked, expected.relinked);
+        EXPECT_EQ(stats.epsilon_skips, expected.epsilon_skips);
+        EXPECT_EQ(stats.rebuilt, expected.rebuilt);
+        EXPECT_EQ(Adjacency(*replica), Adjacency(source));
+        EXPECT_EQ(replica->CellEntries(), source.CellEntries());
+      }
+      EXPECT_TRUE(expected.rebuilt || expected.relinked > 0);
+      rebuilt |= expected.rebuilt;
+    }
+    EXPECT_TRUE(rebuilt);
+    EXPECT_EQ(source.CellCount(), cells);
+  }
+}
+
 TEST(PeerIndexDrift, ApplyUpdatesIgnoresNonMembers) {
   common::Rng rng(75);
   CoordinateStore store(60, 6);

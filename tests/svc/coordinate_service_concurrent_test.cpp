@@ -1,9 +1,10 @@
 // The service's reader–writer query plane (DESIGN.md §18): const queries
 // from many threads are bit-identical to a single-thread replay on a
-// quiescent service, and queries racing the exclusive ingest plane (which
-// drives PeerIndex::ApplyUpdates underneath) always see a coherent index —
-// never a crash, never a row outside the store.  Runs under the TSan CI
-// leg, which is what actually pins the locking contract.
+// quiescent service, and queries racing the ingest plane (which refreshes
+// a copy of the index underneath and publishes it by pointer swap) always
+// see a coherent index within the staleness budget — never a crash, never
+// a row outside the store.  Runs under the TSan CI leg, which is what
+// actually pins the locking contract.
 #include "svc/coordinate_service.hpp"
 
 #include <gtest/gtest.h>
@@ -103,19 +104,22 @@ TEST(CoordinateServiceConcurrent, QueriesRacingIngestStayCoherent) {
           ASSERT_NE(peers.ids[p], i % n);
           ASSERT_TRUE(std::isfinite(peers.scores[p]));
         }
-        (void)service.CurrentStaleness();
+        ASSERT_LE(service.CurrentStaleness(), config.staleness_budget);
         answered.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
       }
     });
   }
 
-  // The writer: rounds and pushed pairs, repeatedly blowing through the
-  // staleness budget so the index re-links / rebuilds while queries run.
+  // The writer: rounds (each blows through the budget alone, so its
+  // refresh publishes inside the round's exclusive hold), pushed pairs and
+  // active probes (which reach the budget exactly, so their refreshes run
+  // off the state lock) while queries run.
   for (std::size_t round = 0; round < 3; ++round) {
     service.IngestRounds(1);
     for (std::size_t p = 0; p < 16; ++p) {
       (void)service.Ingest(p % n, (p + 7) % n);
+      (void)service.IngestProbe(static_cast<core::NodeId>((p * 5 + round) % n));
     }
   }
   for (std::thread& worker : workers) {
@@ -124,7 +128,8 @@ TEST(CoordinateServiceConcurrent, QueriesRacingIngestStayCoherent) {
 
   EXPECT_EQ(answered.load(), kQueryThreads * kPerThread);
   const CoordinateService::Stats stats = service.stats();
-  EXPECT_GT(stats.index_refreshes, 0u);
+  // Four rounds publish in their hold; the single ingests add more.
+  EXPECT_GT(stats.index_refreshes, 4u);
   EXPECT_GE(stats.queries, answered.load() * 2);  // score + knn per loop
   EXPECT_LE(service.CurrentStaleness(), config.staleness_budget);
 }

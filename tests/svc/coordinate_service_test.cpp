@@ -152,6 +152,23 @@ TEST_F(CoordinateServiceTest, QueriesNeverMutateTheStore) {
   EXPECT_GE(service.stats().queries, 4u * service.NodeCount());
 }
 
+// Stats::queries counts answered calls: a query rejected for a bad id
+// throws before it answers and must not be counted.
+TEST_F(CoordinateServiceTest, RejectedQueriesAreNotCounted) {
+  const Dataset dataset = SmallRtt();
+  CoordinateService service(dataset, SmallConfig(dataset));
+  (void)service.QueryScore(0, 1);
+  (void)service.QueryNearestPeers(0, 3);
+  const std::uint64_t answered = service.stats().queries;
+  ASSERT_EQ(answered, 2u);
+  const std::size_t bad = service.NodeCount();
+  EXPECT_THROW((void)service.QueryScore(bad, 1), std::out_of_range);
+  EXPECT_THROW((void)service.QueryQuantity(0, bad), std::out_of_range);
+  EXPECT_THROW((void)service.QueryLevel(bad, 0), std::out_of_range);
+  EXPECT_THROW((void)service.QueryNearestPeers(bad, 3), std::out_of_range);
+  EXPECT_EQ(service.stats().queries, answered);
+}
+
 TEST_F(CoordinateServiceTest, RestartFromCheckpointIsBitIdentical) {
   const Dataset dataset = SmallRtt();
   ServiceConfig config = SmallConfig(dataset);
