@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "netsim/shard_runtime.hpp"
@@ -33,24 +34,16 @@ std::size_t ResolveShardCount(const AsyncSimulationConfig& config) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-/// The minimum one-way delay any message can experience — the conservative
-/// lookahead of the parallel drain.  RTT datasets derive delays from the
-/// ground truth, so scan it; ABW delays are hash-drawn from the configured
-/// range, whose lower bound is the answer.
-double MinOneWayDelay(const datasets::Dataset& dataset,
-                      const AsyncSimulationConfig& config) {
-  if (dataset.metric != Metric::kRtt) {
-    return config.min_oneway_delay_s;
-  }
-  double min_rtt = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < dataset.NodeCount(); ++i) {
-    for (std::size_t j = 0; j < dataset.NodeCount(); ++j) {
-      if (i != j && dataset.IsKnown(i, j)) {
-        min_rtt = std::min(min_rtt, dataset.Quantity(i, j));
-      }
+/// Row-major `shards` x `shards` cells as a lookahead matrix.
+netsim::LookaheadMatrix LookaheadMatrixOf(const std::vector<double>& cells,
+                                          std::size_t shards) {
+  netsim::LookaheadMatrix matrix(shards, std::numeric_limits<double>::infinity());
+  for (std::size_t from = 0; from < shards; ++from) {
+    for (std::size_t to = 0; to < shards; ++to) {
+      matrix.Set(from, to, cells[from * shards + to]);
     }
   }
-  return min_rtt / 2.0 / 1000.0;  // ms -> s, one way
+  return matrix;
 }
 
 }  // namespace
@@ -65,8 +58,19 @@ AsyncDmfsgdSimulation::AsyncDmfsgdSimulation(const datasets::Dataset& dataset,
                config.base.coalesce_delivery),
       engine_(dataset, config.base, injector,
               StackChannel(delayed_, wire_, config.base.use_wire_format)),
-      lookahead_s_(MinOneWayDelay(dataset, config)) {
+      lookahead_s_(config.min_oneway_delay_s) {
   delay_seed_ = engine_.rng()();
+  if (dataset.metric == Metric::kRtt) {
+    // One ground-truth scan feeds both lookaheads (DESIGN.md §12).  The
+    // minimum of the block minima is the same double the minimum RTT
+    // converts to: halving and the ms -> s scaling are monotone, so they
+    // commute with min.
+    const std::vector<double> cells = BlockMinimumDelays();
+    lookahead_s_ = *std::min_element(cells.begin(), cells.end());
+    if (config_.use_pair_lookaheads && events_.ShardCount() > 1) {
+      pair_lookaheads_ = LookaheadMatrixOf(cells, events_.ShardCount());
+    }
+  }
 
   // Kick off every node's probe loop with a random initial phase so the
   // Poisson processes don't fire in lockstep at t = 0.
@@ -121,6 +125,35 @@ void AsyncDmfsgdSimulation::RunUntil(double until_s) {
   events_.RunUntil(until_s);
 }
 
+std::vector<double> AsyncDmfsgdSimulation::BlockMinimumDelays() const {
+  // Cell (a, b) = the minimum delay any message from block a to block b can
+  // experience.  Messages only ever travel between measurable pairs
+  // (neighbor sets are IsKnown-restricted, through churn too), so blocks
+  // with no measurable pair keep +infinity — no event ever crosses them.
+  // The scan covers ordered pairs: an RTT matrix may differ slightly
+  // between (i, j) and (j, i).
+  const datasets::Dataset& dataset = engine_.dataset();
+  const bool rtt = dataset.metric == Metric::kRtt;
+  const std::size_t shards = events_.ShardCount();
+  const std::size_t n = dataset.NodeCount();
+  std::vector<double> cells(shards * shards,
+                            std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = cells.data() + events_.ShardOf(static_cast<NodeId>(i)) * shards;
+    for (std::size_t to = 0; to < shards; ++to) {
+      const auto [first, last] = events_.OwnersOfShard(to);
+      for (std::size_t j = first; j < last; ++j) {
+        if (i == j || (rtt && !dataset.IsKnown(i, j))) {
+          continue;
+        }
+        row[to] = std::min(
+            row[to], OneWayDelay(static_cast<NodeId>(i), static_cast<NodeId>(j)));
+      }
+    }
+  }
+  return cells;
+}
+
 const netsim::LookaheadMatrix& AsyncDmfsgdSimulation::PairLookaheads() {
   if (pair_lookaheads_.has_value()) {
     return *pair_lookaheads_;
@@ -128,32 +161,10 @@ const netsim::LookaheadMatrix& AsyncDmfsgdSimulation::PairLookaheads() {
   const std::size_t shards = events_.ShardCount();
   if (!config_.use_pair_lookaheads || shards == 1) {
     pair_lookaheads_.emplace(shards, lookahead_s_);
-    return *pair_lookaheads_;
+  } else {
+    // Only ABW gets here: on RTT datasets the constructor fills the matrix.
+    pair_lookaheads_ = LookaheadMatrixOf(BlockMinimumDelays(), shards);
   }
-  // Cell (a, b) = the minimum delay any message from block a to block b can
-  // experience.  Messages only ever travel between measurable pairs
-  // (neighbor sets are IsKnown-restricted, through churn too), so blocks
-  // with no measurable pair keep +infinity — no event ever crosses them.
-  netsim::LookaheadMatrix matrix(
-      shards, std::numeric_limits<double>::infinity());
-  const datasets::Dataset& dataset = engine_.dataset();
-  const bool rtt = dataset.metric == Metric::kRtt;
-  const std::size_t n = dataset.NodeCount();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t from = events_.ShardOf(static_cast<NodeId>(i));
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || (rtt && !dataset.IsKnown(i, j))) {
-        continue;
-      }
-      const std::size_t to = events_.ShardOf(static_cast<NodeId>(j));
-      const double delay =
-          OneWayDelay(static_cast<NodeId>(i), static_cast<NodeId>(j));
-      if (delay < matrix.At(from, to)) {
-        matrix.Set(from, to, delay);
-      }
-    }
-  }
-  pair_lookaheads_ = std::move(matrix);
   return *pair_lookaheads_;
 }
 

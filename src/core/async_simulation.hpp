@@ -111,14 +111,16 @@ class AsyncDmfsgdSimulation {
     return events_.ShardCount();
   }
   /// The conservative-window bound of RunUntilParallel: the deployment's
-  /// minimum one-way delay.
+  /// minimum one-way delay (ABW: the configured min_oneway_delay_s).
   [[nodiscard]] double LookaheadSeconds() const noexcept { return lookahead_s_; }
   /// The per-shard-pair lookahead matrix the parallel and distributed drains
   /// window with (DESIGN.md §12): cell (a, b) is the minimum one-way delay
   /// from any owner in shard a's block to any owner in shard b's block
   /// (+infinity when no measurable pair connects the blocks), or uniformly
-  /// LookaheadSeconds() when use_pair_lookaheads is off.  Built lazily on
-  /// first use — an O(n²) scan — and cached.
+  /// LookaheadSeconds() when use_pair_lookaheads is off or there is one
+  /// shard.  On RTT datasets the constructor's O(n²) ground-truth scan fills
+  /// it together with LookaheadSeconds(); on ABW datasets it is built on
+  /// first use by an O(n²) scan of the hash-drawn delays.  Cached.
   [[nodiscard]] const netsim::LookaheadMatrix& PairLookaheads();
   /// Conservative windows executed by the parallel/distributed drains.
   [[nodiscard]] std::uint64_t WindowsExecuted() const noexcept {
@@ -188,6 +190,9 @@ class AsyncDmfsgdSimulation {
   void ScheduleNextProbe(NodeId i);
   void StartProbe(NodeId i);
   [[nodiscard]] double OneWayDelay(NodeId i, NodeId j) const;
+  /// Row-major shards x shards minimum one-way delays between owner blocks,
+  /// from one O(n²) scan over ordered pairs.
+  [[nodiscard]] std::vector<double> BlockMinimumDelays() const;
 
   AsyncSimulationConfig config_;
   netsim::ShardedEventQueue events_;
@@ -199,7 +204,7 @@ class AsyncDmfsgdSimulation {
   DeploymentEngine engine_;
   std::uint64_t delay_seed_ = 0;
   double lookahead_s_ = 0.0;
-  std::optional<netsim::LookaheadMatrix> pair_lookaheads_;  ///< lazy cache
+  std::optional<netsim::LookaheadMatrix> pair_lookaheads_;
 };
 
 }  // namespace dmfsgd::core

@@ -7,9 +7,16 @@
 
 namespace dmfsgd::netsim {
 
-DelaySpace::DelaySpace(const DelaySpaceConfig& config)
-    : detour_cluster_sigma_(config.detour_cluster_sigma),
-      detour_pair_sigma_(config.detour_pair_sigma) {
+namespace {
+
+void RequireSpread(double value, const char* name) {
+  if (!(value >= 0.0) || !std::isfinite(value)) {
+    throw std::invalid_argument(std::string("DelaySpace: ") + name +
+                                " must be finite and >= 0");
+  }
+}
+
+const DelaySpaceConfig& Validate(const DelaySpaceConfig& config) {
   if (config.node_count < 2) {
     throw std::invalid_argument("DelaySpace: need at least 2 nodes");
   }
@@ -18,6 +25,25 @@ DelaySpace::DelaySpace(const DelaySpaceConfig& config)
     throw std::invalid_argument(
         "DelaySpace: continent_count, cluster_count and dimensions must be > 0");
   }
+  RequireSpread(config.cluster_radius_ms, "cluster_radius_ms");
+  RequireSpread(config.continent_radius_ms, "continent_radius_ms");
+  RequireSpread(config.world_radius_ms, "world_radius_ms");
+  RequireSpread(config.min_access_ms, "min_access_ms");
+  RequireSpread(config.access_lognormal_sigma, "access_lognormal_sigma");
+  RequireSpread(config.detour_cluster_sigma, "detour_cluster_sigma");
+  RequireSpread(config.detour_pair_sigma, "detour_pair_sigma");
+  if (!std::isfinite(config.access_lognormal_mu)) {
+    throw std::invalid_argument("DelaySpace: access_lognormal_mu must be finite");
+  }
+  return config;
+}
+
+}  // namespace
+
+DelaySpace::DelaySpace(const DelaySpaceConfig& config)
+    : dimensions_(Validate(config).dimensions),
+      cluster_count_(config.cluster_count),
+      detour_pair_sigma_(config.detour_pair_sigma) {
   common::Rng rng(config.seed);
   detour_seed_ = rng();
 
@@ -39,7 +65,7 @@ DelaySpace::DelaySpace(const DelaySpaceConfig& config)
     }
   }
 
-  positions_.resize(config.node_count);
+  positions_.resize(config.node_count * dimensions_);
   access_ms_.resize(config.node_count);
   cluster_.resize(config.node_count);
   for (std::size_t i = 0; i < config.node_count; ++i) {
@@ -51,45 +77,55 @@ DelaySpace::DelaySpace(const DelaySpaceConfig& config)
         u * u * static_cast<double>(config.cluster_count));
     cluster_[i] = std::min(cluster, config.cluster_count - 1);
 
-    positions_[i].resize(config.dimensions);
-    for (std::size_t d = 0; d < config.dimensions; ++d) {
-      positions_[i][d] =
+    for (std::size_t d = 0; d < dimensions_; ++d) {
+      positions_[i * dimensions_ + d] =
           centers[cluster_[i]][d] + rng.Normal(0.0, config.cluster_radius_ms);
     }
     access_ms_[i] =
         config.min_access_ms +
         rng.LogNormal(config.access_lognormal_mu, config.access_lognormal_sigma);
   }
+
+  // The dominant detour component is shared by the whole cluster pair
+  // (AS-level routing policy).  Each cell comes from its own generator keyed
+  // by the unordered cluster pair, never from `rng`, so the table leaves the
+  // geography above untouched.
+  cluster_detour_.resize(cluster_count_ * cluster_count_);
+  for (std::size_t lo = 0; lo < cluster_count_; ++lo) {
+    for (std::size_t hi = lo; hi < cluster_count_; ++hi) {
+      std::uint64_t state =
+          detour_seed_ ^ (static_cast<std::uint64_t>(lo) * 0x9e3779b97f4a7c15ULL +
+                          static_cast<std::uint64_t>(hi) + 0x51ed270b8a4c9b7dULL);
+      common::Rng cluster_rng(common::SplitMix64Next(state));
+      const double factor = cluster_rng.LogNormal(0.0, config.detour_cluster_sigma);
+      cluster_detour_[lo * cluster_count_ + hi] = factor;
+      cluster_detour_[hi * cluster_count_ + lo] = factor;
+    }
+  }
 }
 
 double DelaySpace::Propagation(std::size_t i, std::size_t j) const noexcept {
+  const double* a = positions_.data() + i * dimensions_;
+  const double* b = positions_.data() + j * dimensions_;
   double sum = 0.0;
-  for (std::size_t d = 0; d < positions_[i].size(); ++d) {
-    const double delta = positions_[i][d] - positions_[j][d];
+  for (std::size_t d = 0; d < dimensions_; ++d) {
+    const double delta = a[d] - b[d];
     sum += delta * delta;
   }
   return std::sqrt(sum);
 }
 
 double DelaySpace::DetourFactor(std::size_t i, std::size_t j) const noexcept {
-  // Symmetric factors derived from keyed hashes so the same (i, j) always
-  // sees the same detour without storing n^2 values.  The dominant component
-  // is shared by the whole cluster pair (AS-level routing policy); a small
-  // per-pair jitter sits on top.
-  const std::uint64_t c_lo =
-      static_cast<std::uint64_t>(std::min(cluster_[i], cluster_[j]));
-  const std::uint64_t c_hi =
-      static_cast<std::uint64_t>(std::max(cluster_[i], cluster_[j]));
-  std::uint64_t cluster_state =
-      detour_seed_ ^ (c_lo * 0x9e3779b97f4a7c15ULL + c_hi + 0x51ed270b8a4c9b7dULL);
-  common::Rng cluster_rng(common::SplitMix64Next(cluster_state));
-  const double cluster_factor = cluster_rng.LogNormal(0.0, detour_cluster_sigma_);
-
+  // The cluster-pair factor from the table times a small per-pair jitter,
+  // derived from a keyed hash so the same (i, j) always sees the same detour
+  // without storing n^2 values.  The constructor's checks keep LogNormal
+  // from throwing.
   const std::uint64_t lo = static_cast<std::uint64_t>(std::min(i, j));
   const std::uint64_t hi = static_cast<std::uint64_t>(std::max(i, j));
   std::uint64_t pair_state = detour_seed_ ^ (lo * 0x9e3779b97f4a7c15ULL + hi);
   common::Rng pair_rng(common::SplitMix64Next(pair_state));
-  return cluster_factor * pair_rng.LogNormal(0.0, detour_pair_sigma_);
+  return cluster_detour_[cluster_[i] * cluster_count_ + cluster_[j]] *
+         pair_rng.LogNormal(0.0, detour_pair_sigma_);
 }
 
 double DelaySpace::Rtt(std::size_t i, std::size_t j) const {

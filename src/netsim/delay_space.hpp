@@ -44,12 +44,18 @@ struct DelaySpaceConfig {
 };
 
 /// Immutable synthetic delay space.  Construction materializes per-node
-/// positions and access delays; pairwise RTTs are computed on demand except
-/// for the symmetric detour factors which are drawn lazily per pair from a
-/// pair-keyed hash so that the full n x n matrix never needs to be stored to
-/// stay consistent.
+/// positions and access delays plus a C x C table of cluster-pair detour
+/// factors (C = cluster_count: C² doubles, 3.2 KB at C = 20, 30.5 MB at
+/// C = 1953).  Each table cell and each per-pair jitter is drawn from a
+/// generator keyed by the (unordered) cluster or node pair, so the full
+/// n x n matrix never needs to be stored to stay consistent; an RTT query
+/// costs one table load, one pair-keyed jitter draw and a distance
+/// (DESIGN.md §14).
 class DelaySpace {
  public:
+  /// Throws std::invalid_argument on fewer than 2 nodes, a zero count, a
+  /// negative or non-finite radius, sigma or min_access_ms, or a
+  /// non-finite access_lognormal_mu.
   explicit DelaySpace(const DelaySpaceConfig& config);
 
   [[nodiscard]] std::size_t NodeCount() const noexcept { return access_ms_.size(); }
@@ -69,10 +75,12 @@ class DelaySpace {
   [[nodiscard]] double Propagation(std::size_t i, std::size_t j) const noexcept;
   [[nodiscard]] double DetourFactor(std::size_t i, std::size_t j) const noexcept;
 
-  std::vector<std::vector<double>> positions_;  // node -> coordinates (ms units)
-  std::vector<double> access_ms_;               // node -> last-mile delay
-  std::vector<std::size_t> cluster_;            // node -> cluster id
-  double detour_cluster_sigma_;
+  std::size_t dimensions_;
+  std::size_t cluster_count_;
+  std::vector<double> positions_;       // node-major, dimensions_ per node (ms)
+  std::vector<double> access_ms_;       // node -> last-mile delay
+  std::vector<std::size_t> cluster_;    // node -> cluster id
+  std::vector<double> cluster_detour_;  // C x C, symmetric
   double detour_pair_sigma_;
   std::uint64_t detour_seed_;
 };

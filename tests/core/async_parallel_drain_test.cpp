@@ -9,16 +9,24 @@
 // wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/async_simulation.hpp"
 #include "datasets/clusters.hpp"
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
+#include "datasets/procedural.hpp"
 #include "eval/roc.hpp"
+#include "linalg/matrix.hpp"
 
 namespace dmfsgd::core {
 namespace {
@@ -202,6 +210,141 @@ TEST(AsyncParallelDrain, PairLookaheadsWidenWindowsAndPreserveTheTrajectory) {
   // must widen by a wide margin, not within noise.
   EXPECT_LT(pairwise_run->WindowsExecuted() * 2,
             uniform_run->WindowsExecuted());
+}
+
+/// SmallRtt() with gaps and one asymmetric pair.  No measurable pair joins
+/// the first and last of three owner blocks (at three shards, two cells of
+/// the lookahead matrix have no pair at all), a scatter of further pairs is
+/// missing, and the smallest RTT is shaved by 1e-10 relative in its
+/// (high, low) direction only, inside the validator's 1e-9 tolerance: only a
+/// scan over ordered pairs finds the true minimum.
+Dataset GappyAsymmetricRtt() {
+  Dataset dataset = SmallRtt();
+  dataset.name += " with gaps and an asymmetric pair";
+  linalg::Matrix& m = dataset.ground_truth;
+  const std::size_t n = m.Rows();
+  const netsim::ShardedEventQueue thirds(n, 3);
+  const std::size_t first_block_end = thirds.OwnersOfShard(0).second;
+  const std::size_t last_block_begin = thirds.OwnersOfShard(2).first;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if ((i < first_block_end && j >= last_block_begin) || (i + j) % 7 == 0) {
+        m(i, j) = linalg::Matrix::kMissing;
+        m(j, i) = linalg::Matrix::kMissing;
+      }
+    }
+  }
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double smallest = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (dataset.IsKnown(i, j) && m(i, j) < smallest) {
+        smallest = m(i, j);
+        lo = i;
+        hi = j;
+      }
+    }
+  }
+  m(hi, lo) = smallest * (1.0 - 1e-10);
+  EXPECT_LT(m(hi, lo), m(lo, hi));
+  datasets::ValidateDataset(dataset);
+  return dataset;
+}
+
+/// The lookaheads an in-test scan over ordered pairs (i, j), i != j, gives:
+/// the global minimum one-way delay (RTT; ABW's is the configured lower
+/// bound) and the per-owner-block minima of a `shards`-shard queue.
+struct ScannedLookaheads {
+  double global = 0.0;
+  std::vector<double> cells;  ///< row-major shards x shards, +inf if no pair
+};
+
+ScannedLookaheads ScanLookaheads(const Dataset& dataset,
+                                 const AsyncSimulationConfig& config,
+                                 std::size_t shards) {
+  const std::size_t n = dataset.NodeCount();
+  const bool rtt = dataset.metric == datasets::Metric::kRtt;
+  // ABW delays are hash-drawn per pair from a seed private to the
+  // simulation.  The delay function does not depend on the shard count, so
+  // a queue with one node per shard reads every pair's delay off its
+  // lookahead matrix.
+  std::optional<AsyncDmfsgdSimulation> per_node;
+  if (!rtt) {
+    AsyncSimulationConfig one_per_shard = config;
+    one_per_shard.shard_count = n;
+    one_per_shard.use_pair_lookaheads = true;
+    per_node.emplace(dataset, one_per_shard);
+  }
+  const netsim::ShardedEventQueue queue(n, shards);
+  ScannedLookaheads scanned;
+  scanned.global = std::numeric_limits<double>::infinity();
+  scanned.cells.assign(shards * shards, std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j || (rtt && !dataset.IsKnown(i, j))) {
+        continue;
+      }
+      double delay = 0.0;
+      if (rtt) {
+        delay = dataset.Quantity(i, j) / 2.0 / 1000.0;
+      } else {
+        delay = per_node->PairLookaheads().At(i, j);
+        EXPECT_EQ(delay, per_node->PairLookaheads().At(j, i));
+        EXPECT_GE(delay, config.min_oneway_delay_s);
+        EXPECT_LT(delay, config.max_oneway_delay_s);
+      }
+      double& cell = scanned.cells[queue.ShardOf(static_cast<NodeId>(i)) * shards +
+                                    queue.ShardOf(static_cast<NodeId>(j))];
+      cell = std::min(cell, delay);
+      scanned.global = std::min(scanned.global, delay);
+    }
+  }
+  if (!rtt) {
+    scanned.global = config.min_oneway_delay_s;
+  }
+  return scanned;
+}
+
+TEST(AsyncParallelDrain, LookaheadsMatchABruteForceScan) {
+  datasets::EuclideanRttConfig complete;
+  complete.node_count = 90;
+  complete.seed = 12;
+  const Dataset datasets_under_test[] = {
+      GappyAsymmetricRtt(), datasets::MakeEuclideanRtt(complete), SmallAbw()};
+  std::size_t unconnected_cells = 0;
+  for (const Dataset& dataset : datasets_under_test) {
+    AsyncSimulationConfig config;
+    config.base.rank = 10;
+    config.base.neighbor_count = 16;
+    config.base.tau = dataset.Procedural() ? datasets::SampledMedianValue(dataset)
+                                           : dataset.MedianValue();
+    config.base.seed = 5;
+    for (const std::size_t shards : {1u, 2u, 3u}) {
+      const ScannedLookaheads scanned = ScanLookaheads(dataset, config, shards);
+      for (const bool pairwise : {false, true}) {
+        SCOPED_TRACE(dataset.name + " shards=" + std::to_string(shards) +
+                     " pairwise=" + std::to_string(pairwise));
+        config.shard_count = shards;
+        config.use_pair_lookaheads = pairwise;
+        AsyncDmfsgdSimulation simulation(dataset, config);
+        EXPECT_EQ(simulation.LookaheadSeconds(), scanned.global);
+        const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
+        ASSERT_EQ(matrix.ShardCount(), shards);
+        for (std::size_t from = 0; from < shards; ++from) {
+          for (std::size_t to = 0; to < shards; ++to) {
+            const double expected = pairwise && shards > 1
+                                        ? scanned.cells[from * shards + to]
+                                        : scanned.global;
+            EXPECT_EQ(matrix.At(from, to), expected)
+                << "cell (" << from << ", " << to << ")";
+            unconnected_cells += std::isinf(expected) ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unconnected_cells, 0u) << "no cell without a measurable pair was checked";
 }
 
 TEST(AsyncParallelDrain, PairLookaheadViolationStillFires) {

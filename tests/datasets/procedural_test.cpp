@@ -66,6 +66,38 @@ TEST(ProceduralDataset, DeterministicPerSeedAndDistinctAcrossSeeds) {
   EXPECT_TRUE(any_differs) << "seed is not reaching the delay space";
 }
 
+TEST(ProceduralDataset, GroundTruthIsPinnedBitForBit) {
+  // Exact values of the bench-tier delay space, so a faster oracle must
+  // reproduce the formula and not only stay deterministic.  Four intra- and
+  // five inter-cluster pairs, both orders: the access delays are added in
+  // (i, j) order, so a pair may differ in its last bit between its two
+  // directions, as (5, 4000) does.
+  EuclideanRttConfig config;
+  config.node_count = 4096;
+  config.seed = 2011;
+  const Dataset dataset = MakeEuclideanRtt(config);
+  struct Pinned {
+    std::size_t i;
+    std::size_t j;
+    double rtt;
+  };
+  const Pinned pinned[] = {
+      {0, 4095, 0x1.71d72640364f8p+4},    {4095, 0, 0x1.71d72640364f8p+4},
+      {1000, 2047, 0x1.c0487d0cb44a3p+4}, {2047, 1000, 0x1.c0487d0cb44a3p+4},
+      {2, 301, 0x1.721265563d74bp+4},     {301, 2, 0x1.721265563d74bp+4},
+      {12, 77, 0x1.c4fb959c74633p+3},     {77, 12, 0x1.c4fb959c74633p+3},
+      {0, 1, 0x1.0067cd86bb572p+8},       {1, 0, 0x1.0067cd86bb572p+8},
+      {5, 4000, 0x1.0e09fd33bc089p+5},    {4000, 5, 0x1.0e09fd33bc088p+5},
+      {17, 1234, 0x1.a8530c2b7f45fp+8},   {1234, 17, 0x1.a8530c2b7f45fp+8},
+      {9, 3333, 0x1.f93ff285cc421p+6},    {3333, 9, 0x1.f93ff285cc421p+6},
+      {42, 4042, 0x1.063c5ec7d2ce7p+6},   {4042, 42, 0x1.063c5ec7d2ce7p+6},
+  };
+  for (const Pinned& pair : pinned) {
+    EXPECT_EQ(dataset.Quantity(pair.i, pair.j), pair.rtt)
+        << "pair (" << pair.i << ", " << pair.j << ")";
+  }
+}
+
 TEST(ProceduralDataset, PassesTheValidatorsSampledBranch) {
   const Dataset dataset = SmallProcedural();
   EXPECT_NO_THROW(ValidateDataset(dataset));
