@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -13,6 +14,9 @@ namespace {
 
 using datasets::Dataset;
 using datasets::Metric;
+
+/// targets_ value of a slot not probed since its row was last cleared.
+constexpr double kUnprobed = std::numeric_limits<double>::quiet_NaN();
 
 /// Throwing pass-through so the config is validated before any member that
 /// depends on it (the store sizes itself off config.rank) is built.  The
@@ -167,6 +171,12 @@ void DeploymentEngine::RebuildNeighborSetWith(NodeId i, common::Rng& rng) {
   // everyone at least once before exploiting.
   neighbor_loss_[i].assign(config_.neighbor_count,
                            std::numeric_limits<double>::infinity());
+  // The memoized targets belonged to the old neighbors.
+  if (!targets_.empty()) {
+    std::fill_n(targets_.begin() + static_cast<std::ptrdiff_t>(
+                                       i * config_.neighbor_count),
+                config_.neighbor_count, kUnprobed);
+  }
 }
 
 void DeploymentEngine::ResetNode(NodeId i) {
@@ -218,18 +228,19 @@ NodeId DeploymentEngine::PickNeighbor(NodeId i) {
 }
 
 NodeId DeploymentEngine::PickNeighborWith(NodeId i, common::Rng& rng) {
-  const auto& nb = neighbors_[i];
+  return neighbors_[i][PickSlotWith(i, rng)];
+}
+
+std::size_t DeploymentEngine::PickSlotWith(NodeId i, common::Rng& rng) {
+  const std::size_t k = neighbors_[i].size();
   switch (config_.strategy) {
     case ProbeStrategy::kUniformRandom:
-      return nb[rng.UniformInt(static_cast<std::uint64_t>(nb.size()))];
-    case ProbeStrategy::kRoundRobin: {
-      const NodeId j = nb[round_robin_cursor_[i] % nb.size()];
-      ++round_robin_cursor_[i];
-      return j;
-    }
+      return rng.UniformInt(static_cast<std::uint64_t>(k));
+    case ProbeStrategy::kRoundRobin:
+      return round_robin_cursor_[i]++ % k;
     case ProbeStrategy::kLossDriven: {
       if (rng.Bernoulli(config_.exploration)) {
-        return nb[rng.UniformInt(static_cast<std::uint64_t>(nb.size()))];
+        return rng.UniformInt(static_cast<std::uint64_t>(k));
       }
       const auto& losses = neighbor_loss_[i];
       std::size_t best = 0;
@@ -238,13 +249,20 @@ NodeId DeploymentEngine::PickNeighborWith(NodeId i, common::Rng& rng) {
           best = p;
         }
       }
-      return nb[best];
+      return best;
     }
   }
-  return nb[0];
+  return 0;
+}
+
+void DeploymentEngine::EnsureTargetTable() {
+  if (targets_.empty()) {
+    targets_.assign(nodes_.size() * config_.neighbor_count, kUnprobed);
+  }
 }
 
 void DeploymentEngine::EnsurePerNodeStreams() {
+  EnsureTargetTable();
   if (!per_node_rng_.empty()) {
     return;
   }
@@ -308,7 +326,8 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
   pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       common::Rng& rng = per_node_rng_[i];
-      const NodeId j = PickNeighborWith(static_cast<NodeId>(i), rng);
+      const std::size_t slot = PickSlotWith(static_cast<NodeId>(i), rng);
+      const NodeId j = neighbors_[i][slot];
       // Two protocol legs, each dropped independently — the same roll
       // sequence LegLost() produces on the sequential path (the second leg
       // is only rolled if the first survived).
@@ -321,7 +340,7 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
       if (lost) {
         continue;
       }
-      const double x = MeasurementFor(i, j, std::nullopt);
+      const double x = SlotTarget(static_cast<NodeId>(i), slot);
       const std::span<const double> u_remote(sweep_u_.data() + j * r, r);
       const std::span<const double> v_remote(sweep_v_.data() + j * r, r);
       RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_remote);
@@ -394,7 +413,7 @@ void DeploymentEngine::ExecuteCompiledRttRound() {
   const linalg::KernelOps& kernels = linalg::ActiveKernels();
   const std::size_t r = config_.rank;
   for (const RoundEdge& edge : round_coo_.Edges()) {
-    const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
+    const double x = ProbeTarget(edge.prober, edge.target);
     RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
     CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
                     store_.V(edge.target).data(), store_.U(edge.prober).data(),
@@ -418,7 +437,7 @@ void DeploymentEngine::ExecuteCompiledAbwRound() {
   for (NodeId t = 0; t < n; ++t) {
     for (const std::uint32_t e : round_coo_.Group(t)) {
       const RoundEdge& edge = edges[e];
-      const double x = MeasurementFor(edge.prober, t, std::nullopt);
+      const double x = ProbeTarget(edge.prober, t);
       double* v_row = store_.V(t).data();
       if (edge.full != 0) {
         // The reply ships v_j as it stood before the target's update
@@ -476,7 +495,7 @@ void DeploymentEngine::CompiledParallelRttSweep(common::ThreadPool& pool) {
         continue;
       }
       const NodeId j = sweep_target_[i];
-      const double x = MeasurementFor(i, j, std::nullopt);
+      const double x = ProbeTarget(static_cast<NodeId>(i), j);
       const std::span<const double> v_remote(sweep_v_.data() + j * r, r);
       RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_remote);
       CompiledRttStep(kernels, config_.params, x, sweep_u_.data() + j * r,
@@ -551,7 +570,7 @@ void DeploymentEngine::ParallelAbwRoundSweep(common::ThreadPool& pool) {
       for (std::size_t p = lo; p < hi; ++p) {
         const std::size_t i = phase[p];
         const NodeId j = sweep_target_[i];
-        const double x = MeasurementFor(i, j, std::nullopt);
+        const double x = ProbeTarget(static_cast<NodeId>(i), j);
         const auto v_j = nodes_[j].v();
         std::copy(v_j.begin(), v_j.end(), v_pre.begin());
         nodes_[j].AbwTargetUpdate(x, nodes_[i].u(), config_.params);  // eq. 13
@@ -631,7 +650,7 @@ void DeploymentEngine::CompiledParallelAbwSweep(common::ThreadPool& pool) {
     for (std::size_t t = lo; t < hi; ++t) {
       for (const std::uint32_t e : round_coo_.Group(static_cast<NodeId>(t))) {
         const RoundEdge& edge = edges[e];
-        const double x = MeasurementFor(edge.prober, t, std::nullopt);
+        const double x = ProbeTarget(edge.prober, static_cast<NodeId>(t));
         double* v_row = store_.V(t).data();
         if (edge.full != 0) {
           std::copy(v_row, v_row + r, v_pre.begin());
@@ -817,6 +836,31 @@ double DeploymentEngine::MeasurementFor(
   return static_cast<double>(ClassOf(dataset_->metric, quantity, config_.tau));
 }
 
+double DeploymentEngine::SlotTarget(NodeId i, std::size_t slot) {
+  EnsureTargetTable();  // parallel callers built it before forking
+  double& target = targets_[i * config_.neighbor_count + slot];
+  if (std::isnan(target)) {
+    // MeasurementFor is pure, so storing its value cannot change what any
+    // later probe trains on — only how often the oracle is asked.
+    target = MeasurementFor(i, neighbors_[i][slot], std::nullopt);
+  }
+  return target;
+}
+
+double DeploymentEngine::ProbeTarget(NodeId i, NodeId j) {
+  const auto& nb = neighbors_[i];
+  const auto it = std::lower_bound(nb.begin(), nb.end(), j);
+  if (it == nb.end() || *it != j) {
+    return MeasurementFor(i, j, std::nullopt);
+  }
+  return SlotTarget(i, static_cast<std::size_t>(it - nb.begin()));
+}
+
+double DeploymentEngine::TargetSideProbeTarget(NodeId prober, NodeId target) {
+  return sharded_drain_ ? MeasurementFor(prober, target, std::nullopt)
+                        : ProbeTarget(prober, target);
+}
+
 void DeploymentEngine::RecordNeighborLoss(NodeId i, NodeId j, double x,
                                           std::span<const double> v_remote) {
   if (config_.strategy != ProbeStrategy::kLossDriven) {
@@ -974,7 +1018,7 @@ std::size_t DeploymentEngine::FoldRttReplies(const MessageBatch& batch,
   GradientStepBatch dv(config_.rank);
   for (std::size_t k = start; k < end; ++k) {
     const auto& reply = std::get<RttProbeReply>(batch.items[k].message);
-    const double x = MeasurementFor(prober, reply.target, std::nullopt);
+    const double x = ProbeTarget(prober, reply.target);
     RecordNeighborLoss(prober, reply.target, x, reply.v);
     nodes_[prober].AccumulateRttUpdate(x, reply.u, reply.v, config_.params, du,
                                        dv);
@@ -1027,7 +1071,7 @@ std::size_t DeploymentEngine::FoldAbwRequests(const MessageBatch& batch,
   const std::vector<double> v_pre = nodes_[target].VCopy();
   for (std::size_t k = start; k < end; ++k) {
     const auto& request = std::get<AbwProbeRequest>(batch.items[k].message);
-    const double x = MeasurementFor(request.prober, target, std::nullopt);
+    const double x = TargetSideProbeTarget(request.prober, target);
     nodes_[target].AccumulateAbwTargetUpdate(x, request.u, config_.params, dv);
     CountMeasurementAt(target);
     if (LegLostFor(target)) {
@@ -1061,7 +1105,7 @@ std::size_t DeploymentEngine::CompileRttReplies(const MessageBatch& batch,
       throw std::invalid_argument(
           "DeploymentEngine: RttProbeReply coordinate rank mismatch");
     }
-    const double x = MeasurementFor(prober, reply.target, std::nullopt);
+    const double x = ProbeTarget(prober, reply.target);
     RecordNeighborLoss(prober, reply.target, x, reply.v);
     CompiledRttStep(kernels, config_.params, x, reply.u.data(), reply.v.data(),
                     u_row, v_row, r);
@@ -1139,10 +1183,14 @@ void DeploymentEngine::HandleRttRequest(NodeId prober, NodeId target) {
 void DeploymentEngine::HandleRttReply(NodeId prober, const RttProbeReply& reply) {
   // Its timing gives the prober x_ij (or the trace record supplies it —
   // never during a sharded drain, whose StartExchange rejects overrides).
-  const double x = MeasurementFor(
-      prober, reply.target, sharded_drain_ ? std::nullopt : trace_observed_);
+  // An observed value trains this exchange only; it is never memoized.
+  const std::optional<double> observed =
+      sharded_drain_ ? std::nullopt : trace_observed_;
+  const double x = observed.has_value()
+                       ? MeasurementFor(prober, reply.target, observed)
+                       : ProbeTarget(prober, reply.target);
   if (!sharded_drain_) {
-    trace_observed_consumed_ = trace_observed_.has_value();
+    trace_observed_consumed_ = observed.has_value();
   }
   RecordNeighborLoss(prober, reply.target, x, reply.v);
   nodes_[prober].RttUpdate(x, reply.u, reply.v, config_.params);
@@ -1156,7 +1204,7 @@ void DeploymentEngine::HandleAbwRequest(NodeId target,
   // The target infers x_ij, replies with its pre-update v_j (Algorithm 2
   // sends before updating), then updates v_j — the measurement is consumed
   // at the target even if the reply later gets lost.
-  const double x = MeasurementFor(request.prober, target, std::nullopt);
+  const double x = TargetSideProbeTarget(request.prober, target);
   AbwProbeReply reply{target, x, nodes_[target].VCopy()};
   nodes_[target].AbwTargetUpdate(x, request.u, config_.params);
   MarkDirty(target);

@@ -10,7 +10,8 @@
 //  * probe scheduling policy: which neighbor a node probes next
 //    (uniform random / round robin / loss driven);
 //  * the measurement pipeline: ground-truth lookup or trace override,
-//    error injection, classification vs τ-normalized regression targets;
+//    error injection, classification vs τ-normalized regression targets,
+//    each neighbor pair's target stored at its first probe (DESIGN.md §14);
 //  * message-loss semantics: each protocol leg is dropped independently and
 //    a lost leg loses exactly the updates a real deployment would lose;
 //  * the Algorithm 1/2 exchange state machines (eqs. 9-13), reacting to
@@ -252,9 +253,10 @@ class DeploymentEngine {
   /// (DESIGN.md §9): builds the per-node RNG streams, zeroes the per-node
   /// counter slots, and reroutes every handler-side draw (leg loss) and
   /// counter bump to the node the handler runs at, so concurrent handlers
-  /// for distinct nodes never share mutable state.  While active, trace
-  /// replay is rejected and the scalar counters are stale.  Throws
-  /// std::logic_error if already active.
+  /// for distinct nodes never share mutable state (the ABW request handler,
+  /// which runs at the target, reads the oracle instead of the prober's
+  /// target-table row).  While active, trace replay is rejected and the
+  /// scalar counters are stale.  Throws std::logic_error if already active.
   void BeginShardedDrain();
 
   /// Leaves sharded-drain mode and folds the per-node counter slots back
@@ -334,8 +336,13 @@ class DeploymentEngine {
   void RebuildNeighborSetWith(NodeId i, common::Rng& rng);
   void ResetNodeWith(NodeId i, common::Rng& rng);
 
-  /// Builds per_node_rng_ (and the per-node sweep scratch) if absent.
+  /// Builds per_node_rng_ (and the per-node sweep scratch) if absent, and
+  /// the target table: every parallel path calls this before forking.
   void EnsurePerNodeStreams();
+
+  /// Allocates targets_ on first use (all slots unprobed), which keeps the
+  /// table's n·k doubles out of construction.  Not thread-safe.
+  void EnsureTargetTable();
 
   /// The Algorithm-2 half of ParallelRoundSweep: target-sharded phases.
   void ParallelAbwRoundSweep(common::ThreadPool& pool);
@@ -360,6 +367,26 @@ class DeploymentEngine {
   /// τ-normalized quantity (the DESIGN.md §3 substitution).
   [[nodiscard]] double MeasurementFor(std::size_t i, std::size_t j,
                                       std::optional<double> observed_quantity) const;
+
+  /// The slot (index into neighbors_[i]) node i probes next, per the
+  /// configured strategy; PickNeighborWith is its neighbor id.
+  [[nodiscard]] std::size_t PickSlotWith(NodeId i, common::Rng& rng);
+
+  /// Training target of a static probe of node i's neighbor slot `slot`,
+  /// memoized in row i of targets_ (DESIGN.md §14).  Writes row i: callers
+  /// must own prober i (DESIGN.md §6).
+  [[nodiscard]] double SlotTarget(NodeId i, std::size_t slot);
+
+  /// Training target of a static probe i -> j: SlotTarget when j is one of
+  /// i's neighbors, MeasurementFor otherwise (non-neighbor pairs are never
+  /// stored).  Same ownership rule as SlotTarget.
+  [[nodiscard]] double ProbeTarget(NodeId i, NodeId j);
+
+  /// ProbeTarget for a handler that runs at the target (Algorithm 2's
+  /// request side).  A sharded drain runs it on the target's shard, which
+  /// does not own the prober's row, so there it reads MeasurementFor.
+  [[nodiscard]] double TargetSideProbeTarget(NodeId prober, NodeId target);
+
   [[nodiscard]] bool LegLost();
 
   /// Leg-loss roll attributed to the node whose handler rolls it: the shared
@@ -422,6 +449,15 @@ class DeploymentEngine {
   std::vector<std::vector<NodeId>> neighbors_;
   std::vector<std::size_t> round_robin_cursor_;     // per node
   std::vector<std::vector<double>> neighbor_loss_;  // per node, per neighbor
+
+  /// Training targets, node-major n × k, parallel to the slots of
+  /// neighbors_[i]: the first static probe of a neighbor pair stores
+  /// MeasurementFor's value and later probes read it back, so each pair
+  /// asks the oracle once per neighbor-set lifetime.  NaN marks a slot not
+  /// probed since RebuildNeighborSetWith last cleared the row.  Row i is
+  /// written only by code that owns prober i, like neighbor_loss_.  Empty
+  /// until the first probe (EnsureTargetTable).
+  std::vector<double> targets_;
 
   /// Trace-replay override for the RTT reply handler; only valid while an
   /// immediate-delivery exchange is executing (set/cleared by StartExchange,

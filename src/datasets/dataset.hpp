@@ -58,9 +58,12 @@ struct Dataset {
   /// and Quantity(i, j) = quantity_fn(i, j) — `ground_truth` stays empty (a
   /// dense matrix at n = 65536 would be ~34 GB).  The function must be pure
   /// (repeated probes of a static pair must agree), return positive finite
-  /// values, and be symmetric when metric == kRtt.  Matrix-scanning helpers
-  /// (percentiles, class matrices) reject procedural datasets — pick tau
-  /// analytically or by sampling quantity_fn.
+  /// values, and be symmetric when metric == kRtt.  Purity is load-bearing:
+  /// the deployment engine stores each neighbor pair's training target at
+  /// its first probe and reuses it (DESIGN.md §14), so an impure function
+  /// is frozen at its first probe of each neighbor pair.  Matrix-scanning
+  /// helpers (percentiles, class matrices) reject procedural datasets —
+  /// pick tau analytically or by sampling quantity_fn.
   std::function<double(std::size_t, std::size_t)> quantity_fn;
   std::size_t procedural_nodes = 0;
 
