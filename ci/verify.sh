@@ -127,6 +127,18 @@ for section in $(grep -rhoE "DESIGN\.md §[0-9]+((, ?| and )§[0-9]+)*" \
   fi
 done
 
+# Every backticked test binary name (`<dir>_<name>_test`) the docs or a code
+# comment cites must be a real test, tests/<dir>/<name>_test.cpp, so deleting
+# or renaming a test can't strand the prose that points at it.
+for cited in $(grep -rhoE '`[a-z0-9]+_[a-z0-9_]+_test`' \
+                 DESIGN.md README.md .claude/skills/verify/SKILL.md src tests \
+                 2>/dev/null | tr -d '`' | sort -u); do
+  source_file="tests/${cited%%_*}/${cited#*_}.cpp"
+  if [[ ! -f "$source_file" ]]; then
+    docs_failures+=("the docs cite \`$cited\`, but $source_file does not exist")
+  fi
+done
+
 if [[ ${#docs_failures[@]} -ne 0 ]]; then
   for failure in "${docs_failures[@]}"; do
     echo "docs check: $failure" >&2

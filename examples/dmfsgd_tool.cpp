@@ -49,7 +49,7 @@ using namespace dmfsgd;
 
 int Generate(const common::Flags& flags) {
   const std::string kind = flags.GetString("dataset", "meridian");
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 0));
+  const std::size_t nodes = flags.GetSize("nodes", 0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
@@ -101,7 +101,7 @@ core::SimulationConfig ConfigFromFlags(const common::Flags& flags,
   // The shared protocol knobs parse through the one helper (DESIGN.md §17);
   // only the simulator-specific knobs are read here.
   common::ApplyProtocolFlags(flags, config, dataset.MedianValue());
-  config.neighbor_count = static_cast<std::size_t>(flags.GetInt("k", 16));
+  config.neighbor_count = flags.GetSize("k", 16);
   if (config.coalesce_delivery) {
     // Mini-batch receive mode (DESIGN.md §13): each coalesced reply envelope
     // applies one accumulated gradient step, chunked at the burst size.
@@ -138,7 +138,7 @@ int Train(const common::Flags& flags) {
   }
   core::DmfsgdSimulation simulation(dataset, config);
   if (dataset.trace.empty()) {
-    const auto rounds = static_cast<std::size_t>(flags.GetInt("rounds", 600));
+    const std::size_t rounds = flags.GetSize("rounds", 600);
     if (config.compile_rounds) {
       simulation.RunRoundsCompiled(rounds);
     } else {
@@ -215,8 +215,8 @@ int Predict(const common::Flags& flags) {
   }
   const datasets::Dataset dataset = datasets::LoadDataset(in);
   const core::CoordinateSnapshot model = core::LoadSnapshot(model_path);
-  const auto src = static_cast<std::size_t>(flags.GetInt("src", 0));
-  const auto dst = static_cast<std::size_t>(flags.GetInt("dst", 0));
+  const std::size_t src = flags.GetSize("src", 0);
+  const std::size_t dst = flags.GetSize("dst", 0);
   const double tau = flags.GetDouble("tau", dataset.MedianValue());
   const double score = model.Predict(src, dst);
   std::cout << "path " << src << " -> " << dst << ": score " << score

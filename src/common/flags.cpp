@@ -51,6 +51,17 @@ std::int64_t Flags::GetInt(const std::string& name, std::int64_t fallback) const
   return value;
 }
 
+std::size_t Flags::GetSize(const std::string& name, std::size_t fallback) const {
+  if (!Has(name)) {
+    return fallback;
+  }
+  const std::int64_t value = GetInt(name, 0);
+  if (value < 0) {
+    throw std::invalid_argument("Flags: --" + name + " must be >= 0");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double Flags::GetDouble(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) {
@@ -87,8 +98,7 @@ std::vector<std::string> WithProtocolFlagNames(std::vector<std::string> base) {
 
 void ApplyProtocolFlags(const Flags& flags, core::ProtocolConfig& config,
                         double tau_fallback) {
-  config.rank = static_cast<std::size_t>(
-      flags.GetInt("rank", static_cast<std::int64_t>(config.rank)));
+  config.rank = flags.GetSize("rank", config.rank);
   config.params.eta = flags.GetDouble("eta", config.params.eta);
   config.params.lambda = flags.GetDouble("lambda", config.params.lambda);
   if (flags.Has("loss")) {
@@ -98,8 +108,7 @@ void ApplyProtocolFlags(const Flags& flags, core::ProtocolConfig& config,
                                tau_fallback > 0.0 ? tau_fallback : config.tau);
   config.seed = static_cast<std::uint64_t>(
       flags.GetInt("seed", static_cast<std::int64_t>(config.seed)));
-  config.probe_burst = static_cast<std::size_t>(flags.GetInt(
-      "batch-size", static_cast<std::int64_t>(config.probe_burst)));
+  config.probe_burst = flags.GetSize("batch-size", config.probe_burst);
   config.coalesce_delivery =
       flags.GetBool("coalesce", config.coalesce_delivery);
   config.compile_rounds =

@@ -5,6 +5,7 @@
 // `--quick` (reduced sweeps) and `--seed=N`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -33,6 +34,12 @@ class Flags {
   /// Integer value, or `fallback` if not given; throws on non-numeric value.
   [[nodiscard]] std::int64_t GetInt(const std::string& name,
                                     std::int64_t fallback) const;
+
+  /// Non-negative integer value (a count, size or index), or `fallback` if
+  /// not given; throws std::invalid_argument naming the flag on a negative
+  /// or non-numeric value.
+  [[nodiscard]] std::size_t GetSize(const std::string& name,
+                                    std::size_t fallback) const;
 
   /// Double value, or `fallback` if not given; throws on non-numeric value.
   [[nodiscard]] double GetDouble(const std::string& name, double fallback) const;
@@ -67,7 +74,8 @@ class Flags {
 /// the dataset's median value, the paper's threshold choice).  --batch-size
 /// sets probe_burst; front-end couplings (e.g. the simulator's mini-batch
 /// fold size under --coalesce) stay at the caller.  Throws
-/// std::invalid_argument on malformed values.
+/// std::invalid_argument on malformed values, including a negative --rank
+/// or --batch-size.
 void ApplyProtocolFlags(const Flags& flags, core::ProtocolConfig& config,
                         double tau_fallback = 0.0);
 

@@ -16,12 +16,12 @@ namespace {
 using datasets::Metric;
 
 const AsyncSimulationConfig& Validate(const AsyncSimulationConfig& config) {
-  if (config.mean_probe_interval_s <= 0.0) {
+  if (!(config.mean_probe_interval_s > 0.0)) {
     throw std::invalid_argument(
         "AsyncDmfsgdSimulation: mean_probe_interval_s must be > 0");
   }
-  if (config.min_oneway_delay_s <= 0.0 ||
-      config.max_oneway_delay_s < config.min_oneway_delay_s) {
+  if (!(config.min_oneway_delay_s > 0.0) ||
+      !(config.max_oneway_delay_s >= config.min_oneway_delay_s)) {
     throw std::invalid_argument("AsyncDmfsgdSimulation: bad one-way delay range");
   }
   return config;

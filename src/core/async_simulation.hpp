@@ -5,9 +5,9 @@
 // for another, nodes keep probing while earlier exchanges are in flight, and
 // every coordinate vector a node receives is a *snapshot taken at send
 // time* — stale by the time it is consumed.  This driver runs the shared
-// deployment core (core/engine.hpp) over an EventQueueDeliveryChannel to
-// demonstrate (and let tests verify) that DMFSGD's convergence survives that
-// asynchrony, which is what makes the paper's "fully decentralized,
+// deployment core (core/engine.hpp) over a ShardedEventQueueDeliveryChannel
+// to demonstrate (and let tests verify) that DMFSGD's convergence survives
+// that asynchrony, which is what makes the paper's "fully decentralized,
 // large-scale" claim credible.
 //
 // Because the protocol lives in the engine, everything the synchronous
@@ -30,9 +30,9 @@
 // The event queue is partitioned by owner node (netsim::ShardedEventQueue):
 // every event — a node's probe timer, a message delivery — runs in the shard
 // of the node whose handler it is.  RunUntil drains the shards through a
-// deterministic cross-shard merge (identical, event for event, to the old
-// single queue), and RunUntilParallel drains them concurrently in
-// conservative windows bounded by the minimum one-way delay, with every
+// deterministic cross-shard merge (events fire in global (time, schedule
+// order) for any shard count), and RunUntilParallel drains them concurrently
+// in conservative windows bounded by the minimum one-way delay, with every
 // node's randomness moved onto its private RNG stream (DESIGN.md §9).  The
 // parallel drain is bit-identical for every pool size at a fixed shard
 // count; its trajectory differs from the sequential drain (per-node vs

@@ -268,48 +268,6 @@ std::size_t CoalescingDeliveryChannel::PendingMessages() const noexcept {
   return pending;
 }
 
-EventQueueDeliveryChannel::EventQueueDeliveryChannel(netsim::EventQueue& events,
-                                                     DelayFn delay,
-                                                     bool coalesce)
-    : events_(&events), delay_(std::move(delay)), coalesce_(coalesce) {
-  if (!delay_) {
-    throw std::invalid_argument("EventQueueDeliveryChannel: delay fn required");
-  }
-}
-
-void EventQueueDeliveryChannel::Send(NodeId from, NodeId to,
-                                     ProtocolMessage message) {
-  const double delay = delay_(from, to);
-  if (!coalesce_) {
-    events_->Schedule(delay, [this, from, to, message = std::move(message)] {
-      DeliverNow(from, to, message);
-    });
-    return;
-  }
-  const double arrival = events_->Now() + delay;
-  const auto key = ArrivalKey(to, arrival);
-  // Merge only *back-to-back* sends sharing the key (DESIGN.md §13): their
-  // per-message events would carry consecutive sequence numbers at one
-  // timestamp, so nothing can sort between them and the merge is exactly
-  // order-preserving — unconditionally, not just for continuous delays.
-  // Because only the most recent envelope can ever absorb another message,
-  // one (key, envelope) slot suffices.  The arrival > Now() guard keeps an
-  // already-fired envelope from absorbing a late send (only possible at
-  // delay 0 — positive delays always produce a fresh, future key) and lets
-  // the fire callback stay mutation-free: it may execute on a parallel
-  // window's worker thread long after this driver-context schedule.
-  if (last_key_ == key && last_batch_ != nullptr && arrival > events_->Now()) {
-    last_batch_->items.push_back(BatchItem{from, std::move(message)});
-    return;
-  }
-  auto batch = std::make_shared<MessageBatch>();
-  batch->to = to;
-  batch->items.push_back(BatchItem{from, std::move(message)});
-  last_key_ = key;
-  last_batch_ = batch;
-  events_->Schedule(delay, [this, batch] { DeliverBatch(*batch); });
-}
-
 ShardedEventQueueDeliveryChannel::ShardedEventQueueDeliveryChannel(
     netsim::ShardedEventQueue& events, DelayFn delay, bool coalesce)
     : events_(&events), delay_(std::move(delay)), coalesce_(coalesce) {
@@ -340,8 +298,16 @@ void ShardedEventQueueDeliveryChannel::Send(NodeId from, NodeId to,
   }
   const double arrival = events_->Now() + delay;
   const auto key = ArrivalKey(to, arrival);
-  // Back-to-back merging with a future-arrival guard, and a mutation-free
-  // fire callback — see EventQueueDeliveryChannel::Send for why both.
+  // Merge only *back-to-back* sends sharing the key (DESIGN.md §13): their
+  // per-message events would carry consecutive driver-lane sequence numbers
+  // at one timestamp, so nothing can sort between them and the merge is
+  // exactly order-preserving — unconditionally, not just for continuous
+  // delays.  Because only the most recent envelope can ever absorb another
+  // message, one (key, envelope) slot suffices.  The arrival > Now() guard
+  // keeps an already-fired envelope from absorbing a late send (only
+  // possible at delay 0 — positive delays always produce a fresh, future
+  // key) and lets the fire callback stay mutation-free: it may execute on a
+  // parallel window's worker thread long after this driver-context schedule.
   if (last_key_ == key && last_batch_ != nullptr && arrival > events_->Now()) {
     last_batch_->items.push_back(BatchItem{from, std::move(message)});
     return;

@@ -209,58 +209,29 @@ class CoalescingDeliveryChannel final : public DeliveryChannel {
   return base;
 }
 
-/// Delivery after a per-pair one-way delay on a discrete-event queue — the
+/// Delivery after a per-pair one-way delay on a ShardedEventQueue — the
 /// asynchronous deployment model: payloads are snapshots taken at send time,
-/// stale by the flight time when consumed.
+/// stale by the flight time when consumed.  Every message is scheduled into
+/// its *destination* node's shard (the handler runs at the destination),
+/// which is what lets AsyncDmfsgdSimulation drain shards in parallel while
+/// handlers only ever touch destination-local state (DESIGN.md §9).  Send is
+/// safe from inside a parallel drain window — the queue routes the schedule
+/// through the executing shard's lane.
 ///
-/// With `coalesce` on, *back-to-back* sends to the same destination with
-/// the same arrival time merge into one pending envelope and fire as a
-/// single event (items in send order) — the order-preserving coalescing
-/// mode of DESIGN.md §13.  The back-to-back restriction is what makes the
-/// merge exact: the replaced per-message events would carry consecutive
-/// sequence numbers at one timestamp, so no foreign event can sort between
-/// them and every per-node delivery sequence is unchanged, unconditionally.
-/// Probe-burst traffic (a burst's replies converging on the prober, sent by
-/// an uninterrupted chain of handler executions) merges fully.
-class EventQueueDeliveryChannel final : public DeliveryChannel {
- public:
-  /// One-way delay in seconds for a directed pair.
-  using DelayFn = std::function<double(NodeId from, NodeId to)>;
-
-  /// `events` must outlive this channel; `delay` must be valid.
-  EventQueueDeliveryChannel(netsim::EventQueue& events, DelayFn delay,
-                            bool coalesce = false);
-
-  void Send(NodeId from, NodeId to, ProtocolMessage message) override;
-  [[nodiscard]] const char* Name() const noexcept override { return "event-queue"; }
-
- private:
-  netsim::EventQueue* events_;
-  DelayFn delay_;
-  bool coalesce_;
-  /// The most recent envelope and its (destination, arrival-time bits) key
-  /// — only back-to-back repeats of the key with a still-future arrival
-  /// merge, so one slot is the whole index and fire callbacks never touch
-  /// channel state (they may run on parallel-window worker threads).
-  std::optional<std::pair<NodeId, std::uint64_t>> last_key_;
-  std::shared_ptr<MessageBatch> last_batch_;
-};
-
-/// EventQueueDeliveryChannel over a ShardedEventQueue: every message is
-/// scheduled into its *destination* node's shard (the handler runs at the
-/// destination), which is what lets AsyncDmfsgdSimulation drain shards in
-/// parallel while handlers only ever touch destination-local state
-/// (DESIGN.md §9).  Send is safe from inside a parallel drain window — the
-/// queue routes the schedule through the executing shard's lane.
-///
-/// With `coalesce` on, driver-context sends (sequential drains) merge
-/// back-to-back same-destination same-arrival-time messages into one event
-/// exactly like the plain channel above.  Sends from inside a parallel
-/// window fall back
-/// to the per-message path — the pending-envelope index is shared state and
-/// window callbacks run concurrently; cross-process envelopes produced in a
-/// window are instead merged per (owner, time) at the window barrier by
-/// netsim::ShardRuntime through MergeEnvelopes (DESIGN.md §13).
+/// With `coalesce` on, *back-to-back* driver-context sends (sequential
+/// drains) to the same destination with the same arrival time merge into one
+/// pending envelope and fire as a single event (items in send order) — the
+/// order-preserving coalescing mode of DESIGN.md §13.  The back-to-back
+/// restriction is what makes the merge exact: the replaced per-message
+/// events would carry consecutive driver-lane sequence numbers at one
+/// timestamp, so no foreign event can sort between them and every per-node
+/// delivery sequence is unchanged, unconditionally.  Probe-burst traffic (a
+/// burst's replies converging on the prober, sent by an uninterrupted chain
+/// of handler executions) merges fully.  Sends from inside a parallel window
+/// fall back to the per-message path — the pending-envelope index is shared
+/// state and window callbacks run concurrently; cross-process envelopes
+/// produced in a window are instead merged per (owner, time) at the window
+/// barrier by netsim::ShardRuntime through MergeEnvelopes (DESIGN.md §13).
 ///
 /// In a multi-process drain (DESIGN.md §12) the queue's owned-shard range is
 /// a strict subset: a Send whose destination shard is remote cannot carry a
@@ -325,8 +296,11 @@ class ShardedEventQueueDeliveryChannel final : public DeliveryChannel {
   netsim::ShardedEventQueue* events_;
   DelayFn delay_;
   bool coalesce_;
-  /// The most recent unfired driver-context envelope and its key (see the
-  /// plain channel above); never touched from window threads.
+  /// The most recent driver-context envelope and its (destination,
+  /// arrival-time bits) key — only back-to-back repeats of the key with a
+  /// still-future arrival merge, so one slot is the whole index and fire
+  /// callbacks never touch channel state.  Never touched from window
+  /// threads.
   std::optional<std::pair<NodeId, std::uint64_t>> last_key_;
   std::shared_ptr<MessageBatch> last_batch_;
 };

@@ -295,14 +295,6 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
         "DeploymentEngine::ParallelRoundSweep: probe_burst > 1 is not "
         "supported on the parallel sweep path");
   }
-  if (config_.compile_rounds) {
-    if (abw_) {
-      CompiledParallelAbwSweep(pool);
-    } else {
-      CompiledParallelRttSweep(pool);
-    }
-    return;
-  }
   if (abw_) {
     ParallelAbwRoundSweep(pool);
     return;
@@ -458,64 +450,6 @@ void DeploymentEngine::ExecuteCompiledAbwRound() {
   }
 }
 
-void DeploymentEngine::CompiledParallelRttSweep(common::ThreadPool& pool) {
-  const std::size_t n = nodes_.size();
-  const std::size_t r = config_.rank;
-  EnsurePerNodeStreams();
-  ChurnSweep();
-
-  const auto u_data = store_.UData();
-  const auto v_data = store_.VData();
-  sweep_u_.assign(u_data.begin(), u_data.end());
-  sweep_v_.assign(v_data.begin(), v_data.end());
-  sweep_target_.resize(n);
-
-  // Gather: draws only — the same streams rolled in the same order as the
-  // uncompiled sweep, so both sweeps follow one trajectory.
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      common::Rng& rng = per_node_rng_[i];
-      sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
-      bool lost = false;
-      if (config_.message_loss > 0.0) {
-        lost = rng.Bernoulli(config_.message_loss) ||
-               rng.Bernoulli(config_.message_loss);
-      }
-      sweep_state_[i] = lost ? 1 : 0;
-    }
-  });
-
-  // Execute: the gathered edges partitioned into contiguous row ranges
-  // (edge i updates exactly rows i of both factors), swept through a kernel
-  // table fetched once — no variant dispatch, no per-message copies.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (sweep_state_[i] != 0) {
-        continue;
-      }
-      const NodeId j = sweep_target_[i];
-      const double x = ProbeTarget(static_cast<NodeId>(i), j);
-      const std::span<const double> v_remote(sweep_v_.data() + j * r, r);
-      RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_remote);
-      CompiledRttStep(kernels, config_.params, x, sweep_u_.data() + j * r,
-                      sweep_v_.data() + j * r, store_.U(i).data(),
-                      store_.V(i).data(), r);
-    }
-  });
-
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != 0) {
-      ++dropped;
-    } else {
-      MarkDirty(i);
-    }
-  }
-  dropped_legs_ += dropped;
-  measurement_count_ += n - dropped;
-}
-
 namespace {
 
 // Outcome of one Algorithm-2 exchange, decided entirely by the prober's
@@ -584,89 +518,6 @@ void DeploymentEngine::ParallelAbwRoundSweep(common::ThreadPool& pool) {
 
   // 4. Counters, reduced exactly as the sequential exchanges would have:
   // the target consumes the measurement even when the reply is lost.
-  std::size_t measured = 0;
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kAbwLeg1Lost) {
-      ++measured;
-      MarkDirty(sweep_target_[i]);  // the target's v row took eq. 13
-      if (sweep_state_[i] == kAbwFull) {
-        MarkDirty(i);  // the prober's u row took eq. 12
-      }
-    }
-    dropped += sweep_state_[i] != kAbwFull ? 1 : 0;
-  }
-  measurement_count_ += measured;
-  dropped_legs_ += dropped;
-}
-
-void DeploymentEngine::CompiledParallelAbwSweep(common::ThreadPool& pool) {
-  const std::size_t n = nodes_.size();
-  const std::size_t r = config_.rank;
-  EnsurePerNodeStreams();
-  ChurnSweep();
-
-  // 1. Draws — identical streams and roll order to ParallelAbwRoundSweep.
-  sweep_target_.resize(n);
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      common::Rng& rng = per_node_rng_[i];
-      sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
-      unsigned char state = kAbwFull;
-      if (config_.message_loss > 0.0) {
-        if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg1Lost;
-        } else if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg2Lost;
-        }
-      }
-      sweep_state_[i] = state;
-    }
-  });
-
-  // 2. Compile: row-major COO, grouped by updated v row, stable by prober
-  // order (probers are gathered ascending, and the grouping sort is
-  // stable).  Sequential and deterministic — pool size never enters.
-  round_coo_.Clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kAbwLeg1Lost) {
-      round_coo_.Add(static_cast<NodeId>(i), sweep_target_[i],
-                     sweep_state_[i] == kAbwFull);
-    }
-  }
-  round_coo_.GroupByTarget(n);
-
-  // 3. One ParallelFor over contiguous target-row ranges replaces the
-  // phase-barrier schedule: a range exclusively owns v of its target rows
-  // and u of their probers (each prober appears in exactly one group), so
-  // the partition is data-race-free, and within a group the updates apply
-  // in the same ascending-prober order the phases enforced — bit-identical
-  // results for every pool size, and to the uncompiled schedule under the
-  // scalar kernel table.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  const auto& edges = round_coo_.Edges();
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    std::vector<double> v_pre(r);
-    for (std::size_t t = lo; t < hi; ++t) {
-      for (const std::uint32_t e : round_coo_.Group(static_cast<NodeId>(t))) {
-        const RoundEdge& edge = edges[e];
-        const double x = ProbeTarget(edge.prober, static_cast<NodeId>(t));
-        double* v_row = store_.V(t).data();
-        if (edge.full != 0) {
-          std::copy(v_row, v_row + r, v_pre.begin());
-        }
-        CompiledAbwTargetStep(kernels, config_.params, x,
-                              store_.U(edge.prober).data(), v_row, r);  // eq. 13
-        if (edge.full != 0) {
-          RecordNeighborLoss(edge.prober, static_cast<NodeId>(t), x, v_pre);
-          CompiledAbwProberStep(kernels, config_.params, x, v_pre.data(),
-                                store_.U(edge.prober).data(), r);  // eq. 12
-        }
-      }
-    }
-  });
-
-  // 4. Same counter reduction as the phase schedule.
   std::size_t measured = 0;
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -119,12 +119,11 @@ enum class ProbeStrategy {
 ///    same-destination same-arrival-time messages into one event.  With
 ///    gradient_batch_size == 1 the drains are bit-identical to
 ///    per-message delivery (DESIGN.md §13).
-///  * compile_rounds — the parallel round sweep gathers rounds into
-///    row-major COO fused sweeps and the engine folds multi-message reply
-///    envelopes through the same fused executor; bit-identical to the
-///    per-message twin under the scalar kernel table (DESIGN.md §14).
-///    Mini-batch folding (gradient_batch_size > 1) takes precedence on
-///    the receive path.
+///  * compile_rounds — the engine folds multi-message reply envelopes
+///    through the fused compiled executor; bit-identical to the per-message
+///    handlers under the scalar kernel table (DESIGN.md §14).  Mini-batch
+///    folding (gradient_batch_size > 1) takes precedence on the receive
+///    path.  The parallel round sweep ignores it.
 struct SimulationConfig : ProtocolConfig {
   PredictionMode mode = PredictionMode::kClassification;
   std::size_t neighbor_count = 10; ///< k
@@ -346,18 +345,6 @@ class DeploymentEngine {
 
   /// The Algorithm-2 half of ParallelRoundSweep: target-sharded phases.
   void ParallelAbwRoundSweep(common::ThreadPool& pool);
-
-  /// The compiled twins of the parallel sweeps (config.compile_rounds):
-  /// same per-node draws, but the gradient pass runs as fused sweeps over
-  /// contiguous row ranges — Algorithm 1 splits the fused pick+update loop
-  /// into a draw pass and a branch-light execute pass; Algorithm 2 replaces
-  /// the phase-barrier schedule with one ParallelFor over stable row-major
-  /// target groups (each range exclusively owns its targets' v rows and the
-  /// u rows of their probers, who appear in exactly one group).  Bit-
-  /// identical to the uncompiled sweeps under the scalar kernel table, and
-  /// to themselves for every pool size.
-  void CompiledParallelRttSweep(common::ThreadPool& pool);
-  void CompiledParallelAbwSweep(common::ThreadPool& pool);
 
   /// The sequential execute passes shared by CompiledRoundSweep.
   void ExecuteCompiledRttRound();

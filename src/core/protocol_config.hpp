@@ -41,7 +41,9 @@ struct ProtocolConfig {
   bool coalesce_delivery = false;
 
   /// Sparse round compiler (DESIGN.md §14): fused kernel execution with
-  /// per-message update semantics (bit-identical under the scalar table).
+  /// per-message update semantics (bit-identical under the scalar table)
+  /// for multi-reply envelopes and the service's round ingest.  The
+  /// parallel round sweep has one schedule and ignores it.
   bool compile_rounds = false;
 };
 

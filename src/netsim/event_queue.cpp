@@ -1,6 +1,7 @@
 #include "netsim/event_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -15,45 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
-
-void EventQueue::Schedule(double delay_s, Callback callback) {
-  if (delay_s < 0.0) {
-    throw std::invalid_argument("EventQueue::Schedule: negative delay");
-  }
-  if (!callback) {
-    throw std::invalid_argument("EventQueue::Schedule: empty callback");
-  }
-  queue_.push(Entry{now_ + delay_s, next_sequence_++, std::move(callback)});
-}
-
-std::uint64_t EventQueue::RunUntil(double until_s) {
-  std::uint64_t ran = 0;
-  while (!queue_.empty() && queue_.top().time <= until_s) {
-    // Copy out before pop: the callback may schedule new events.
-    Entry entry = queue_.top();
-    queue_.pop();
-    now_ = entry.time;
-    entry.callback();
-    ++executed_;
-    ++ran;
-  }
-  if (now_ < until_s) {
-    now_ = until_s;
-  }
-  return ran;
-}
-
-bool EventQueue::RunOne() {
-  if (queue_.empty()) {
-    return false;
-  }
-  Entry entry = queue_.top();
-  queue_.pop();
-  now_ = entry.time;
-  entry.callback();
-  ++executed_;
-  return true;
-}
 
 // ------------------------------------------------------------------------
 // LookaheadMatrix
@@ -161,8 +123,9 @@ std::size_t ShardedEventQueue::PendingInShard(std::size_t shard) const {
 
 void ShardedEventQueue::Schedule(OwnerId owner, double delay_s,
                                  Callback callback) {
-  if (delay_s < 0.0) {
-    throw std::invalid_argument("ShardedEventQueue::Schedule: negative delay");
+  if (!(delay_s >= 0.0)) {
+    throw std::invalid_argument(
+        "ShardedEventQueue::Schedule: delay must be >= 0");
   }
   if (!callback) {
     throw std::invalid_argument("ShardedEventQueue::Schedule: empty callback");
@@ -195,7 +158,7 @@ void ShardedEventQueue::Schedule(OwnerId owner, double delay_s,
     return;
   }
   // Driver-side (sequential) schedule: one shared lane with one monotonic
-  // counter, so sequential drains tie-break globally FIFO like EventQueue.
+  // counter, so sequential drains tie-break globally FIFO.
   shards_[dest].heap.push(Entry{now_ + delay_s,
                                 static_cast<std::uint32_t>(shards_.size()),
                                 driver_sequence_++, std::move(callback)});
@@ -203,9 +166,9 @@ void ShardedEventQueue::Schedule(OwnerId owner, double delay_s,
 
 void ShardedEventQueue::ScheduleRemote(OwnerId owner, double delay_s,
                                        std::vector<std::byte> payload) {
-  if (delay_s < 0.0) {
+  if (!(delay_s >= 0.0)) {
     throw std::invalid_argument(
-        "ShardedEventQueue::ScheduleRemote: negative delay");
+        "ShardedEventQueue::ScheduleRemote: delay must be >= 0");
   }
   if (payload.empty()) {
     throw std::invalid_argument(
@@ -261,6 +224,9 @@ std::size_t ShardedEventQueue::MinShard() const {
 }
 
 std::uint64_t ShardedEventQueue::RunUntil(double until_s) {
+  if (std::isnan(until_s)) {
+    throw std::invalid_argument("ShardedEventQueue::RunUntil: NaN horizon");
+  }
   RequireFullOwnership("RunUntil");
   std::uint64_t ran = 0;
   for (;;) {
@@ -403,6 +369,10 @@ void ShardedEventQueue::InjectRemote(OwnerId owner, double time,
   if (!callback) {
     throw std::invalid_argument("ShardedEventQueue::InjectRemote: empty callback");
   }
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument(
+        "ShardedEventQueue::InjectRemote: time must be finite");
+  }
   if (lane >= shards_.size()) {
     throw std::invalid_argument(
         "ShardedEventQueue::InjectRemote: lane is not a shard");
@@ -438,9 +408,9 @@ std::uint64_t ShardedEventQueue::RunUntilParallel(
 
 std::uint64_t ShardedEventQueue::RunWindowedDrain(
     double until_s, common::ThreadPool& pool, const LookaheadMatrix& lookaheads) {
-  if (until_s < now_) {
+  if (!(until_s >= now_)) {
     throw std::invalid_argument(
-        "ShardedEventQueue::RunUntilParallel: time in the past");
+        "ShardedEventQueue::RunUntilParallel: time in the past or NaN");
   }
   RequireFullOwnership("RunUntilParallel");
   std::uint64_t ran_total = 0;

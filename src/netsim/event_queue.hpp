@@ -10,16 +10,12 @@
 // Events fire in (time, insertion order) — ties are FIFO, which keeps runs
 // fully deterministic for a given schedule.
 //
-// Two engines live here:
-//
-//   EventQueue        the original single global queue;
-//   ShardedEventQueue the same semantics partitioned by *owner node* into
-//                     sub-queues, with a deterministic cross-shard merge, a
-//                     conservative-lookahead parallel drain (DESIGN.md §9)
-//                     whose windows are bounded per shard pair
-//                     (LookaheadMatrix), and a window-level API that lets a
-//                     multi-process shard runtime drive the same drain over
-//                     an inter-shard channel (DESIGN.md §12).
+// ShardedEventQueue partitions the pending events by *owner node* into
+// sub-queues, with a deterministic cross-shard merge, a conservative-
+// lookahead parallel drain (DESIGN.md §9) whose windows are bounded per shard
+// pair (LookaheadMatrix), and a window-level API that lets a multi-process
+// shard runtime drive the same drain over an inter-shard channel
+// (DESIGN.md §12).
 #pragma once
 
 #include <cstddef>
@@ -38,52 +34,6 @@ namespace dmfsgd::netsim {
 /// The one contiguous block-split rule (common/thread_pool.hpp), re-exported
 /// where the shard partitions live.
 using common::BlockRange;
-
-class EventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  /// Current simulation time in seconds.
-  [[nodiscard]] double Now() const noexcept { return now_; }
-
-  /// Number of pending events.
-  [[nodiscard]] std::size_t Pending() const noexcept { return queue_.size(); }
-
-  /// Total events executed so far.
-  [[nodiscard]] std::uint64_t Executed() const noexcept { return executed_; }
-
-  /// Schedules `callback` to run `delay_s` seconds from now.
-  /// Requires delay_s >= 0 and a non-empty callback.
-  void Schedule(double delay_s, Callback callback);
-
-  /// Runs events until the queue drains or simulated time would exceed
-  /// `until_s`.  Events scheduled during execution participate.  Returns the
-  /// number of events executed by this call.
-  std::uint64_t RunUntil(double until_s);
-
-  /// Runs exactly one event if available; returns whether one ran.
-  bool RunOne();
-
- private:
-  struct Entry {
-    double time;
-    std::uint64_t sequence;  // tie-breaker: FIFO among equal times
-    Callback callback;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.sequence > b.sequence;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  double now_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t executed_ = 0;
-};
 
 /// Per-shard-pair conservative lookaheads for the parallel drain
 /// (DESIGN.md §12): cell (from, to) is a lower bound on the delay of any
@@ -123,7 +73,7 @@ class LookaheadMatrix {
   std::vector<double> cells_;
 };
 
-/// EventQueue partitioned by *owner node* into shard sub-queues.
+/// A discrete-event queue partitioned by *owner node* into shard sub-queues.
 ///
 /// Every event belongs to an owner (the node whose handler it runs — a
 /// message's destination, a timer's node); owners map to shards in contiguous
@@ -132,8 +82,8 @@ class LookaheadMatrix {
 ///  * `RunUntil` — sequential k-way merge across shards.  Global order is
 ///    (time, lane, lane sequence); events scheduled outside a parallel drain
 ///    all share the "driver" lane with one monotonic counter, so ties are
-///    globally FIFO — with any shard count, a sequential drain is
-///    event-for-event identical to a plain EventQueue.
+///    globally FIFO — with any shard count, a sequential drain fires events
+///    in (time, schedule order), the order of one global heap.
 ///  * `RunUntilParallel` — conservative-lookahead windows (DESIGN.md §9).
 ///    Each window executes, on every shard s, the events due before s's
 ///    per-window horizon: with m[s'] the earliest pending event of shard s'
@@ -242,11 +192,12 @@ class ShardedEventQueue {
   }
 
   /// Schedules `callback` to run `delay_s` seconds from now in `owner`'s
-  /// shard.  Requires delay_s >= 0, a non-empty callback and owner <
-  /// OwnerCount().  Inside a parallel window, a cross-shard schedule whose
-  /// fire time lands inside the destination shard's window throws
-  /// std::logic_error (lookahead violation), as does any in-window schedule
-  /// onto a remote (non-owned) shard — those must use ScheduleRemote.
+  /// shard.  Requires delay_s >= 0 (NaN is rejected), a non-empty callback
+  /// and owner < OwnerCount().  Inside a parallel window, a cross-shard
+  /// schedule whose fire time lands inside the destination shard's window
+  /// throws std::logic_error (lookahead violation), as does any in-window
+  /// schedule onto a remote (non-owned) shard — those must use
+  /// ScheduleRemote.
   void Schedule(OwnerId owner, double delay_s, Callback callback);
 
   /// Cross-process cousin of an in-window cross-shard Schedule: stamps the
@@ -259,12 +210,14 @@ class ShardedEventQueue {
   void ScheduleRemote(OwnerId owner, double delay_s,
                       std::vector<std::byte> payload);
 
-  /// Sequential drain in exact global order; same contract as
-  /// EventQueue::RunUntil.  Requires full shard ownership, like
-  /// RunUntilParallel: under a partial range the first cross-process
-  /// message would have no outside-window buffering path, so the mode is
-  /// rejected up front (multi-process drains always run windowed, under a
-  /// ShardRuntime).
+  /// Sequential drain in exact global order: runs events until the queue
+  /// drains or simulated time would exceed `until_s` (not NaN), then sets
+  /// Now() to `until_s` if it is ahead.  Events scheduled during execution
+  /// participate.  Returns the number of events executed by this call.
+  /// Requires full shard ownership, like RunUntilParallel: under a partial
+  /// range the first cross-process message would have no outside-window
+  /// buffering path, so the mode is rejected up front (multi-process drains
+  /// always run windowed, under a ShardRuntime).
   std::uint64_t RunUntil(double until_s);
 
   /// Runs exactly one event (the globally next one) if available.
@@ -273,10 +226,10 @@ class ShardedEventQueue {
 
   /// Parallel drain in conservative windows bounded by a uniform
   /// `lookahead_s` (> 0) on every shard pair, spread over `pool`.  Requires
-  /// until_s >= Now() and full shard ownership (multi-process drains go
-  /// through a ShardRuntime).  See the class comment for the ordering
-  /// contract; callbacks must touch only owner-local state plus what the
-  /// lookahead guarantee makes safe.
+  /// until_s >= Now() (not NaN) and full shard ownership (multi-process
+  /// drains go through a ShardRuntime).  See the class comment for the
+  /// ordering contract; callbacks must touch only owner-local state plus
+  /// what the lookahead guarantee makes safe.
   std::uint64_t RunUntilParallel(double until_s, common::ThreadPool& pool,
                                  double lookahead_s);
 
@@ -319,8 +272,8 @@ class ShardedEventQueue {
   [[nodiscard]] std::vector<RemoteEvent> TakeRemoteEvents();
 
   /// Enqueues an event received from a peer process with its original stamp.
-  /// Requires no active window, an owned destination shard and
-  /// lane < ShardCount().
+  /// Requires no active window, a finite time, an owned destination shard
+  /// and lane < ShardCount().
   void InjectRemote(OwnerId owner, double time, std::uint32_t lane,
                     std::uint64_t seq, Callback callback);
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/protocol_config.hpp"
+
 namespace dmfsgd::common {
 namespace {
 
@@ -67,6 +72,44 @@ TEST(Flags, NegativeNumbers) {
   const Flags flags = Make({"--offset=-3", "--gain=-1.5"}, {"offset", "gain"});
   EXPECT_EQ(flags.GetInt("offset", 0), -3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("gain", 0.0), -1.5);
+}
+
+/// The message of the std::invalid_argument `apply` throws, or "" if it
+/// throws nothing.
+template <typename Fn>
+std::string InvalidArgumentMessage(Fn apply) {
+  try {
+    apply();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Flags, GetSizeReadsCountsAndRejectsNegatives) {
+  const Flags flags = Make({"--count=12", "--zero=0", "--minus=-1"},
+                           {"count", "zero", "minus", "absent"});
+  EXPECT_EQ(flags.GetSize("count", 1), 12u);
+  EXPECT_EQ(flags.GetSize("zero", 1), 0u);
+  EXPECT_EQ(flags.GetSize("absent", 7), 7u);
+  EXPECT_NE(InvalidArgumentMessage([&] { (void)flags.GetSize("minus", 0); })
+                .find("--minus"),
+            std::string::npos);
+}
+
+// Cast unchecked to std::size_t, a negative count wraps to ~2^64:
+// --batch-size=-1 would launch 2^64 - 1 exchanges per round, and --rank=-1
+// would ask for a vector larger than max_size().
+TEST(Flags, ProtocolFlagsRejectNegativeCounts) {
+  for (const char* arg : {"--rank=-1", "--batch-size=-1"}) {
+    SCOPED_TRACE(arg);
+    const Flags flags = Make({arg}, ProtocolFlagNames());
+    core::ProtocolConfig config;
+    const std::string message =
+        InvalidArgumentMessage([&] { ApplyProtocolFlags(flags, config, 1.0); });
+    const std::string flag(arg, std::string(arg).find('='));
+    EXPECT_NE(message.find(flag), std::string::npos) << message;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/simulation.hpp"
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
@@ -68,6 +71,22 @@ TEST(AsyncSimulation, ValidatesConfig) {
   EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
   config = DefaultConfig(dataset);
   config.base.tau = 0.0;
+  EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
+}
+
+// NaN compares false against every bound, so each check must be written to
+// fail on it.
+TEST(AsyncSimulation, RejectsNaNProbeInterval) {
+  const Dataset dataset = SmallRtt();
+  AsyncSimulationConfig config = DefaultConfig(dataset);
+  config.mean_probe_interval_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
+}
+
+TEST(AsyncSimulation, RejectsNaNMinOneWayDelay) {
+  const Dataset dataset = SmallAbw();
+  AsyncSimulationConfig config = DefaultConfig(dataset);
+  config.min_oneway_delay_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
 }
 

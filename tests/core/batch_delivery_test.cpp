@@ -1,6 +1,6 @@
 // The batch envelope plumbing of DESIGN.md §13: MessageBatch semantics, the
 // packed batch wire frame, the coalescing decorator, event-time coalescing
-// on the event-queue channels, and — the robustness half — that truncated or
+// on the event-queue channel, and — the robustness half — that truncated or
 // corrupted batched frames and cross-process envelopes reject cleanly
 // (WireError) without UB.  Labeled `quick`, so the ASan/UBSan CI legs walk
 // every malformed-input path here.
@@ -258,11 +258,12 @@ TEST(CoalescingChannel, MaxBatchCapAutoFlushes) {
 }
 
 // ------------------------------------------------------------------------
-// Event-time coalescing on the event-queue channels
+// Event-time coalescing on the event-queue channel, over one shard (the
+// sequential drain's order) and then over several
 
-TEST(EventQueueCoalescing, SameArrivalMergesIntoOneEventOrderPreserved) {
-  netsim::EventQueue events;
-  EventQueueDeliveryChannel channel(
+TEST(OneShardCoalescing, SameArrivalMergesIntoOneEventOrderPreserved) {
+  netsim::ShardedEventQueue events(/*owners=*/16, /*shards=*/1);
+  ShardedEventQueueDeliveryChannel channel(
       events, [](NodeId, NodeId) { return 0.5; }, /*coalesce=*/true);
   std::vector<MessageBatch> delivered;
   channel.BindSink([&](const MessageBatch& batch) { delivered.push_back(batch); });
@@ -281,10 +282,10 @@ TEST(EventQueueCoalescing, SameArrivalMergesIntoOneEventOrderPreserved) {
   EXPECT_EQ(delivered[1].to, 4u);
 }
 
-TEST(EventQueueCoalescing, DifferentArrivalTimesStaySeparateEvents) {
-  netsim::EventQueue events;
+TEST(OneShardCoalescing, DifferentArrivalTimesStaySeparateEvents) {
+  netsim::ShardedEventQueue events(/*owners=*/16, /*shards=*/1);
   double delay = 0.5;
-  EventQueueDeliveryChannel channel(
+  ShardedEventQueueDeliveryChannel channel(
       events, [&delay](NodeId, NodeId) { return delay; }, /*coalesce=*/true);
   std::size_t envelopes = 0;
   channel.BindSink([&](const MessageBatch&) { ++envelopes; });
@@ -296,12 +297,12 @@ TEST(EventQueueCoalescing, DifferentArrivalTimesStaySeparateEvents) {
   EXPECT_EQ(events.Executed(), 2u);
 }
 
-TEST(EventQueueCoalescing, FiredEnvelopeIsClosedToLateSends) {
+TEST(OneShardCoalescing, FiredEnvelopeIsClosedToLateSends) {
   // After the envelope for (destination, t) fires, a send scheduled from a
   // handler at exactly t toward the same destination must open a *new*
   // envelope, not mutate the delivered one.
-  netsim::EventQueue events;
-  EventQueueDeliveryChannel channel(
+  netsim::ShardedEventQueue events(/*owners=*/16, /*shards=*/1);
+  ShardedEventQueueDeliveryChannel channel(
       events, [](NodeId, NodeId) { return 0.0; }, /*coalesce=*/true);
   std::vector<std::size_t> sizes;
   bool resent = false;
@@ -319,7 +320,7 @@ TEST(EventQueueCoalescing, FiredEnvelopeIsClosedToLateSends) {
   EXPECT_EQ(sizes[1], 1u);
 }
 
-TEST(ShardedCoalescing, DriverContextMergesLikeThePlainChannel) {
+TEST(ShardedCoalescing, DriverContextMergesAcrossShards) {
   netsim::ShardedEventQueue events(/*owners=*/16, /*shards=*/4);
   ShardedEventQueueDeliveryChannel channel(
       events, [](NodeId, NodeId) { return 0.5; }, /*coalesce=*/true);

@@ -133,6 +133,8 @@ std::uint64_t ExpectOncePerNeighborPair(const OracleCounter& counter,
   return pairs;
 }
 
+// kCompiledParallel sets compile_rounds on RunRoundsParallel, which runs the
+// same sweep as kParallel.
 enum class Path { kParallel, kCompiledParallel, kRounds, kCompiled };
 
 void RunPath(DmfsgdSimulation& simulation, Path path, std::size_t rounds,

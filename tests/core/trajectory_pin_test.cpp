@@ -10,7 +10,9 @@
 // commit — never to make a change pass.
 //
 // Covered: the sequential, parallel (pools 1 and 4), compiled and compiled
-// parallel round paths on a procedural RTT space in five configurations;
+// parallel round paths on a procedural RTT space in five configurations
+// (the compiled parallel case sets compile_rounds on RunRoundsParallel,
+// which runs the same sweep as the parallel one);
 // an ABW run with loss and churn; the mini-batch and window-compile reply
 // folds; a Harvard trace window replayed before static rounds; and 2-shard
 // parallel event drains.
@@ -110,6 +112,8 @@ enum class Path {
   kParallel1,
   kParallel4,
   kCompiled,
+  // compile_rounds + RunRoundsParallel: the parallel sweep ignores the knob,
+  // so this must reproduce kParallel4.
   kCompiledParallel,
 };
 

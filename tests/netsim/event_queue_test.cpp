@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -13,101 +17,100 @@
 namespace dmfsgd::netsim {
 namespace {
 
-TEST(EventQueue, StartsAtTimeZeroEmpty) {
-  EventQueue queue;
-  EXPECT_DOUBLE_EQ(queue.Now(), 0.0);
-  EXPECT_EQ(queue.Pending(), 0u);
-  EXPECT_FALSE(queue.RunOne());
-}
-
-TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(3.0, [&] { order.push_back(3); });
-  queue.Schedule(1.0, [&] { order.push_back(1); });
-  queue.Schedule(2.0, [&] { order.push_back(2); });
-  queue.RunUntil(10.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(queue.Now(), 10.0);
-}
-
-TEST(EventQueue, TiesAreFifo) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.Schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  queue.RunUntil(1.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue queue;
-  int fired = 0;
-  queue.Schedule(1.0, [&] { ++fired; });
-  queue.Schedule(5.0, [&] { ++fired; });
-  EXPECT_EQ(queue.RunUntil(2.0), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(queue.Pending(), 1u);
-  EXPECT_DOUBLE_EQ(queue.Now(), 2.0);
-  queue.RunUntil(5.0);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, CallbacksCanScheduleMoreEvents) {
-  EventQueue queue;
-  int chain = 0;
-  std::function<void()> self_schedule = [&] {
-    ++chain;
-    if (chain < 5) {
-      queue.Schedule(1.0, self_schedule);
-    }
-  };
-  queue.Schedule(1.0, self_schedule);
-  queue.RunUntil(100.0);
-  EXPECT_EQ(chain, 5);
-  EXPECT_DOUBLE_EQ(queue.Now(), 100.0);
-  EXPECT_EQ(queue.Executed(), 5u);
-}
-
-TEST(EventQueue, NowAdvancesToEventTime) {
-  EventQueue queue;
-  double observed = -1.0;
-  queue.Schedule(2.5, [&] { observed = queue.Now(); });
-  queue.RunUntil(3.0);
-  EXPECT_DOUBLE_EQ(observed, 2.5);
-}
-
-TEST(EventQueue, RunOneExecutesExactlyOne) {
-  EventQueue queue;
-  int fired = 0;
-  queue.Schedule(1.0, [&] { ++fired; });
-  queue.Schedule(2.0, [&] { ++fired; });
-  EXPECT_TRUE(queue.RunOne());
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(queue.Now(), 1.0);
-}
-
-TEST(EventQueue, RejectsBadArguments) {
-  EventQueue queue;
-  EXPECT_THROW(queue.Schedule(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(queue.Schedule(1.0, EventQueue::Callback{}), std::invalid_argument);
-}
-
-TEST(EventQueue, RelativeDelaysCompose) {
-  // An event scheduled from within a callback is relative to the callback's
-  // firing time, not the original schedule time.
-  EventQueue queue;
-  double second_fire = 0.0;
-  queue.Schedule(2.0, [&] {
-    queue.Schedule(3.0, [&] { second_fire = queue.Now(); });
-  });
-  queue.RunUntil(10.0);
-  EXPECT_DOUBLE_EQ(second_fire, 5.0);
-}
-
 // ------------------------------------------------------------------------
 // ShardedEventQueue
+
+// The queue's basic contract, checked with one shard and with several (the
+// sequential drain must not depend on the shard count).
+constexpr std::size_t kShardCounts[] = {1, 3};
+
+TEST(ShardedEventQueue, StartsAtTimeZeroEmpty) {
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    EXPECT_DOUBLE_EQ(queue.Now(), 0.0);
+    EXPECT_EQ(queue.Pending(), 0u);
+    EXPECT_EQ(queue.Executed(), 0u);
+    EXPECT_FALSE(queue.RunOne());
+  }
+}
+
+TEST(ShardedEventQueue, SameOwnerTiesAreFifo) {
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i) {
+      queue.Schedule(2, 1.0, [&order, i] { order.push_back(i); });
+    }
+    queue.RunUntil(1.0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  }
+}
+
+TEST(ShardedEventQueue, RunUntilStopsAtDeadline) {
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    int fired = 0;
+    queue.Schedule(0, 1.0, [&] { ++fired; });
+    queue.Schedule(2, 5.0, [&] { ++fired; });
+    EXPECT_EQ(queue.RunUntil(2.0), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(queue.Pending(), 1u);
+    EXPECT_DOUBLE_EQ(queue.Now(), 2.0);
+    queue.RunUntil(5.0);
+    EXPECT_EQ(fired, 2);
+  }
+}
+
+TEST(ShardedEventQueue, CallbacksCanScheduleMoreEvents) {
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    int chain = 0;
+    // Each link hops to the next owner, so with three shards it also hops
+    // shards.
+    std::function<void()> self_schedule = [&] {
+      ++chain;
+      if (chain < 5) {
+        queue.Schedule(static_cast<ShardedEventQueue::OwnerId>(chain % 3), 1.0,
+                       self_schedule);
+      }
+    };
+    queue.Schedule(0, 1.0, self_schedule);
+    queue.RunUntil(100.0);
+    EXPECT_EQ(chain, 5);
+    EXPECT_DOUBLE_EQ(queue.Now(), 100.0);
+    EXPECT_EQ(queue.Executed(), 5u);
+  }
+}
+
+TEST(ShardedEventQueue, NowInsideACallbackIsTheEventTime) {
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    double observed = -1.0;
+    queue.Schedule(1, 2.5, [&] { observed = queue.Now(); });
+    queue.RunUntil(3.0);
+    EXPECT_DOUBLE_EQ(observed, 2.5);
+  }
+}
+
+TEST(ShardedEventQueue, RelativeDelaysCompose) {
+  // An event scheduled from within a callback is relative to the callback's
+  // firing time, not the original schedule time.
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ShardedEventQueue queue(3, shards);
+    double second_fire = 0.0;
+    queue.Schedule(0, 2.0, [&] {
+      queue.Schedule(2, 3.0, [&] { second_fire = queue.Now(); });
+    });
+    queue.RunUntil(10.0);
+    EXPECT_DOUBLE_EQ(second_fire, 5.0);
+  }
+}
 
 TEST(ShardedEventQueue, ValidatesConstructionAndArguments) {
   EXPECT_THROW(ShardedEventQueue(0, 1), std::invalid_argument);
@@ -153,21 +156,22 @@ TEST(ShardedEventQueue, SequentialDrainMergesShardsInGlobalTimeOrder) {
   EXPECT_DOUBLE_EQ(queue.Now(), 10.0);
 }
 
-TEST(ShardedEventQueue, SequentialDrainMatchesPlainEventQueue) {
-  // Same schedule into both engines; per-event execution order must agree.
-  EventQueue plain;
-  ShardedEventQueue sharded(8, 3);
-  std::vector<int> plain_order;
-  std::vector<int> sharded_order;
+TEST(ShardedEventQueue, SequentialDrainFiresInTimeThenScheduleOrder) {
+  // The global ordering rule: events fire in the order of their schedule
+  // indices stable-sorted by time, whatever shard each owner lands in.
   const double times[] = {0.5, 0.25, 0.5, 1.0, 0.25, 0.75, 0.5, 0.125};
+  std::vector<int> expected(8);
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](int a, int b) { return times[a] < times[b]; });
+  ShardedEventQueue sharded(8, 3);
+  std::vector<int> order;
   for (int e = 0; e < 8; ++e) {
-    plain.Schedule(times[e], [&plain_order, e] { plain_order.push_back(e); });
     sharded.Schedule(static_cast<ShardedEventQueue::OwnerId>(e), times[e],
-                     [&sharded_order, e] { sharded_order.push_back(e); });
+                     [&order, e] { order.push_back(e); });
   }
-  plain.RunUntil(2.0);
   sharded.RunUntil(2.0);
-  EXPECT_EQ(sharded_order, plain_order);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ShardedEventQueue, RunOneExecutesTheGlobalMinimum) {
@@ -392,6 +396,68 @@ TEST(ShardedEventQueue, OwnersOfShardInvertsShardOf) {
   EXPECT_EQ(queue.OwnersOfShard(0).first, 0u);
   EXPECT_EQ(queue.OwnersOfShard(queue.ShardCount() - 1).second, 11u);
   EXPECT_THROW((void)queue.OwnersOfShard(4), std::out_of_range);
+}
+
+// ------------------------------------------------------------------------
+// NaN times: NaN compares false against everything, so an unchecked NaN key
+// breaks the heap's strict weak ordering and an unchecked NaN horizon never
+// stops a drain.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ShardedEventQueue, ScheduleRejectsNaNDelay) {
+  ShardedEventQueue queue(4, 2);
+  EXPECT_THROW(queue.Schedule(0, kNaN, [] {}), std::invalid_argument);
+  EXPECT_EQ(queue.Pending(), 0u);
+}
+
+TEST(ShardedEventQueue, ScheduleRemoteRejectsNaNDelay) {
+  ShardedEventQueue queue(4, 2);
+  queue.SetOwnedShardRange(0, 1);  // owners 2-3 live in a peer process
+  common::ThreadPool pool(1);
+  bool rejected = false;
+  queue.Schedule(0, 0.0, [&] {
+    try {
+      queue.ScheduleRemote(2, kNaN, std::vector<std::byte>{std::byte{1}});
+    } catch (const std::invalid_argument&) {
+      rejected = true;
+    }
+  });
+  queue.BeginWindow({1.0, 1.0});
+  queue.DrainOwnedShards(pool, 1.0);
+  queue.FinishWindow();
+  EXPECT_TRUE(rejected);
+  EXPECT_TRUE(queue.TakeRemoteEvents().empty());
+}
+
+TEST(ShardedEventQueue, InjectRemoteRejectsNonFiniteTime) {
+  ShardedEventQueue queue(4, 2);
+  queue.SetOwnedShardRange(0, 1);
+  for (const double time : {kNaN, std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(queue.InjectRemote(0, time, 1, 0, [] {}),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(queue.Pending(), 0u);
+}
+
+TEST(ShardedEventQueue, RunUntilRejectsNaNHorizon) {
+  ShardedEventQueue queue(4, 2);
+  int fired = 0;
+  queue.Schedule(0, 1.0, [&] { ++fired; });
+  EXPECT_THROW(queue.RunUntil(kNaN), std::invalid_argument);
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(queue.Now(), 0.0);
+}
+
+TEST(ShardedEventQueue, RunUntilParallelRejectsNaNHorizon) {
+  ShardedEventQueue queue(4, 2);
+  common::ThreadPool pool(2);
+  queue.Schedule(0, 1.0, [] {});
+  EXPECT_THROW(queue.RunUntilParallel(kNaN, pool, 0.5), std::invalid_argument);
+  EXPECT_THROW(queue.RunUntilParallel(kNaN, pool, LookaheadMatrix(2, 0.5)),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(queue.Now(), 0.0);
+  EXPECT_EQ(queue.Pending(), 1u);
 }
 
 }  // namespace
