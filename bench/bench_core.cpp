@@ -14,12 +14,13 @@
 //                      evaluation (PredictAll + EvaluateFullMatrix), at 1
 //                      thread and at hardware concurrency.
 //   round_throughput/* end-to-end probing rounds of DmfsgdSimulation —
-//                      sequential channel-driven rounds vs the parallel
-//                      deterministic sweep; the alg2-* variants run the
-//                      same comparison on a target-measured (ABW) dataset
-//                      through the target-sharded phase schedule; the
-//                      coo-compiled variants run the sparse round compiler
-//                      (DESIGN.md §14) against the per-message drain at
+//                      the sequential sweep (RunRounds, DESIGN.md §14) vs
+//                      the parallel deterministic sweep; the alg2-*
+//                      variants run the same comparison on a
+//                      target-measured (ABW) dataset through the
+//                      target-sharded phase schedule; the per-message
+//                      variants drive the same rounds as messages, one
+//                      IngestProbe per node, against the sweep at
 //                      n = 8192 (dense matrix) and n = 65536 (procedural
 //                      delay-space ground truth).
 //   ann_query/*        k-NN peer queries over live-drifting coordinates
@@ -55,9 +56,8 @@
 //   sgd_update_speedup          fused-SoA vs seed baseline, largest n
 //   matrix_parallel_scaling     hw-thread vs 1-thread full-matrix sweep
 //   round_parallel_scaling      parallel vs sequential round throughput
-//   coo_round_speedup           compiled COO round sweep vs per-message
-//                               sequential rounds at n = 65536 (> 1; the
-//                               _n8192/_n65536 scalars record both tiers)
+//   round_sweep_speedup_n8192   sequential sweep vs per-message rounds
+//   round_sweep_speedup_n65536  (> 1 at both tiers)
 //   ann_recall_at_10            mean recall@10 of the updated index against
 //                               the fresh-coordinate oracle at n = 65536
 //                               (CI pins >= 0.9; the _n8192 scalar records
@@ -378,19 +378,23 @@ bench::BenchJsonEntry RoundParallel(const datasets::Dataset& dataset,
       [&] { simulation.RunRoundsParallel(rounds, pool); });
 }
 
-/// The sparse round compiler (DESIGN.md §14): same rounds as
-/// RoundSequential, gathered into COO and executed as fused sweeps through
-/// the runtime-dispatched kernel table — no per-message variant dispatch, no
-/// per-reply coordinate copies.
-bench::BenchJsonEntry RoundCompiled(const datasets::Dataset& dataset,
-                                    const std::string& label,
-                                    std::size_t rounds, std::size_t repeats) {
+/// The rounds RoundSequential times, driven as messages: one IngestProbe
+/// per node per round through the immediate channel.  RoundConfig has no
+/// churn, so these are exactly the message-driven rounds the sweep
+/// reproduces, drawing the same stream.
+bench::BenchJsonEntry RoundPerMessage(const datasets::Dataset& dataset,
+                                      std::size_t rounds, std::size_t repeats) {
   core::DmfsgdSimulation simulation(dataset, RoundConfigFor(dataset));
+  const std::size_t n = dataset.NodeCount();
   return bench::MeasureMinOfK(
-      "round_throughput/" + label + "coo-compiled/n" +
-          std::to_string(dataset.NodeCount()),
-      rounds * dataset.NodeCount(), /*warmup=*/1, repeats,
-      [&] { simulation.RunRoundsCompiled(rounds); });
+      "round_throughput/per-message/n" + std::to_string(n), rounds * n,
+      /*warmup=*/1, repeats, [&] {
+        for (std::size_t round = 0; round < rounds; ++round) {
+          for (std::size_t i = 0; i < n; ++i) {
+            (void)simulation.IngestProbe(static_cast<core::NodeId>(i));
+          }
+        }
+      });
 }
 
 // ------------------------------------------------------------------------
@@ -653,7 +657,7 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
                              std::size_t drift_rounds, std::size_t repeats,
                              common::ThreadPool* oracle_pool) {
   core::DmfsgdSimulation simulation(dataset, RoundConfigFor(dataset));
-  simulation.RunRoundsCompiled(train_rounds);
+  simulation.RunRounds(train_rounds);
   simulation.EnableDriftTracking();
   (void)simulation.TakeDirtyNodes();  // index from here; discard history
   const core::CoordinateStore& store = simulation.engine().store();
@@ -661,7 +665,7 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
   const auto build_start = std::chrono::steady_clock::now();
   ann::PeerIndex index(store, options);
   const auto build_stop = std::chrono::steady_clock::now();
-  simulation.RunRoundsCompiled(drift_rounds);
+  simulation.RunRounds(drift_rounds);
   (void)index.ApplyUpdates(simulation.TakeDirtyNodes());
 
   const std::size_t n = store.NodeCount();
@@ -935,11 +939,12 @@ int main(int argc, char** argv) {
     round_scaling = round_par.ops_per_sec / round_seq.ops_per_sec;
   }
 
-  // Sparse round compiler vs the per-message channel drain (DESIGN.md §14),
-  // at the deployment tier (dense synthetic matrix) and at 65536 nodes
-  // (procedural delay-space ground truth — a dense matrix would be ~34 GB).
-  double coo_speedup_8192 = 0.0;
-  double coo_speedup_65536 = 0.0;
+  // The sequential sweep vs the same rounds driven as messages
+  // (DESIGN.md §14), at the deployment tier (dense synthetic matrix) and at
+  // 65536 nodes (procedural delay-space ground truth — a dense matrix would
+  // be ~34 GB).
+  double sweep_speedup_8192 = 0.0;
+  double sweep_speedup_65536 = 0.0;
   for (const std::size_t n : {std::size_t{8192}, std::size_t{65536}}) {
     datasets::Dataset dataset;
     if (n > 8192) {
@@ -950,19 +955,18 @@ int main(int argc, char** argv) {
     } else {
       dataset = MakeSyntheticRtt(n, 3);
     }
-    const std::size_t coo_rounds = quick ? 5 : 10;
-    const auto per_message = RoundSequential(dataset, "", coo_rounds, repeats);
-    const auto compiled = RoundCompiled(dataset, "", coo_rounds, repeats);
+    const std::size_t sweep_rounds = quick ? 5 : 10;
+    const auto sweep = RoundSequential(dataset, "", sweep_rounds, repeats);
+    const auto per_message = RoundPerMessage(dataset, sweep_rounds, repeats);
+    entries.push_back(sweep);
     entries.push_back(per_message);
-    entries.push_back(compiled);
-    (n > 8192 ? coo_speedup_65536 : coo_speedup_8192) =
-        compiled.ops_per_sec / per_message.ops_per_sec;
+    (n > 8192 ? sweep_speedup_65536 : sweep_speedup_8192) =
+        sweep.ops_per_sec / per_message.ops_per_sec;
   }
-  const double coo_speedup = coo_speedup_65536;
 
   // ANN query plane (DESIGN.md §16, §18): recall@10 against the fresh-
   // coordinate oracle and index-vs-scan query throughput on live-drifting
-  // coordinates.  Two headline tiers follow the round compiler (the CI
+  // coordinates.  Two headline tiers follow the round sweep (the CI
   // floors — recall >= 0.9, speedup > 1 — come from n = 65536), and the
   // full run adds the n = 10⁶ tier: IVF-routed queries where an exact scan
   // is a million dot products, plus the index build-time scalar.  --quick
@@ -1186,9 +1190,8 @@ int main(int argc, char** argv) {
          {"sgd_update_speedup", sgd_speedup},
          {"matrix_parallel_scaling", matrix_scaling},
          {"round_parallel_scaling", round_scaling},
-         {"coo_round_speedup", coo_speedup},
-         {"coo_round_speedup_n8192", coo_speedup_8192},
-         {"coo_round_speedup_n65536", coo_speedup_65536},
+         {"round_sweep_speedup_n8192", sweep_speedup_8192},
+         {"round_sweep_speedup_n65536", sweep_speedup_65536},
          {"ann_recall_at_10", ann_recall_65536},
          {"ann_recall_at_10_n8192", ann_recall_8192},
          {"ann_qps_speedup", ann_speedup_65536},
@@ -1230,7 +1233,7 @@ int main(int argc, char** argv) {
   std::printf(
       "sgd_update_speedup: %.3fx  matrix_parallel_scaling: %.3fx (hw=%zu)  "
       "round_parallel_scaling: %.3fx  "
-      "coo_round_speedup: %.3fx (n8192 %.3fx, n65536 %.3fx)  "
+      "round_sweep_speedup: n8192 %.3fx, n65536 %.3fx  "
       "ann_recall_at_10: %.3f (n8192 %.3f, n1m %.3f)  "
       "ann_qps_speedup: %.3fx (n8192 %.3fx, n1m %.3fx)  "
       "ann_index_build_seconds_n1m: %.1f  "
@@ -1244,8 +1247,8 @@ int main(int argc, char** argv) {
       "intershard_retransmit_overhead: %.3f  "
       "intershard_lossy_window_throughput: %.3f  "
       "-> %s\n",
-      sgd_speedup, matrix_scaling, hw, round_scaling, coo_speedup,
-      coo_speedup_8192, coo_speedup_65536, ann_recall_65536, ann_recall_8192,
+      sgd_speedup, matrix_scaling, hw, round_scaling, sweep_speedup_8192,
+      sweep_speedup_65536, ann_recall_65536, ann_recall_8192,
       ann_recall_1m, ann_speedup_65536, ann_speedup_8192, ann_speedup_1m,
       ann_build_seconds_1m, svc_query_parallel_scaling, svc_p50_65536,
       svc_p99_65536, svc_ingest_65536, svc_stale_65536, alg2_scaling,

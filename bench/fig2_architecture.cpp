@@ -54,11 +54,9 @@ void PrintEstimate(const core::BatchMfResult& model, std::size_t n) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const common::Flags flags(argc, argv, {"nodes", "seed"});
-  const auto n = static_cast<std::size_t>(flags.GetInt("nodes", 8));
+  const std::size_t n = flags.GetSize("nodes", 8);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 2));
 
   std::cout << "=== Figure 2: class-based measurement and prediction ===\n";
@@ -128,4 +126,15 @@ int main(int argc, char** argv) {
                    1)
             << "%)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

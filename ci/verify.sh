@@ -13,9 +13,6 @@
 #                                  (the lossy-link leg passes `lossy`:
 #                                  fault-injection, reliability and registry
 #                                  tests, including the 20%-loss parity pins)
-#   --avx=<AUTO|ON|OFF>            forwarded as -DDMFSGD_ENABLE_AVX: the avx2
-#                                  CI leg passes ON (configure fails rather
-#                                  than silently building scalar-only)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,7 +20,6 @@ cd "$(dirname "$0")/.."
 build_type=Release
 sanitize=""
 run_bench=1
-avx=AUTO
 test_label_args=()
 for arg in "$@"; do
   case "$arg" in
@@ -32,10 +28,8 @@ for arg in "$@"; do
     --no-bench)     run_bench=0 ;;
     --quick-tests)  test_label_args=(-L quick) ;;
     --test-label=*) test_label_args=(-L "${arg#*=}") ;;
-    --avx=*)        avx="${arg#*=}" ;;
     *) echo "usage: ci/verify.sh [--build-type=T] [--sanitize=asan|tsan]" \
-            "[--no-bench] [--quick-tests] [--test-label=L]" \
-            "[--avx=AUTO|ON|OFF]" >&2; exit 2 ;;
+            "[--no-bench] [--quick-tests] [--test-label=L]" >&2; exit 2 ;;
   esac
 done
 
@@ -72,7 +66,8 @@ else
       '"async_coalesced_event_gain"' '"async_intershard_frame_gain"' \
       '"async_pair_lookahead_window_gain"' '"sgd_update_speedup"' \
       '"async_drain_parallel_scaling"' '"async_distributed_scaling"' \
-      '"coo_round_speedup"' '"round_throughput/coo-compiled' \
+      '"round_sweep_speedup_n8192"' '"round_sweep_speedup_n65536"' \
+      '"round_throughput/per-message' \
       '"async_drain/distributed-2proc-rawlink' \
       '"async_drain/distributed-2proc-reliable' \
       '"async_drain/distributed-2proc-lossy5' \
@@ -93,10 +88,23 @@ else
   done
 fi
 
-# The sparse round compiler (DESIGN.md §14) is opt-in through --compile-rounds
-# on both drivers; the README must keep the flag discoverable.
-if [[ -f README.md ]] && ! grep -q -- '--compile-rounds' README.md; then
-  docs_failures+=("README.md does not document the --compile-rounds flag")
+# Every --flag the README shows must be accepted somewhere: a flag name
+# quoted in the shared flag parser, an example or a bench binary, a
+# verify.sh option, or a perfbench/run.py argument.  Deleting a flag then
+# cannot strand the prose that documents it.  The README also quotes the
+# build tools' own --build, --output-on-failure and --help.
+if [[ -f README.md ]]; then
+  for flag in $(grep -oE -- '--[a-z][a-z0-9-]*' README.md | sort -u); do
+    case "$flag" in
+      --build|--output-on-failure|--help) continue ;;
+    esac
+    if grep -qE "\"(--)?${flag#--}[\"=]" src/common/flags.cpp examples/*.cpp \
+         bench/*.cpp perfbench/run.py ||
+       grep -qE -- "^ *${flag}[=)]" ci/verify.sh; then
+      continue
+    fi
+    docs_failures+=("README.md shows $flag, which nothing accepts")
+  done
 fi
 
 # The ANN query plane (DESIGN.md §16) is opt-in through --index on the peer
@@ -157,7 +165,7 @@ if [[ -n "$sanitize" ]]; then
 fi
 
 cmake_args=(-B "$build_dir" -S . -DCMAKE_BUILD_TYPE="$build_type"
-            -DDMFSGD_SANITIZE="$sanitize" -DDMFSGD_ENABLE_AVX="$avx")
+            -DDMFSGD_SANITIZE="$sanitize")
 # ccache keeps the CI matrix warm; harmless to omit locally.
 if command -v ccache >/dev/null 2>&1; then
   cmake_args+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)

@@ -8,17 +8,11 @@
 //   train      train a deployment on a saved dataset, save the model
 //              dmfsgd_tool train --in=/tmp/net --model=/tmp/model.csv
 //                  [--rounds=600] [--k=16] [--rank=10] [--loss=logistic]
-//                  [--coalesce] [--batch-size=B] [--compile-rounds]
+//                  [--coalesce] [--batch-size=B]
 //              --coalesce routes delivery through batch envelopes
 //              (DESIGN.md §13); --batch-size=B launches B probes per node
 //              per round and, with --coalesce, folds each reply envelope
-//              into one mini-batch gradient step.  --compile-rounds runs
-//              each round through the sparse round compiler (DESIGN.md
-//              §14): the round is gathered into COO form and executed as
-//              one fused gradient sweep — bit-identical to the per-message
-//              driver under the scalar kernel table, and incompatible with
-//              --batch-size > 1 (the compiler models one exchange per node
-//              per round).
+//              into one mini-batch gradient step.
 //   evaluate   score a saved model against its dataset
 //              dmfsgd_tool evaluate --in=/tmp/net --model=/tmp/model.csv
 //   predict    query one pair from a saved model
@@ -41,7 +35,6 @@
 #include "eval/confusion.hpp"
 #include "eval/roc.hpp"
 #include "eval/scored_pairs.hpp"
-#include "linalg/kernels.hpp"
 
 namespace {
 
@@ -124,26 +117,9 @@ int Train(const common::Flags& flags) {
                  "trace record must resolve inside its exchange)\n";
     return 1;
   }
-  if (config.compile_rounds) {
-    if (!dataset.trace.empty()) {
-      std::cerr << "train: --compile-rounds is not usable with trace datasets "
-                   "(the compiler gathers whole synthetic rounds)\n";
-      return 1;
-    }
-    if (config.probe_burst > 1) {
-      std::cerr << "train: --compile-rounds requires --batch-size=1 (the "
-                   "compiler models one exchange per node per round)\n";
-      return 1;
-    }
-  }
   core::DmfsgdSimulation simulation(dataset, config);
   if (dataset.trace.empty()) {
-    const std::size_t rounds = flags.GetSize("rounds", 600);
-    if (config.compile_rounds) {
-      simulation.RunRoundsCompiled(rounds);
-    } else {
-      simulation.RunRounds(rounds);
-    }
+    simulation.RunRounds(flags.GetSize("rounds", 600));
   } else {
     (void)simulation.ReplayTrace();
   }
@@ -154,11 +130,6 @@ int Train(const common::Flags& flags) {
   if (config.coalesce_delivery) {
     std::cout << ", coalesced batch envelopes, mini-batch size "
               << config.gradient_batch_size;
-  }
-  if (config.compile_rounds) {
-    std::cout << ", compiled COO rounds ("
-              << linalg::KernelIsaName(linalg::ActiveKernelIsa())
-              << " kernels)";
   }
   std::cout << "); model -> " << model << "\n";
   return 0;

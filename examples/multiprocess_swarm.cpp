@@ -113,17 +113,15 @@ void PrintTransportSummary(const char* who, const ChannelStack& stack,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
                             {"nodes", "shards", "until", "seed", "drop", "dup",
                              "reorder", "reliable", "registry", "kill-after",
                              "stall-timeout"});
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 120));
-  const auto shards = static_cast<std::size_t>(flags.GetInt("shards", 4));
+  const std::size_t nodes = flags.GetSize("nodes", 120);
+  const std::size_t shards = flags.GetSize("shards", 4);
   const double until_s = static_cast<double>(flags.GetInt("until", 30));
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   LinkOptions link;
@@ -131,7 +129,7 @@ int main(int argc, char** argv) {
   link.dup = flags.GetDouble("dup", 0.0);
   link.reorder = flags.GetDouble("reorder", 0.0);
   link.reliable = flags.GetBool("reliable", false);
-  link.kill_after = static_cast<std::uint64_t>(flags.GetInt("kill-after", 0));
+  link.kill_after = flags.GetSize("kill-after", 0);
   link.seed = seed;
   const bool use_registry = flags.GetBool("registry", false);
   netsim::ShardRuntimeOptions runtime_options;
@@ -285,6 +283,17 @@ int main(int argc, char** argv) {
     if (!registry_path.empty()) {
       std::remove(registry_path.c_str());
     }
+    return 1;
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
     return 1;
   }
 }

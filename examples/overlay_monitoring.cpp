@@ -14,12 +14,14 @@
 #include "common/table.hpp"
 #include "dmfsgd.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv, {"nodes", "records", "seed"});
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 226));
-  const auto records = static_cast<std::size_t>(flags.GetInt("records", 500000));
+  const std::size_t nodes = flags.GetSize("nodes", 226);
+  const std::size_t records = flags.GetSize("records", 500000);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
   datasets::HarvardConfig dataset_config;
@@ -75,4 +77,15 @@ int main(int argc, char** argv) {
   std::cout << "\nusable records are those observed toward a node's k=10"
                " neighbors (passive probing, uneven coverage)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

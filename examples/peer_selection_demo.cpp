@@ -21,16 +21,18 @@
 #include "datasets/meridian.hpp"
 #include "eval/peer_selection.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
                             {"nodes", "peers", "seed", "index", "ef"});
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 250));
-  const auto peers = static_cast<std::size_t>(flags.GetInt("peers", 30));
+  const std::size_t nodes = flags.GetSize("nodes", 250);
+  const std::size_t peers = flags.GetSize("peers", 30);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   const bool use_index = flags.GetBool("index", false);
-  const auto index_ef = static_cast<std::size_t>(flags.GetInt("ef", 0));
+  const std::size_t index_ef = flags.GetSize("ef", 0);
 
   datasets::MeridianConfig dataset_config;
   dataset_config.node_count = nodes;
@@ -93,4 +95,15 @@ int main(int argc, char** argv) {
                " peer (1.0 = optimal)\nunsatisfied: picked a bad peer while a"
                " good one existed in the candidate set\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -13,13 +13,15 @@
 
 #include "dmfsgd.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
                             common::WithProtocolFlagNames({"nodes", "rounds"}));
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 200));
-  const auto rounds = static_cast<std::size_t>(flags.GetInt("rounds", 600));
+  const std::size_t nodes = flags.GetSize("nodes", 200);
+  const std::size_t rounds = flags.GetSize("rounds", 600);
 
   // 1. A synthetic Internet: clustered delay space with low-rank structure.
   datasets::MeridianConfig dataset_config;
@@ -72,4 +74,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

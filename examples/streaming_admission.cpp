@@ -51,13 +51,11 @@ void RunTier(const dmfsgd::datasets::Dataset& dataset, const char* tier,
                 common::FormatFixed((1.0 - confusion.GoodRecall()) * 100.0, 1)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv, {"hosts", "sd", "hd", "seed"});
-  const auto hosts = static_cast<std::size_t>(flags.GetInt("hosts", 231));
+  const std::size_t hosts = flags.GetSize("hosts", 231);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
   datasets::HpS3Config dataset_config;
@@ -85,4 +83,15 @@ int main(int argc, char** argv) {
                " stutter)\nwasted: good paths predicted bad (capacity left"
                " unused)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

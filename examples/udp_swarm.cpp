@@ -14,15 +14,9 @@
 // into a single mini-batch gradient step.  The datagram counter at the end
 // shows what coalescing saves on the wire.
 //
-// With --coalesce --compile-rounds the packed envelopes keep the coalesced
-// framing on the wire but run through the sparse round compiler's
-// per-message fused handler (DESIGN.md §14): one kernel-table resolution
-// per envelope, one gradient step per item — per-message arithmetic, so
-// the learned state matches the per-message fold of the same envelopes.
-//
 // Usage: udp_swarm [--nodes=N] [--neighbors=K] [--rounds=R] plus the shared
 // protocol flags (common::ProtocolFlagNames): --rank --eta --lambda --loss
-// --tau --seed --batch-size --coalesce --compile-rounds
+// --tau --seed --batch-size --coalesce
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -33,15 +27,17 @@
 #include "eval/roc.hpp"
 #include "transport/udp_peer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(
       argc, argv,
       common::WithProtocolFlagNames({"nodes", "neighbors", "rounds"}));
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 60));
-  const auto k = static_cast<std::size_t>(flags.GetInt("neighbors", 10));
-  const auto rounds = static_cast<std::size_t>(flags.GetInt("rounds", 300));
+  const std::size_t nodes = flags.GetSize("nodes", 60);
+  const std::size_t k = flags.GetSize("neighbors", 10);
+  const std::size_t rounds = flags.GetSize("rounds", 300);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
   datasets::MeridianConfig dataset_config;
@@ -55,12 +51,6 @@ int main(int argc, char** argv) {
   common::ApplyProtocolFlags(flags, base, dataset.MedianValue());
   const double tau = base.tau;
   const std::size_t batch = base.probe_burst;
-  if (base.compile_rounds && !base.coalesce_delivery) {
-    std::cerr << "udp_swarm: --compile-rounds needs --coalesce (without "
-                 "packed envelopes every datagram is a singleton and there "
-                 "is nothing to compile)\n";
-    return 1;
-  }
 
   // The "measurement tool": in deployment this is the ping timing; here the
   // delay-space ground truth thresholded at tau.
@@ -91,7 +81,7 @@ int main(int argc, char** argv) {
             << peers.front()->Port() << ".." << peers.back()->Port()
             << "), k = " << k << ", tau = " << tau << " ms, batch = " << batch
             << (base.coalesce_delivery ? ", coalesced" : ", per-message")
-            << (base.compile_rounds ? ", compiled envelopes" : "") << "\n";
+            << "\n";
 
   // Train: everyone probes once per round, then the swarm drains its mail.
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -136,4 +126,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "AUC over all pairs: " << eval::Auc(scores, labels) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -17,10 +17,11 @@ const PeerIndexOptions& RequireOptions(const PeerIndexOptions& options) {
   if (options.entry_points == 0) {
     throw std::invalid_argument("PeerIndex: entry_points must be > 0");
   }
-  if (options.drift_epsilon < 0.0) {
+  // Written so NaN fails: a NaN threshold would silently never trigger.
+  if (!(options.drift_epsilon >= 0.0)) {
     throw std::invalid_argument("PeerIndex: drift_epsilon must be >= 0");
   }
-  if (options.rebuild_fraction < 0.0 || options.rebuild_fraction > 1.0) {
+  if (!(options.rebuild_fraction >= 0.0 && options.rebuild_fraction <= 1.0)) {
     throw std::invalid_argument("PeerIndex: rebuild_fraction must be in [0, 1]");
   }
   if (options.ivf_cells > 0) {

@@ -85,8 +85,8 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
 }
 
 std::vector<std::string> ProtocolFlagNames() {
-  return {"rank",      "eta",  "lambda",     "loss",    "tau",
-          "seed",      "batch-size", "coalesce", "compile-rounds"};
+  return {"rank", "eta",  "lambda",     "loss",
+          "tau",  "seed", "batch-size", "coalesce"};
 }
 
 std::vector<std::string> WithProtocolFlagNames(std::vector<std::string> base) {
@@ -111,8 +111,6 @@ void ApplyProtocolFlags(const Flags& flags, core::ProtocolConfig& config,
   config.probe_burst = flags.GetSize("batch-size", config.probe_burst);
   config.coalesce_delivery =
       flags.GetBool("coalesce", config.coalesce_delivery);
-  config.compile_rounds =
-      flags.GetBool("compile-rounds", config.compile_rounds);
 }
 
 }  // namespace dmfsgd::common

@@ -58,9 +58,9 @@ class Flags {
 };
 
 /// The flag names of the shared protocol knobs (core/protocol_config.hpp):
-/// --rank, --eta, --lambda, --loss, --tau, --seed, --batch-size, --coalesce,
-/// --compile-rounds.  Binaries append these to their allow-list so every
-/// front end spells the knobs the same way.
+/// --rank, --eta, --lambda, --loss, --tau, --seed, --batch-size, --coalesce.
+/// Binaries append these to their allow-list so every front end spells the
+/// knobs the same way.
 [[nodiscard]] std::vector<std::string> ProtocolFlagNames();
 
 /// `base` plus ProtocolFlagNames() — the usual way a binary builds its

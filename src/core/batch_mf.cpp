@@ -50,12 +50,6 @@ BatchMfResult FitBatchMf(const linalg::Matrix& x, const BatchMfConfig& config) {
 
   linalg::Matrix grad_u(n, r);
   linalg::Matrix grad_v(n, r);
-  // Element-wise kernels (axpy) go through the runtime-dispatched table —
-  // their vector variants are bit-identical to the scalar path, so the
-  // result is the same on every machine.  The dots stay on the scalar
-  // kernels: vector reductions reassociate, and the reference factorization
-  // should not drift by ulps with the host's ISA.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     grad_u.Fill(0.0);
     grad_v.Fill(0.0);
@@ -71,10 +65,10 @@ BatchMfResult FitBatchMf(const linalg::Matrix& x, const BatchMfConfig& config) {
         const double x_hat = linalg::Dot(u_i, v_j);
         const double g = LossGradientScale(config.loss, value, x_hat);
         total_loss += LossValue(config.loss, value, x_hat);
-        kernels.axpy(g / static_cast<double>(row_count[i]), v_j.data(),
-                     grad_u.Row(i).data(), r);
-        kernels.axpy(g / static_cast<double>(col_count[j]), u_i.data(),
-                     grad_v.Row(j).data(), r);
+        linalg::AxpyRaw(g / static_cast<double>(row_count[i]), v_j.data(),
+                        grad_u.Row(i).data(), r);
+        linalg::AxpyRaw(g / static_cast<double>(col_count[j]), u_i.data(),
+                        grad_v.Row(j).data(), r);
       }
     }
     // U = (1 - ηλ) U - η grad_U, same for V (eq. 3's regularization).
@@ -82,10 +76,10 @@ BatchMfResult FitBatchMf(const linalg::Matrix& x, const BatchMfConfig& config) {
     for (std::size_t i = 0; i < n; ++i) {
       auto u_i = result.u.Row(i);
       linalg::Scale(decay, u_i);
-      kernels.axpy(-config.eta, grad_u.Row(i).data(), u_i.data(), r);
+      linalg::AxpyRaw(-config.eta, grad_u.Row(i).data(), u_i.data(), r);
       auto v_i = result.v.Row(i);
       linalg::Scale(decay, v_i);
-      kernels.axpy(-config.eta, grad_v.Row(i).data(), v_i.data(), r);
+      linalg::AxpyRaw(-config.eta, grad_v.Row(i).data(), v_i.data(), r);
     }
     double reg = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

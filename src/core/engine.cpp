@@ -32,13 +32,14 @@ const SimulationConfig& RequireConfig(const Dataset& dataset,
     throw std::invalid_argument(
         "DeploymentEngine: neighbor_count must be < node count");
   }
-  if (config.message_loss < 0.0 || config.message_loss >= 1.0) {
+  // Written so NaN fails: a NaN probability would silently act as 0.
+  if (!(config.message_loss >= 0.0 && config.message_loss < 1.0)) {
     throw std::invalid_argument("DeploymentEngine: message_loss must be in [0, 1)");
   }
-  if (config.churn_rate < 0.0 || config.churn_rate >= 1.0) {
+  if (!(config.churn_rate >= 0.0 && config.churn_rate < 1.0)) {
     throw std::invalid_argument("DeploymentEngine: churn_rate must be in [0, 1)");
   }
-  if (config.exploration < 0.0 || config.exploration > 1.0) {
+  if (!(config.exploration >= 0.0 && config.exploration <= 1.0)) {
     throw std::invalid_argument("DeploymentEngine: exploration must be in [0, 1]");
   }
   if (config.gradient_batch_size == 0) {
@@ -355,13 +356,13 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
   measurement_count_ += n - dropped;
 }
 
-void DeploymentEngine::CompiledRoundSweep() {
+void DeploymentEngine::SequentialRoundSweep() {
   if (config_.probe_burst > 1) {
-    // The compiled gather models one exchange per node per round, like the
-    // parallel sweep; batched rounds run through the sequential driver.
+    // The gather models one exchange per node per round, like the parallel
+    // sweep; batched rounds run message by message.
     throw std::logic_error(
-        "DeploymentEngine::CompiledRoundSweep: probe_burst > 1 is not "
-        "supported on the compiled round path");
+        "DeploymentEngine::SequentialRoundSweep: probe_burst > 1 is not "
+        "supported on the sweep path");
   }
   ChurnSweep();
 
@@ -369,85 +370,61 @@ void DeploymentEngine::CompiledRoundSweep() {
   // — pick, leg-1 roll, leg-2 roll per exchange.  (Algorithm 2 rolls leg 2
   // after the target consumed the measurement, but no draw happens in
   // between, so rolling it at gather time replays the stream verbatim.)
-  // Only node-owned probing state (round-robin cursors, loss feedback read
-  // by the pick) is touched here, none of which the deferred execution
-  // changes out of order: neighbor_loss_[i] is written solely by node i's
-  // own exchange, which the per-message round also applies after i's pick.
-  round_coo_.Clear();
+  // The picks touch only node-owned probing state, which the deferred
+  // apply does not change out of order: neighbor_loss_[i] is written solely
+  // by node i's own exchange, which the per-message round also applies
+  // after i's pick.
   const std::size_t n = nodes_.size();
+  sweep_exchanges_.clear();
+  sweep_exchanges_.reserve(n);  // at most one per node: no regrowth later
   for (NodeId i = 0; i < n; ++i) {
-    const NodeId j = PickNeighbor(i);
+    const std::size_t slot = PickSlotWith(i, rng_);
     if (LegLost()) {  // leg 1: the probe — nothing happened anywhere
       continue;
     }
     const bool full = !LegLost();  // leg 2: the reply
-    if (abw_) {
-      round_coo_.Add(i, j, full);  // the target measured and updates either way
-    } else if (full) {
-      round_coo_.Add(i, j, true);  // a lost RTT reply loses the whole exchange
+    // A lost RTT reply loses the whole exchange; an ABW target measured
+    // and updates either way.
+    if (full || abw_) {
+      sweep_exchanges_.push_back(SweepExchange{
+          i, neighbors_[i][slot], static_cast<std::uint32_t>(slot), full});
     }
   }
 
-  if (abw_) {
-    ExecuteCompiledAbwRound();
-  } else {
-    ExecuteCompiledRttRound();
+  // Apply, in gather order against the live store.  An exchange writes only
+  // the prober's rows (Algorithm 1) or v_j and then u_i (Algorithm 2), so
+  // every remote row it reads holds exactly what the per-message reply
+  // would have copied at that point of the round.
+  if (!abw_) {
+    for (const SweepExchange& e : sweep_exchanges_) {
+      const double x = SlotTarget(e.prober, e.slot);
+      RecordNeighborLoss(e.prober, e.target, x, store_.V(e.target));
+      nodes_[e.prober].RttUpdate(x, store_.U(e.target), store_.V(e.target),
+                                 config_.params);  // eqs. 9-10
+      MarkDirty(e.prober);
+    }
+    measurement_count_ += sweep_exchanges_.size();
+    return;
   }
-}
-
-void DeploymentEngine::ExecuteCompiledRttRound() {
-  // Original gather order *is* ascending-prober row-major order (one edge
-  // per prober), and an Algorithm-1 exchange writes only the prober's own
-  // rows, so executing the edges in order against the live store replays
-  // every mid-round coordinate read the sequential channel drain performs —
-  // the remote rows here are live for the same reason the per-message
-  // reply's copies were fresh at reply time.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  const std::size_t r = config_.rank;
-  for (const RoundEdge& edge : round_coo_.Edges()) {
-    const double x = ProbeTarget(edge.prober, edge.target);
-    RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
-    CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
-                    store_.V(edge.target).data(), store_.U(edge.prober).data(),
-                    store_.V(edge.prober).data(), r);
-    MarkDirty(edge.prober);
-    ++measurement_count_;
-  }
-}
-
-void DeploymentEngine::ExecuteCompiledAbwRound() {
-  // Group by updated v row, stable by message order: per target the updates
-  // apply in ascending-prober order — the exact per-message sequence — and
-  // exchanges aimed at different targets commute because u_i is read and
-  // written only by prober i's own exchange (one probe per node per round).
-  const std::size_t n = nodes_.size();
-  round_coo_.GroupByTarget(n);
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  const std::size_t r = config_.rank;
-  const auto& edges = round_coo_.Edges();
-  std::vector<double> v_pre(r);
-  for (NodeId t = 0; t < n; ++t) {
-    for (const std::uint32_t e : round_coo_.Group(t)) {
-      const RoundEdge& edge = edges[e];
-      const double x = ProbeTarget(edge.prober, t);
-      double* v_row = store_.V(t).data();
-      if (edge.full != 0) {
-        // The reply ships v_j as it stood before the target's update
-        // (Algorithm 2 sends before updating).
-        std::copy(v_row, v_row + r, v_pre.begin());
-      }
-      CompiledAbwTargetStep(kernels, config_.params, x,
-                            store_.U(edge.prober).data(), v_row, r);  // eq. 13
-      MarkDirty(t);
-      ++measurement_count_;
-      if (edge.full != 0) {
-        RecordNeighborLoss(edge.prober, t, x, v_pre);
-        CompiledAbwProberStep(kernels, config_.params, x, v_pre.data(),
-                              store_.U(edge.prober).data(), r);  // eq. 12
-        MarkDirty(edge.prober);
-      }
+  sweep_v_pre_.resize(config_.rank);
+  for (const SweepExchange& e : sweep_exchanges_) {
+    const double x = SlotTarget(e.prober, e.slot);
+    if (e.full) {
+      // The reply ships v_j as it stood before the target's update
+      // (Algorithm 2 sends before updating).
+      const auto v_j = store_.V(e.target);
+      std::copy(v_j.begin(), v_j.end(), sweep_v_pre_.begin());
+    }
+    nodes_[e.target].AbwTargetUpdate(x, nodes_[e.prober].u(),
+                                     config_.params);  // eq. 13
+    MarkDirty(e.target);
+    if (e.full) {
+      RecordNeighborLoss(e.prober, e.target, x, sweep_v_pre_);
+      nodes_[e.prober].AbwProberUpdate(x, sweep_v_pre_, config_.params);  // eq. 12
+      MarkDirty(e.prober);
     }
   }
+  measurement_count_ += sweep_exchanges_.size();
 }
 
 namespace {
@@ -790,28 +767,6 @@ void DeploymentEngine::OnBatch(const MessageBatch& batch) {
   // handler in order — bit-identical to the pre-batch engine (an envelope
   // is its messages in order, DESIGN.md §13).
   if (config_.gradient_batch_size <= 1 || batch.items.size() <= 1) {
-    // Window-compile (opt-in, DESIGN.md §14): a multi-item envelope is a
-    // conservative delivery window, so its reply runs can execute as fused
-    // compiled sweeps — same per-message arithmetic and bookkeeping, but
-    // through a kernel table fetched once per run and raw store rows, no
-    // coordinate copies.  Mini-batch mode (the branch below) takes
-    // precedence; singletons stay on the per-message handlers.
-    if (config_.compile_rounds && batch.items.size() > 1) {
-      std::size_t i = 0;
-      while (i < batch.items.size()) {
-        const ProtocolMessage& message = batch.items[i].message;
-        if (std::holds_alternative<RttProbeReply>(message)) {
-          i = CompileRttReplies(batch, i);
-        } else if (std::holds_alternative<AbwProbeReply>(message)) {
-          i = CompileAbwReplies(batch, i);
-        } else {
-          // Requests send replies — they stay per-message.
-          OnMessage(batch.items[i].from, batch.to, message);
-          ++i;
-        }
-      }
-      return;
-    }
     for (const BatchItem& item : batch.items) {
       OnMessage(item.from, batch.to, item.message);
     }
@@ -933,62 +888,6 @@ std::size_t DeploymentEngine::FoldAbwRequests(const MessageBatch& batch,
   }
   nodes_[target].ApplyBatchV(dv, config_.params);
   MarkDirty(target);
-  return end;
-}
-
-std::size_t DeploymentEngine::CompileRttReplies(const MessageBatch& batch,
-                                                std::size_t start) {
-  const std::size_t end =
-      RunEnd<RttProbeReply>(batch, start, batch.items.size());
-  const NodeId prober = batch.to;
-  const std::size_t r = config_.rank;
-  // The whole run updates only the prober's own rows: hoist the kernel
-  // table and row pointers, then replay the run in envelope order — the
-  // arithmetic and bookkeeping of HandleRttReply, item for item.  (Trace
-  // overrides never reach here: ReplayTrace rejects coalescing channels,
-  // and only coalescing produces multi-item envelopes.)
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  double* u_row = store_.U(prober).data();
-  double* v_row = store_.V(prober).data();
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<RttProbeReply>(batch.items[k].message);
-    if (reply.u.size() != r || reply.v.size() != r) {
-      throw std::invalid_argument(
-          "DeploymentEngine: RttProbeReply coordinate rank mismatch");
-    }
-    const double x = ProbeTarget(prober, reply.target);
-    RecordNeighborLoss(prober, reply.target, x, reply.v);
-    CompiledRttStep(kernels, config_.params, x, reply.u.data(), reply.v.data(),
-                    u_row, v_row, r);
-    CountMeasurementAt(prober);
-    ResolveExchangeAt(prober);
-  }
-  MarkDirty(prober);
-  return end;
-}
-
-std::size_t DeploymentEngine::CompileAbwReplies(const MessageBatch& batch,
-                                                std::size_t start) {
-  const std::size_t end =
-      RunEnd<AbwProbeReply>(batch, start, batch.items.size());
-  const NodeId prober = batch.to;
-  const std::size_t r = config_.rank;
-  // HandleAbwReply's arithmetic and bookkeeping (the target already
-  // consumed the measurement when it replied — no CountMeasurementAt).
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  double* u_row = store_.U(prober).data();
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<AbwProbeReply>(batch.items[k].message);
-    if (reply.v.size() != r) {
-      throw std::invalid_argument(
-          "DeploymentEngine: AbwProbeReply coordinate rank mismatch");
-    }
-    RecordNeighborLoss(prober, reply.target, reply.measurement, reply.v);
-    CompiledAbwProberStep(kernels, config_.params, reply.measurement,
-                          reply.v.data(), u_row, r);  // eq. 12
-    ResolveExchangeAt(prober);
-  }
-  MarkDirty(prober);
   return end;
 }
 

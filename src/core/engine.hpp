@@ -59,7 +59,6 @@
 #include "core/error_injection.hpp"
 #include "core/node.hpp"
 #include "core/protocol_config.hpp"
-#include "core/round_compiler.hpp"
 #include "datasets/dataset.hpp"
 
 namespace dmfsgd::common {
@@ -105,8 +104,8 @@ enum class ProbeStrategy {
     std::span<const NodeId> targets, std::span<const unsigned char> active);
 
 /// The simulation drivers' deployment config: the shared protocol knobs
-/// (rank, η/λ/loss, τ, seed, probe_burst, coalesce_delivery, compile_rounds
-/// — see core/protocol_config.hpp; validated by the one shared
+/// (rank, η/λ/loss, τ, seed, probe_burst, coalesce_delivery — see
+/// core/protocol_config.hpp; validated by the one shared
 /// ValidateProtocolConfig) plus the driver-specific knobs below.
 ///
 /// Driver semantics of the inherited knobs:
@@ -119,11 +118,6 @@ enum class ProbeStrategy {
 ///    same-destination same-arrival-time messages into one event.  With
 ///    gradient_batch_size == 1 the drains are bit-identical to
 ///    per-message delivery (DESIGN.md §13).
-///  * compile_rounds — the engine folds multi-message reply envelopes
-///    through the fused compiled executor; bit-identical to the per-message
-///    handlers under the scalar kernel table (DESIGN.md §14).  Mini-batch
-///    folding (gradient_batch_size > 1) takes precedence on the receive
-///    path.  The parallel round sweep ignores it.
 struct SimulationConfig : ProtocolConfig {
   PredictionMode mode = PredictionMode::kClassification;
   std::size_t neighbor_count = 10; ///< k
@@ -231,20 +225,17 @@ class DeploymentEngine {
   ///    order.
   void ParallelRoundSweep(common::ThreadPool& pool);
 
-  /// Runs one full probing round through the sparse round compiler
-  /// (DESIGN.md §14), sequentially: churn sweep, then a *gather* pass that
-  /// consumes the shared RNG stream in exactly the per-message order (pick,
-  /// leg-1 roll, leg-2 roll per exchange) while collecting the surviving
-  /// exchanges as COO edges, then an *execute* pass that replays the
-  /// gathered edges — in original order (Algorithm 1) or grouped by target
-  /// row, stable by message order (Algorithm 2) — as one fused kernel sweep
-  /// with no channel, no variant dispatch and no per-message coordinate
-  /// copies.  With the scalar kernel table the result is bit-identical to
-  /// RunRounds' round over an immediate channel (counters included); vector
-  /// tables differ only in dot accumulation order.  Rejects probe_burst > 1
-  /// (the compiled gather models one exchange per node per round) and trace
-  /// overrides (which need an immediate channel).
-  void CompiledRoundSweep();
+  /// Runs one full probing round sequentially, without messages
+  /// (DESIGN.md §14): churn sweep, then a *gather* pass that consumes the
+  /// shared RNG stream in exactly the per-message order (pick, leg-1 roll,
+  /// leg-2 roll per node) while collecting the surviving exchanges, then an
+  /// *apply* pass that runs them in that same order through the node
+  /// updates on live store rows — no channel, no variant dispatch, no
+  /// coordinate copies, no allocation once warm.  Bit-identical to a
+  /// message-driven round over an immediate channel, counters included.
+  /// Rejects probe_burst > 1 (the gather models one exchange per node per
+  /// round).
+  void SequentialRoundSweep();
 
   // -- sharded event drains ------------------------------------------------
 
@@ -346,10 +337,6 @@ class DeploymentEngine {
   /// The Algorithm-2 half of ParallelRoundSweep: target-sharded phases.
   void ParallelAbwRoundSweep(common::ThreadPool& pool);
 
-  /// The sequential execute passes shared by CompiledRoundSweep.
-  void ExecuteCompiledRttRound();
-  void ExecuteCompiledAbwRound();
-
   /// The training value for pair (i, j): class label (possibly corrupted) or
   /// τ-normalized quantity (the DESIGN.md §3 substitution).
   [[nodiscard]] double MeasurementFor(std::size_t i, std::size_t j,
@@ -410,16 +397,6 @@ class DeploymentEngine {
   std::size_t FoldAbwReplies(const MessageBatch& batch, std::size_t start);
   std::size_t FoldAbwRequests(const MessageBatch& batch, std::size_t start);
 
-  /// Window-compile folds (config.compile_rounds, per-message gradients):
-  /// a consecutive same-kind reply run inside one delivered envelope — the
-  /// unit an async conservative window or a coalesced burst produces — runs
-  /// through the fused compiled executor with the kernel table hoisted out
-  /// of the loop.  Per-message arithmetic and bookkeeping are preserved
-  /// item for item, so the fold is bit-identical to the per-message
-  /// handlers under the scalar table.  Each returns one past the run.
-  std::size_t CompileRttReplies(const MessageBatch& batch, std::size_t start);
-  std::size_t CompileAbwReplies(const MessageBatch& batch, std::size_t start);
-
   /// Feeds the loss-driven strategy after a completed exchange.
   void RecordNeighborLoss(NodeId i, NodeId j, double x,
                           std::span<const double> v_remote);
@@ -467,8 +444,18 @@ class DeploymentEngine {
   std::vector<unsigned char> sweep_state_;
   std::vector<NodeId> sweep_target_;
 
-  /// Round-compiler COO buffer (DESIGN.md §14), reused across rounds.
-  RoundCoo round_coo_;
+  /// One exchange gathered by SequentialRoundSweep: the prober, its
+  /// neighbor slot and target, and whether the reply leg survived (only
+  /// Algorithm 2 gathers exchanges whose reply was lost: its target
+  /// updated anyway).
+  struct SweepExchange {
+    NodeId prober = 0;
+    NodeId target = 0;
+    std::uint32_t slot = 0;
+    bool full = true;
+  };
+  std::vector<SweepExchange> sweep_exchanges_;  ///< reused across rounds
+  std::vector<double> sweep_v_pre_;  ///< the v_j an Algorithm-2 reply ships
 
   // Sharded-drain state: per-node counter slots, cache-line separated so
   // handlers on different shards never share a line.  Folded into the scalar

@@ -91,7 +91,7 @@ ErrorInjector::ErrorInjector(const Dataset& dataset, double tau,
   for (const ErrorSpec& spec : specs) {
     switch (spec.type) {
       case ErrorType::kFlipNearTau: {
-        if (spec.delta < 0.0) {
+        if (!(spec.delta >= 0.0)) {  // NaN fails too
           throw std::invalid_argument("ErrorInjector: Type 1 delta must be >= 0");
         }
         for (const auto& [i, j] : paths) {
@@ -103,7 +103,7 @@ ErrorInjector::ErrorInjector(const Dataset& dataset, double tau,
         break;
       }
       case ErrorType::kUnderestimationBias: {
-        if (spec.delta < 0.0) {
+        if (!(spec.delta >= 0.0)) {  // NaN fails too
           throw std::invalid_argument("ErrorInjector: Type 2 delta must be >= 0");
         }
         for (const auto& [i, j] : paths) {
@@ -115,7 +115,7 @@ ErrorInjector::ErrorInjector(const Dataset& dataset, double tau,
         break;
       }
       case ErrorType::kFlipRandom: {
-        if (spec.fraction < 0.0 || spec.fraction > 1.0) {
+        if (!(spec.fraction >= 0.0 && spec.fraction <= 1.0)) {  // NaN fails too
           throw std::invalid_argument("ErrorInjector: Type 3 fraction in [0, 1]");
         }
         auto order = paths;
@@ -128,7 +128,7 @@ ErrorInjector::ErrorInjector(const Dataset& dataset, double tau,
         break;
       }
       case ErrorType::kGoodToBad: {
-        if (spec.fraction < 0.0 || spec.fraction > 1.0) {
+        if (!(spec.fraction >= 0.0 && spec.fraction <= 1.0)) {  // NaN fails too
           throw std::invalid_argument("ErrorInjector: Type 4 fraction in [0, 1]");
         }
         std::vector<std::pair<std::size_t, std::size_t>> good_paths;
@@ -192,7 +192,7 @@ double DeltaForErrorRate(const Dataset& dataset, double tau, ErrorType type,
   if (type != ErrorType::kFlipNearTau && type != ErrorType::kUnderestimationBias) {
     throw std::invalid_argument("DeltaForErrorRate: only Types 1 and 2 use delta");
   }
-  if (target_rate <= 0.0 || target_rate >= 1.0) {
+  if (!(target_rate > 0.0 && target_rate < 1.0)) {
     throw std::invalid_argument("DeltaForErrorRate: target_rate must be in (0, 1)");
   }
   const auto values = linalg::KnownOffDiagonal(dataset.ground_truth);

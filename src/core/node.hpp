@@ -31,10 +31,6 @@ namespace dmfsgd::common {
 class Rng;
 }
 
-namespace dmfsgd::linalg {
-struct KernelOps;
-}
-
 namespace dmfsgd::core {
 
 /// SGD hyper-parameters shared by all update rules.
@@ -142,29 +138,6 @@ class DmfsgdNode {
   void AbwTargetUpdate(double x, std::span<const double> u_remote,
                        const UpdateParams& params);
 
-  // -- compiled runs (DESIGN.md §14) ---------------------------------------
-  // The *With entry points are the named updates above dispatched through a
-  // caller-held kernel table: same expressions, same evaluation order, same
-  // rank validation, but the table is fetched once per reply run instead of
-  // once per message, and the vector tables get to use their fused kernels.
-  // With the scalar table the results are bit-identical to the named updates.
-
-  /// RttUpdate through `kernels` (the compiled window path).
-  void RttUpdateWith(const linalg::KernelOps& kernels, double x,
-                     std::span<const double> u_remote,
-                     std::span<const double> v_remote,
-                     const UpdateParams& params);
-
-  /// AbwProberUpdate through `kernels`.
-  void AbwProberUpdateWith(const linalg::KernelOps& kernels, double x,
-                           std::span<const double> v_remote,
-                           const UpdateParams& params);
-
-  /// AbwTargetUpdate through `kernels`.
-  void AbwTargetUpdateWith(const linalg::KernelOps& kernels, double x,
-                           std::span<const double> u_remote,
-                           const UpdateParams& params);
-
   // -- mini-batch accumulation (DESIGN.md §13) ------------------------------
   // The Accumulate* entry points compute the same gradient scales as the
   // named updates above but fold them into GradientStepBatch accumulators
@@ -208,7 +181,8 @@ class DmfsgdNode {
   /// Inner-loop precondition (NOT re-checked here): v_remote.size() ==
   /// rank(), and v_remote does not alias this node's u row.  The named
   /// updates and the message-decode boundary validate sizes before calling;
-  /// remote spans are always copies or round snapshots, never this row.
+  /// remote spans are always copies, round snapshots or another node's
+  /// store row, never this row.
   void GradientStepU(double g, std::span<const double> v_remote,
                      const UpdateParams& params);
 

@@ -24,11 +24,11 @@ struct ProtocolConfig {
   UpdateParams params;    ///< η, λ, loss function
   /// Classification threshold in quantity units; also the regression
   /// normalizer (targets are quantity/τ, DESIGN.md §3) and the probing rate
-  /// carried in ABW probe requests.  Must be > 0.
+  /// carried in ABW probe requests.  Must be finite and > 0.
   double tau = 0.0;
   std::uint64_t seed = 1;
 
-  // -- batched message plane (DESIGN.md §13/§14) ----------------------------
+  // -- batched message plane (DESIGN.md §13) --------------------------------
 
   /// Exchanges launched per probe slot (per round in the round driver, per
   /// Probe() call at the UDP peer).  Targets are picked independently with
@@ -39,12 +39,6 @@ struct ProtocolConfig {
   /// node's burst through a CoalescingDeliveryChannel, the UDP peer packs a
   /// burst's same-target probes into one datagram.  Order-preserving.
   bool coalesce_delivery = false;
-
-  /// Sparse round compiler (DESIGN.md §14): fused kernel execution with
-  /// per-message update semantics (bit-identical under the scalar table)
-  /// for multi-reply envelopes and the service's round ingest.  The
-  /// parallel round sweep has one schedule and ignores it.
-  bool compile_rounds = false;
 };
 
 /// The one validation path for the shared knobs; every embedding config's

@@ -28,6 +28,12 @@ DmfsgdSimulation::DmfsgdSimulation(const datasets::Dataset& dataset,
 void DmfsgdSimulation::RunRounds(std::size_t rounds) {
   const std::size_t n = engine_.NodeCount();
   const std::size_t burst = engine_.config().probe_burst;
+  if (!wire_.has_value() && !coalescing_.has_value() && burst == 1) {
+    for (std::size_t round = 0; round < rounds; ++round) {
+      engine_.SequentialRoundSweep();  // includes the churn sweep
+    }
+    return;
+  }
   for (std::size_t round = 0; round < rounds; ++round) {
     engine_.ChurnSweep();
     for (NodeId i = 0; i < n; ++i) {
@@ -53,12 +59,6 @@ void DmfsgdSimulation::RunRoundsParallel(std::size_t rounds,
                                          common::ThreadPool& pool) {
   for (std::size_t round = 0; round < rounds; ++round) {
     engine_.ParallelRoundSweep(pool);  // includes the churn sweep
-  }
-}
-
-void DmfsgdSimulation::RunRoundsCompiled(std::size_t rounds) {
-  for (std::size_t round = 0; round < rounds; ++round) {
-    engine_.CompiledRoundSweep();  // includes the churn sweep
   }
 }
 

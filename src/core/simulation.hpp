@@ -13,9 +13,12 @@
 // Exchanges are delivered atomically through an ImmediateDeliveryChannel;
 // with `use_wire_format` every message additionally round-trips through the
 // binary wire codec (a WireCodecDeliveryChannel decorator), proving the
-// protocol is implementable over a datagram transport.  All protocol,
-// membership, measurement and loss semantics live in the engine and are
-// shared verbatim with the asynchronous driver (async_simulation.hpp).
+// protocol is implementable over a datagram transport.  On the bare
+// immediate stack a round needs no messages at all, so RunRounds runs the
+// engine's sequential sweep instead, bit for bit the same round.  All
+// protocol, membership, measurement and loss semantics live in the engine
+// and are shared verbatim with the asynchronous driver
+// (async_simulation.hpp).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,11 @@ class DmfsgdSimulation {
 
   /// Runs `rounds` probing rounds (static datasets); in each round every
   /// node probes one neighbor.  Usable with trace datasets too (the static
-  /// median matrix is then the measurement source).
+  /// median matrix is then the measurement source).  On the bare immediate
+  /// stack with probe_burst == 1 each round is one
+  /// DeploymentEngine::SequentialRoundSweep; the wire-codec and coalescing
+  /// stacks and bursts send every exchange as messages.  Both follow the
+  /// same trajectory wherever both apply.
   void RunRounds(std::size_t rounds);
 
   /// Runs `rounds` probing rounds with each round's per-node sweep spread
@@ -46,13 +53,6 @@ class DmfsgdSimulation {
   /// RNG streams and start-of-round reply snapshots (Algorithm 1), or the
   /// target-disjoint phase schedule of DESIGN.md §8 (Algorithm 2).
   void RunRoundsParallel(std::size_t rounds, common::ThreadPool& pool);
-
-  /// Runs `rounds` probing rounds through the sparse round compiler
-  /// (DESIGN.md §14): each round is gathered into row-major COO and
-  /// executed as one fused sweep.  Bit-identical to RunRounds under the
-  /// scalar kernel table — see DeploymentEngine::CompiledRoundSweep.
-  /// Requires probe_burst == 1.
-  void RunRoundsCompiled(std::size_t rounds);
 
   /// Replays trace records [begin, end) in time order; returns the number of
   /// records that were usable (dst in src's neighbor set) and applied.

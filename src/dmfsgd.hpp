@@ -4,8 +4,7 @@
 // client — get the supported surface from one include; everything not
 // re-exported here is an internal layer whose headers may move or change
 // between versions without notice (the delivery-channel stack, the wire
-// codec, the netsim fabric, the linalg kernels, the sparse round
-// compiler, ...).
+// codec, the netsim fabric, the linalg kernels, ...).
 //
 // Stability notes use three grades:
 //   [stable]   — supported API; changes will be additive or versioned.
@@ -17,8 +16,7 @@
 // -- shared protocol configuration ------------------------------------------
 // core::ProtocolConfig            [stable]   the knobs every deployment form
 //                                            shares (rank, eta/lambda/loss,
-//                                            tau, seed, burst, coalescing,
-//                                            compiled rounds)
+//                                            tau, seed, burst, coalescing)
 // core::ValidateProtocolConfig    [stable]   the ONE validator those knobs go
 //                                            through, whoever embeds them
 #include "core/protocol_config.hpp"

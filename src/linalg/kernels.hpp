@@ -12,13 +12,12 @@
 // Contract (the caller's responsibility, validated upstream):
 //   * every pointer addresses `r` readable (or writable) doubles;
 //   * DecayAxpy's output must not alias its input — DmfsgdNode always
-//     updates its own row against a remote *copy* or a round snapshot, so
-//     every call site satisfies this by construction.  Read-only arguments
-//     (the Dot family) may alias freely.
+//     updates its own row against a remote *copy*, a round snapshot or
+//     another node's store row, so every call site satisfies this by
+//     construction.  Read-only arguments (the Dot family) may alias freely.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <utility>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -157,73 +156,37 @@ inline void AxpyRaw(double alpha, const double* DMFSGD_RESTRICT x,
   }
 }
 
-// -- runtime-dispatched SIMD variants (DESIGN.md §14) -----------------------
-//
-// The inline kernels above stay the bit-exactness oracle and the
-// per-message hot path.  Explicit AVX2 / AVX-512 variants live in
-// kernels_simd.cpp behind function `target` attributes (no special compile
-// flags needed) and are reached through a function-pointer table selected
-// once, by runtime CPUID — batch consumers (the COO round compiler, the
-// mini-batch folds) fetch the table once per sweep and hoist the dispatch
-// out of the inner loop.
-//
-// Numerical contract, pinned by kernels_test:
-//   * decay_axpy / axpy evaluate element-wise with no FMA contraction, so
-//     every vector variant is bit-identical to the scalar kernel;
-//   * dot / dot_pair accumulate lane-wise and reduce in a fixed order, so
-//     vector variants agree with the scalar left-to-right sum only to a few
-//     ulps — callers that promise bit-identity to a sequential trajectory
-//     must use the scalar table (KernelsFor(KernelIsa::kScalar)).
-
-/// Instruction-set tiers of the kernel table, ascending by capability.
+/// Instruction-set tiers the inline kernels above can be compiled for.
 enum class KernelIsa {
-  kScalar = 0,  ///< the inline kernels above — always available, the oracle
-  kAvx2 = 1,    ///< 4-wide double lanes (no FMA — see the contract above)
-  kAvx512 = 2,  ///< 8-wide double lanes (avx512f)
-};
-
-/// One resolved kernel table.  The function pointers share the signatures
-/// (and the aliasing/size contract) of the inline kernels above.
-struct KernelOps {
-  double (*dot)(const double*, const double*, std::size_t);
-  std::pair<double, double> (*dot_pair)(const double*, const double*,
-                                        const double*, const double*,
-                                        std::size_t);
-  void (*decay_axpy)(double, double, const double*, double*, std::size_t);
-  void (*axpy)(double, const double*, double*, std::size_t);
-  KernelIsa isa = KernelIsa::kScalar;
+  kScalar = 0,
+  kAvx2 = 1,
+  kAvx512 = 2,  ///< avx512f
 };
 
 /// Human-readable ISA name ("scalar" / "avx2" / "avx512").
-[[nodiscard]] const char* KernelIsaName(KernelIsa isa) noexcept;
+[[nodiscard]] constexpr const char* KernelIsaName(KernelIsa isa) noexcept {
+  switch (isa) {
+    case KernelIsa::kScalar:
+      return "scalar";
+    case KernelIsa::kAvx2:
+      return "avx2";
+    case KernelIsa::kAvx512:
+      return "avx512";
+  }
+  return "?";
+}
 
-/// Parses an ISA name; throws std::invalid_argument on unknown names.
-[[nodiscard]] KernelIsa ParseKernelIsaName(const std::string& name);
-
-/// True if the variant was compiled into this binary (x86-64 GCC/Clang,
-/// not disabled by DMFSGD_DISABLE_SIMD_KERNELS — sanitizer builds are).
-[[nodiscard]] bool KernelIsaCompiled(KernelIsa isa) noexcept;
-
-/// True if the variant is compiled in *and* the running CPU supports it.
-[[nodiscard]] bool KernelIsaSupported(KernelIsa isa) noexcept;
-
-/// The best supported tier, or the one named by the DMFSGD_KERNEL_ISA
-/// environment variable when that names a supported tier (unknown or
-/// unsupported values are ignored).  This is the process-wide default.
-[[nodiscard]] KernelIsa DetectKernelIsa() noexcept;
-
-/// The table for an explicit tier; throws std::invalid_argument if the tier
-/// is not supported on this host/build.
-[[nodiscard]] const KernelOps& KernelsFor(KernelIsa isa);
-
-/// The process-wide active table (DetectKernelIsa() until overridden).
-/// Fetch once per sweep, not per message.
-[[nodiscard]] const KernelOps& ActiveKernels() noexcept;
-[[nodiscard]] KernelIsa ActiveKernelIsa() noexcept;
-
-/// Overrides the active table (tests pin the scalar oracle; deployments can
-/// force a tier).  Throws std::invalid_argument if unsupported.  Not for
-/// use while a parallel sweep is in flight.
-void SetKernelIsa(KernelIsa isa);
+/// The widest tier the compiler was allowed to vectorize the inline kernels
+/// for — a build-flag report (-march, -mavx2), not a runtime CPUID probe.
+/// A default build reports kScalar.
+[[nodiscard]] constexpr KernelIsa ActiveKernelIsa() noexcept {
+#if defined(__AVX512F__)
+  return KernelIsa::kAvx512;
+#elif defined(__AVX2__)
+  return KernelIsa::kAvx2;
+#else
+  return KernelIsa::kScalar;
+#endif
+}
 
 }  // namespace dmfsgd::linalg

@@ -103,11 +103,7 @@ void CoordinateService::IngestRounds(std::size_t rounds) {
     const std::lock_guard<std::mutex> writer(writer_mutex_);
     std::unique_lock<std::shared_mutex> state(state_mutex_);
     const std::size_t before = simulation_.MeasurementCount();
-    if (config_.compile_rounds) {
-      simulation_.RunRoundsCompiled(1);
-    } else {
-      simulation_.RunRounds(1);
-    }
+    simulation_.RunRounds(1);
     // Per-round accounting keeps the staleness bound honest at round
     // granularity.
     AccountIngest(simulation_.MeasurementCount() - before, state);

@@ -10,8 +10,8 @@
 //  * **ingest plane** — a push API: every measurement (pushed pair, active
 //    probe, trace replay window, warm-up round) funnels into the engine's
 //    exchange machinery through the round driver's channel stack, so all
-//    protocol semantics (loss, churn, coalescing, mini-batch, compiled
-//    envelopes) apply to served deployments unchanged.
+//    protocol semantics (loss, churn, coalescing, mini-batch) apply to
+//    served deployments unchanged.
 //  * **query plane** — live bilinear scores (DESIGN.md §16): point-to-point
 //    score/quantity, multiclass level readout, and k-nearest-peer queries
 //    through a resident ann::PeerIndex that is kept warm by draining the
@@ -133,7 +133,7 @@ class CoordinateService {
   core::NodeId IngestProbe(core::NodeId prober);
 
   /// Warm-up / background training: full probing rounds (every node probes
-  /// once per round; compiled when config.compile_rounds).  Counts as
+  /// once per round, DmfsgdSimulation::RunRounds).  Counts as
   /// NodeCount() ingests per round against the staleness budget and
   /// snapshot interval.
   void IngestRounds(std::size_t rounds);

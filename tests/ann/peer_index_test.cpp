@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace dmfsgd::ann {
@@ -194,6 +196,17 @@ TEST(PeerIndex, RejectsBadOptionsAndMembers) {
   const PeerIndex index(store, PeerIndexOptions{});
   EXPECT_THROW((void)index.SearchFrom(0, 0, KnnOrdering::kSmallestFirst),
                std::invalid_argument);
+}
+
+TEST(PeerIndex, RejectsNanThresholds) {
+  // A NaN threshold passes a plain `x < 0` check and then never triggers.
+  const CoordinateStore store = RandomStore(10, 4, 103);
+  PeerIndexOptions nan_epsilon;
+  nan_epsilon.drift_epsilon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PeerIndex(store, nan_epsilon), std::invalid_argument);
+  PeerIndexOptions nan_fraction;
+  nan_fraction.rebuild_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PeerIndex(store, nan_fraction), std::invalid_argument);
 }
 
 }  // namespace

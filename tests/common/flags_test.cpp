@@ -112,5 +112,19 @@ TEST(Flags, ProtocolFlagsRejectNegativeCounts) {
   }
 }
 
+// ParseDouble accepts "nan" and "inf", so non-finite hyper-parameters reach
+// the config from the command line; the shared validator must stop them.
+TEST(Flags, NonFiniteProtocolValuesFailValidation) {
+  for (const char* arg :
+       {"--tau=nan", "--tau=inf", "--eta=nan", "--eta=inf", "--lambda=nan",
+        "--lambda=inf"}) {
+    SCOPED_TRACE(arg);
+    core::ProtocolConfig config;
+    ApplyProtocolFlags(Make({arg}, ProtocolFlagNames()), config, 1.0);
+    EXPECT_THROW(core::ValidateProtocolConfig(config, "test"),
+                 std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace dmfsgd::common

@@ -3,8 +3,8 @@
 // load-bearing properties pinned here:
 //
 //  * non-interference — enabling tracking is bit-identical to not enabling
-//    it, on the sequential, parallel, and compiled drivers (marking a dirty
-//    byte never touches an RNG or a coordinate);
+//    it, on the sequential sweep, the parallel sweep and message-driven
+//    rounds (marking a dirty byte never touches an RNG or a coordinate);
 //  * completeness — every row that changed since the last drain is in the
 //    dirty set (missing a drifted row would silently rot the index);
 //  * the drain returns ascending node ids and resets the set.
@@ -47,29 +47,36 @@ SimulationConfig BaseConfig(const Dataset& dataset) {
   return config;
 }
 
-enum class Driver { kSequential, kParallel, kCompiled };
+// kMessages runs RunRounds over the wire-codec stack, so the per-message
+// handlers' drift marks stay covered next to the sweep's (kSequential).
+enum class Driver { kSequential, kParallel, kMessages };
+
+std::unique_ptr<DmfsgdSimulation> MakeSimulation(const Dataset& dataset,
+                                                 SimulationConfig config,
+                                                 Driver driver) {
+  config.use_wire_format = driver == Driver::kMessages;
+  return std::make_unique<DmfsgdSimulation>(dataset, config);
+}
+
+void Drive(DmfsgdSimulation& simulation, Driver driver, std::size_t rounds,
+           std::size_t threads) {
+  if (driver == Driver::kParallel) {
+    common::ThreadPool pool(threads);
+    simulation.RunRoundsParallel(rounds, pool);
+  } else {
+    simulation.RunRounds(rounds);
+  }
+}
 
 std::unique_ptr<DmfsgdSimulation> RunDriver(const Dataset& dataset,
                                       const SimulationConfig& config,
                                       Driver driver, std::size_t rounds,
                                       bool track) {
-  auto simulation = std::make_unique<DmfsgdSimulation>(dataset, config);
+  auto simulation = MakeSimulation(dataset, config, driver);
   if (track) {
     simulation->EnableDriftTracking();
   }
-  switch (driver) {
-    case Driver::kSequential:
-      simulation->RunRounds(rounds);
-      break;
-    case Driver::kParallel: {
-      common::ThreadPool pool(4);
-      simulation->RunRoundsParallel(rounds, pool);
-      break;
-    }
-    case Driver::kCompiled:
-      simulation->RunRoundsCompiled(rounds);
-      break;
-  }
+  Drive(*simulation, driver, rounds, 4);
   return simulation;
 }
 
@@ -92,10 +99,7 @@ TEST(DriftTracking, NeverPerturbsTraining) {
     config.message_loss = 0.1;
     config.churn_rate = 0.01;
     for (const Driver driver :
-         {Driver::kSequential, Driver::kParallel, Driver::kCompiled}) {
-      if (driver == Driver::kCompiled) {
-        config.churn_rate = 0.0;  // compiled sweeps take the no-churn path
-      }
+         {Driver::kSequential, Driver::kParallel, Driver::kMessages}) {
       const auto tracked = RunDriver(dataset, config, driver, 40, true);
       const auto untracked = RunDriver(dataset, config, driver, 40, false);
       ExpectBitIdentical(*tracked, *untracked);
@@ -106,9 +110,8 @@ TEST(DriftTracking, NeverPerturbsTraining) {
 TEST(DriftTracking, DirtySetCoversEveryChangedRow) {
   for (const Dataset& dataset : {SmallRtt(), SmallAbw()}) {
     for (const Driver driver :
-         {Driver::kSequential, Driver::kParallel, Driver::kCompiled}) {
-      auto simulation =
-          std::make_unique<DmfsgdSimulation>(dataset, BaseConfig(dataset));
+         {Driver::kSequential, Driver::kParallel, Driver::kMessages}) {
+      auto simulation = MakeSimulation(dataset, BaseConfig(dataset), driver);
       simulation->EnableDriftTracking();
       const auto& store = simulation->engine().store();
       const std::size_t rank = store.rank();
@@ -117,19 +120,7 @@ TEST(DriftTracking, DirtySetCoversEveryChangedRow) {
       const std::vector<double> v_before(store.VData().begin(),
                                          store.VData().end());
 
-      switch (driver) {
-        case Driver::kSequential:
-          simulation->RunRounds(15);
-          break;
-        case Driver::kParallel: {
-          common::ThreadPool pool(3);
-          simulation->RunRoundsParallel(15, pool);
-          break;
-        }
-        case Driver::kCompiled:
-          simulation->RunRoundsCompiled(15);
-          break;
-      }
+      Drive(*simulation, driver, 15, 3);
 
       const std::vector<NodeId> dirty = simulation->TakeDirtyNodes();
       EXPECT_FALSE(dirty.empty());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
@@ -159,6 +160,26 @@ TEST(ErrorInjector, RejectsBadArguments) {
   const ErrorInjector injector(dataset, tau, {}, 1);
   EXPECT_THROW((void)injector.Label(0, 0), std::invalid_argument);  // diagonal
   EXPECT_THROW((void)injector.Label(dataset.NodeCount(), 0), std::out_of_range);
+}
+
+TEST(ErrorInjector, RejectsNanSpecs) {
+  // A NaN fraction once rounded to a huge flip count and indexed past the
+  // path list; a NaN delta silently corrupted nothing.
+  const Dataset dataset = SmallRtt();
+  const double tau = dataset.MedianValue();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const ErrorSpec& spec :
+       {ErrorSpec{ErrorType::kFlipNearTau, nan, 0.0},
+        ErrorSpec{ErrorType::kUnderestimationBias, nan, 0.0},
+        ErrorSpec{ErrorType::kFlipRandom, 0.0, nan},
+        ErrorSpec{ErrorType::kGoodToBad, 0.0, nan}}) {
+    SCOPED_TRACE(ErrorTypeName(spec.type));
+    const std::vector<ErrorSpec> specs{spec};
+    EXPECT_THROW(ErrorInjector(dataset, tau, specs, 1), std::invalid_argument);
+  }
+  EXPECT_THROW(
+      (void)DeltaForErrorRate(dataset, tau, ErrorType::kFlipNearTau, nan),
+      std::invalid_argument);
 }
 
 TEST(DeltaForErrorRate, Type1ExpectedRateMatchesTarget) {

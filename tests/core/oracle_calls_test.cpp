@@ -133,23 +133,16 @@ std::uint64_t ExpectOncePerNeighborPair(const OracleCounter& counter,
   return pairs;
 }
 
-// kCompiledParallel sets compile_rounds on RunRoundsParallel, which runs the
-// same sweep as kParallel.
-enum class Path { kParallel, kCompiledParallel, kRounds, kCompiled };
+// kMessages runs RunRounds over the wire-codec stack, which sends every
+// exchange as messages; kRounds runs the sequential sweep.
+enum class Path { kParallel, kRounds, kMessages };
 
 void RunPath(DmfsgdSimulation& simulation, Path path, std::size_t rounds,
              common::ThreadPool& pool) {
-  switch (path) {
-    case Path::kParallel:
-    case Path::kCompiledParallel:
-      simulation.RunRoundsParallel(rounds, pool);
-      break;
-    case Path::kRounds:
-      simulation.RunRounds(rounds);
-      break;
-    case Path::kCompiled:
-      simulation.RunRoundsCompiled(rounds);
-      break;
+  if (path == Path::kParallel) {
+    simulation.RunRoundsParallel(rounds, pool);
+  } else {
+    simulation.RunRounds(rounds);
   }
 }
 
@@ -161,7 +154,7 @@ void ExpectOneCallPerNeighborPair(const Dataset& base, double tau, Path path,
   auto counter = std::make_shared<OracleCounter>(kNodes);
   const Dataset dataset = Counted(base, counter);
   SimulationConfig config = Config(tau);
-  config.compile_rounds = path == Path::kCompiledParallel;
+  config.use_wire_format = path == Path::kMessages;
   DmfsgdSimulation simulation(dataset, config);
   common::ThreadPool pool(threads);
   RunPath(simulation, path, kRounds, pool);
@@ -178,32 +171,29 @@ TEST(OracleCalls, RttRoundPathsAskOncePerNeighborPair) {
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     ExpectOneCallPerNeighborPair(base, tau, Path::kParallel, threads);
-    ExpectOneCallPerNeighborPair(base, tau, Path::kCompiledParallel, threads);
   }
   ExpectOneCallPerNeighborPair(base, tau, Path::kRounds, 1);
-  ExpectOneCallPerNeighborPair(base, tau, Path::kCompiled, 1);
+  ExpectOneCallPerNeighborPair(base, tau, Path::kMessages, 1);
 }
 
 TEST(OracleCalls, AbwRoundPathsAskOncePerNeighborPair) {
   const Dataset base = BaseAbw();
   const double tau = datasets::SampledMedianValue(base);
   ExpectOneCallPerNeighborPair(base, tau, Path::kParallel, 4);
-  ExpectOneCallPerNeighborPair(base, tau, Path::kCompiledParallel, 4);
   ExpectOneCallPerNeighborPair(base, tau, Path::kRounds, 1);
-  ExpectOneCallPerNeighborPair(base, tau, Path::kCompiled, 1);
+  ExpectOneCallPerNeighborPair(base, tau, Path::kMessages, 1);
 }
 
 /// Runs `rounds` one at a time with churn and checks, round by round, that
 /// the oracle is asked only for pairs new to the prober's current neighbor
 /// set: a node that churned (its neighbor set changed) refills its slots,
-/// every other node's calls stay at one per pair.  Stores the total calls.
-void ExpectRefillsOnlyUnderChurn(const Dataset& base, double tau, bool compile,
-                                 std::size_t threads, std::uint64_t& total) {
+/// every other node's calls stay at one per pair.
+void ExpectRefillsOnlyUnderChurn(const Dataset& base, double tau,
+                                 std::size_t threads) {
   auto counter = std::make_shared<OracleCounter>(kNodes);
   const Dataset dataset = Counted(base, counter);
   SimulationConfig config = Config(tau);
   config.churn_rate = 0.01;
-  config.compile_rounds = compile;
   DmfsgdSimulation simulation(dataset, config);
   common::ThreadPool pool(threads);
 
@@ -240,7 +230,6 @@ void ExpectRefillsOnlyUnderChurn(const Dataset& base, double tau, bool compile,
   EXPECT_GT(simulation.ChurnCount(), 0u);
   EXPECT_LE(counter->Total(),
             kNodes * kNeighbors + simulation.ChurnCount() * kNeighbors);
-  total = counter->Total();
 }
 
 TEST(OracleCalls, ChurnAddsOnlyTheRefills) {
@@ -250,13 +239,8 @@ TEST(OracleCalls, ChurnAddsOnlyTheRefills) {
   const double abw_tau = datasets::SampledMedianValue(abw);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    std::uint64_t plain = 0;
-    std::uint64_t compiled = 0;
-    std::uint64_t abw_total = 0;
-    ExpectRefillsOnlyUnderChurn(rtt, rtt_tau, false, threads, plain);
-    ExpectRefillsOnlyUnderChurn(rtt, rtt_tau, true, threads, compiled);
-    EXPECT_EQ(compiled, plain);
-    ExpectRefillsOnlyUnderChurn(abw, abw_tau, false, threads, abw_total);
+    ExpectRefillsOnlyUnderChurn(rtt, rtt_tau, threads);
+    ExpectRefillsOnlyUnderChurn(abw, abw_tau, threads);
   }
 }
 

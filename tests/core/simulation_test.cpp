@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "datasets/harvard.hpp"
 #include "datasets/hps3.hpp"
@@ -63,6 +64,40 @@ TEST(Simulation, ValidatesConfig) {
   EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
   config = DefaultConfig(dataset);
   config.params.eta = 0.0;
+  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+}
+
+// NaN passes a plain `x <= 0` check, and a NaN or infinite η or λ turns
+// the factors NaN on the first step.
+TEST(Simulation, RejectsNonFiniteHyperParameters) {
+  const Dataset dataset = SmallRtt();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    SimulationConfig config = DefaultConfig(dataset);
+    config.tau = bad;
+    EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+    config = DefaultConfig(dataset);
+    config.params.eta = bad;
+    EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+    config = DefaultConfig(dataset);
+    config.params.lambda = bad;
+    EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+  }
+}
+
+// The engine's probabilities: a NaN would silently act as 0.
+TEST(Simulation, RejectsNanProbabilities) {
+  const Dataset dataset = SmallRtt();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SimulationConfig config = DefaultConfig(dataset);
+  config.message_loss = nan;
+  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+  config = DefaultConfig(dataset);
+  config.churn_rate = nan;
+  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
+  config = DefaultConfig(dataset);
+  config.exploration = nan;
   EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
 }
 

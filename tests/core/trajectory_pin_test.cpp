@@ -1,21 +1,19 @@
 // Trajectory pins: FNV-1a digests of the learned factors U and V after a
 // fixed number of rounds, compared against digests recorded once.
 //
-// The parity suites pin execution paths against each other (compiled vs
-// per-message, pool 1 vs pool 4), so a change that shifts every path's
-// trajectory the same way passes all of them.  These pins catch that case:
-// each digest is the engine's output on a fixed scenario under the scalar
-// kernel table, recorded from the code as it stood before the change under
-// test.  Re-record a digest only by running this test at a change's parent
+// The parity suites pin execution paths against each other (sweep vs
+// message-driven rounds, pool 1 vs pool 4), so a change that shifts every
+// path's trajectory the same way passes all of them.  These pins catch
+// that case: each digest is the engine's output on a fixed scenario,
+// recorded from the code as it stood before the change under test.
+// Re-record a digest only by running this test at a change's parent
 // commit — never to make a change pass.
 //
-// Covered: the sequential, parallel (pools 1 and 4), compiled and compiled
-// parallel round paths on a procedural RTT space in five configurations
-// (the compiled parallel case sets compile_rounds on RunRoundsParallel,
-// which runs the same sweep as the parallel one);
-// an ABW run with loss and churn; the mini-batch and window-compile reply
-// folds; a Harvard trace window replayed before static rounds; and 2-shard
-// parallel event drains.
+// Covered: the sequential and parallel (pools 1 and 4) round paths on a
+// procedural RTT space in five configurations; an ABW run with loss and
+// churn; coalesced probe bursts through the mini-batch fold and through
+// the per-message handlers; a Harvard trace window replayed before static
+// rounds; and 2-shard parallel event drains.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +31,6 @@
 #include "datasets/harvard.hpp"
 #include "datasets/hps3.hpp"
 #include "datasets/procedural.hpp"
-#include "linalg/kernels.hpp"
 
 namespace dmfsgd::core {
 namespace {
@@ -41,21 +38,6 @@ namespace {
 using datasets::Dataset;
 
 constexpr std::size_t kRounds = 40;
-
-/// Pins the scalar kernel table for a test body and restores the
-/// previously active table on exit.
-class ScalarKernels {
- public:
-  ScalarKernels() : saved_(linalg::ActiveKernelIsa()) {
-    linalg::SetKernelIsa(linalg::KernelIsa::kScalar);
-  }
-  ~ScalarKernels() { linalg::SetKernelIsa(saved_); }
-  ScalarKernels(const ScalarKernels&) = delete;
-  ScalarKernels& operator=(const ScalarKernels&) = delete;
-
- private:
-  linalg::KernelIsa saved_;
-};
 
 /// FNV-1a 64 over the bytes of U, then V.
 std::uint64_t FactorDigest(const CoordinateStore& store) {
@@ -107,15 +89,7 @@ SimulationConfig BaseConfig(double tau) {
   return config;
 }
 
-enum class Path {
-  kRounds,
-  kParallel1,
-  kParallel4,
-  kCompiled,
-  // compile_rounds + RunRoundsParallel: the parallel sweep ignores the knob,
-  // so this must reproduce kParallel4.
-  kCompiledParallel,
-};
+enum class Path { kRounds, kParallel1, kParallel4 };
 
 const char* PathName(Path path) {
   switch (path) {
@@ -125,45 +99,26 @@ const char* PathName(Path path) {
       return "RunRoundsParallel(pool 1)";
     case Path::kParallel4:
       return "RunRoundsParallel(pool 4)";
-    case Path::kCompiled:
-      return "RunRoundsCompiled";
-    case Path::kCompiledParallel:
-      return "compiled parallel sweep (pool 4)";
   }
   return "?";
 }
 
-std::uint64_t RunPath(const Dataset& dataset, SimulationConfig config,
+std::uint64_t RunPath(const Dataset& dataset, const SimulationConfig& config,
                       Path path, const ErrorInjector* injector = nullptr) {
-  config.compile_rounds = path == Path::kCompiledParallel;
   DmfsgdSimulation simulation(dataset, config, injector);
-  switch (path) {
-    case Path::kRounds:
-      simulation.RunRounds(kRounds);
-      break;
-    case Path::kParallel1: {
-      common::ThreadPool pool(1);
-      simulation.RunRoundsParallel(kRounds, pool);
-      break;
-    }
-    case Path::kParallel4:
-    case Path::kCompiledParallel: {
-      common::ThreadPool pool(4);
-      simulation.RunRoundsParallel(kRounds, pool);
-      break;
-    }
-    case Path::kCompiled:
-      simulation.RunRoundsCompiled(kRounds);
-      break;
+  if (path == Path::kRounds) {
+    simulation.RunRounds(kRounds);
+  } else {
+    common::ThreadPool pool(path == Path::kParallel1 ? 1 : 4);
+    simulation.RunRoundsParallel(kRounds, pool);
   }
   EXPECT_EQ(simulation.ChurnCount() > 0, config.churn_rate > 0.0)
       << PathName(path);
   return FactorDigest(simulation.engine().store());
 }
 
-/// One scenario's recorded digests: the sequential regime (RunRounds and
-/// RunRoundsCompiled follow one trajectory) and the parallel regime (every
-/// pool size, compiled or not, follows another).
+/// One scenario's recorded digests: the sequential regime (RunRounds) and
+/// the parallel regime (every pool size follows one trajectory).
 struct RoundPins {
   std::uint64_t sequential;
   std::uint64_t parallel;
@@ -172,10 +127,9 @@ struct RoundPins {
 void ExpectRoundPins(const Dataset& dataset, const SimulationConfig& config,
                      const RoundPins& pins, const char* scenario,
                      const ErrorInjector* injector = nullptr) {
-  for (const Path path : {Path::kRounds, Path::kParallel1, Path::kParallel4,
-                          Path::kCompiled, Path::kCompiledParallel}) {
-    const bool sequential = path == Path::kRounds || path == Path::kCompiled;
-    const std::uint64_t expected = sequential ? pins.sequential : pins.parallel;
+  for (const Path path : {Path::kRounds, Path::kParallel1, Path::kParallel4}) {
+    const std::uint64_t expected =
+        path == Path::kRounds ? pins.sequential : pins.parallel;
     EXPECT_EQ(Hex(RunPath(dataset, config, path, injector)), Hex(expected))
         << scenario << " via " << PathName(path);
   }
@@ -185,7 +139,6 @@ void ExpectRoundPins(const Dataset& dataset, const SimulationConfig& config,
 // Round paths on a 512-node procedural RTT space
 
 TEST(TrajectoryPin, RttClean) {
-  const ScalarKernels scalar;
   const Dataset& dataset = EuclideanRtt512();
   const SimulationConfig config =
       BaseConfig(datasets::SampledMedianValue(dataset));
@@ -194,7 +147,6 @@ TEST(TrajectoryPin, RttClean) {
 }
 
 TEST(TrajectoryPin, RttLossAndChurn) {
-  const ScalarKernels scalar;
   const Dataset& dataset = EuclideanRtt512();
   SimulationConfig config = BaseConfig(datasets::SampledMedianValue(dataset));
   config.message_loss = 0.1;
@@ -204,7 +156,6 @@ TEST(TrajectoryPin, RttLossAndChurn) {
 }
 
 TEST(TrajectoryPin, RttLossDriven) {
-  const ScalarKernels scalar;
   const Dataset& dataset = EuclideanRtt512();
   SimulationConfig config = BaseConfig(datasets::SampledMedianValue(dataset));
   config.strategy = ProbeStrategy::kLossDriven;
@@ -213,7 +164,6 @@ TEST(TrajectoryPin, RttLossDriven) {
 }
 
 TEST(TrajectoryPin, RttRegression) {
-  const ScalarKernels scalar;
   const Dataset& dataset = EuclideanRtt512();
   SimulationConfig config = BaseConfig(datasets::SampledMedianValue(dataset));
   config.mode = PredictionMode::kRegression;
@@ -223,7 +173,6 @@ TEST(TrajectoryPin, RttRegression) {
 }
 
 TEST(TrajectoryPin, RttErrorInjector) {
-  const ScalarKernels scalar;
   const Dataset& dataset = EuclideanRtt512();
   const SimulationConfig config =
       BaseConfig(datasets::SampledMedianValue(dataset));
@@ -237,7 +186,6 @@ TEST(TrajectoryPin, RttErrorInjector) {
 // Algorithm 2 (ABW, target-measured) with loss and churn
 
 TEST(TrajectoryPin, AbwLossAndChurn) {
-  const ScalarKernels scalar;
   const Dataset& dataset = HpS3();
   SimulationConfig config = BaseConfig(dataset.MedianValue());
   config.message_loss = 0.1;
@@ -248,46 +196,37 @@ TEST(TrajectoryPin, AbwLossAndChurn) {
 
 // ------------------------------------------------------------------------
 // Reply folds: a coalesced probe burst comes back as one envelope, which the
-// engine folds into a mini-batch step or runs through the window compiler.
+// engine folds into a mini-batch step or hands item by item to the
+// per-message handlers.
 
 std::uint64_t RunBurst(const Dataset& dataset, SimulationConfig config,
-                       bool compile) {
+                       std::size_t gradient_batch_size) {
   config.probe_burst = 4;
   config.coalesce_delivery = true;
   config.message_loss = 0.1;
   config.churn_rate = 0.01;
-  if (compile) {
-    config.compile_rounds = true;
-  } else {
-    config.gradient_batch_size = 4;
-  }
+  config.gradient_batch_size = gradient_batch_size;
   DmfsgdSimulation simulation(dataset, config);
   simulation.RunRounds(kRounds / 4);
   return FactorDigest(simulation.engine().store());
 }
 
 TEST(TrajectoryPin, MiniBatchFolds) {
-  const ScalarKernels scalar;
   const Dataset& rtt = EuclideanRtt512();
-  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)),
-                         /*compile=*/false)),
+  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)), 4)),
             Hex(0x30cae8859dccec51ULL))
       << "rtt";
-  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()),
-                         /*compile=*/false)),
+  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()), 4)),
             Hex(0xc9f23397b3a79c84ULL))
       << "abw";
 }
 
-TEST(TrajectoryPin, WindowCompileFolds) {
-  const ScalarKernels scalar;
+TEST(TrajectoryPin, CoalescedBurstsPerMessage) {
   const Dataset& rtt = EuclideanRtt512();
-  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)),
-                         /*compile=*/true)),
+  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)), 1)),
             Hex(0x0ad7c3f2ea8f83a7ULL))
       << "rtt";
-  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()),
-                         /*compile=*/true)),
+  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()), 1)),
             Hex(0xc486eec02f4a6dbdULL))
       << "abw";
 }
@@ -297,7 +236,6 @@ TEST(TrajectoryPin, WindowCompileFolds) {
 // rounds that follow train on the median matrix.
 
 TEST(TrajectoryPin, HarvardTraceWindowThenStaticRounds) {
-  const ScalarKernels scalar;
   datasets::HarvardConfig harvard;
   harvard.trace_records = 20000;
   const Dataset dataset = datasets::MakeHarvard(harvard);
@@ -339,7 +277,6 @@ void ExpectDrainPin(double loss, double churn, std::uint64_t expected,
 }
 
 TEST(TrajectoryPin, ShardedDrain) {
-  const ScalarKernels scalar;
   ExpectDrainPin(0.0, 0.0, 0x926a58a79ecf0caaULL, "clean drain");
   ExpectDrainPin(0.1, 0.01, 0x2cc05fa3e483f409ULL, "loss+churn drain");
 }

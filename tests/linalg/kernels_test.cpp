@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -24,7 +23,7 @@ namespace dmfsgd::linalg {
 namespace {
 
 // Ranks chosen to hit both fixed-trip-count paths (3, 10) and generic sizes
-// around them, including vector-width remainders.
+// around them, including remainders of the compiler's vector widths.
 const std::vector<std::size_t> kRanks = {1, 2, 3, 4, 5, 7, 8, 10, 16, 33};
 
 /// Monotone mapping of doubles onto an integer line so ulp distance is a
@@ -126,164 +125,6 @@ TEST(Kernels, CheckedWrappersValidateAtTheBoundary) {
   EXPECT_EQ(y, expected);
   EXPECT_EQ(DotPair(three, three, three, three),
             DotPairRaw(three.data(), three.data(), three.data(), three.data(), 3));
-}
-
-// -- runtime-dispatched SIMD variants (DESIGN.md §14) -----------------------
-//
-// Numerical contract under test: the element-wise kernels (decay_axpy, axpy)
-// are BIT-IDENTICAL to the scalar table — each output element is the same
-// two roundings in the same order, vectorized across lanes.  The dots reduce
-// lanes in a fixed but reassociated order, so they only agree to a few ulps;
-// on positive data the reassociation error is bounded and small.
-
-/// ISAs that are both compiled into this binary and supported by this CPU —
-/// the variants whose results we can actually check here.
-std::vector<KernelIsa> RunnableVectorIsas() {
-  std::vector<KernelIsa> isas;
-  for (const KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    if (KernelIsaSupported(isa)) {
-      isas.push_back(isa);
-    }
-  }
-  return isas;
-}
-
-std::vector<double> PositiveVector(common::Rng& rng, std::size_t size) {
-  std::vector<double> values(size);
-  for (double& value : values) {
-    value = rng.Uniform(0.5, 2.0);
-  }
-  return values;
-}
-
-TEST(SimdKernels, ElementwiseVariantsBitIdenticalToScalar) {
-  const KernelOps& scalar = KernelsFor(KernelIsa::kScalar);
-  common::Rng rng(29);
-  for (const KernelIsa isa : RunnableVectorIsas()) {
-    const KernelOps& vec = KernelsFor(isa);
-    for (const std::size_t r : kRanks) {
-      for (int trial = 0; trial < 100; ++trial) {
-        const double decay = rng.Uniform(0.5, 1.0);
-        const double alpha = rng.Uniform(-0.5, 0.5);
-        // data() + 1 defeats any accidental reliance on 16/32/64-byte
-        // alignment — protocol replies and store rows are only 8-aligned.
-        std::vector<double> x = RandomVector(rng, r + 1);
-        std::vector<double> vec_y = RandomVector(rng, r + 1);
-        std::vector<double> ref_y = vec_y;
-
-        vec.decay_axpy(decay, alpha, x.data() + 1, vec_y.data() + 1, r);
-        scalar.decay_axpy(decay, alpha, x.data() + 1, ref_y.data() + 1, r);
-        for (std::size_t d = 0; d <= r; ++d) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(vec_y[d]),
-                    std::bit_cast<std::uint64_t>(ref_y[d]))
-              << KernelIsaName(isa) << " decay_axpy rank " << r << " element "
-              << d;
-        }
-
-        vec_y = RandomVector(rng, r + 1);
-        ref_y = vec_y;
-        vec.axpy(alpha, x.data() + 1, vec_y.data() + 1, r);
-        scalar.axpy(alpha, x.data() + 1, ref_y.data() + 1, r);
-        for (std::size_t d = 0; d <= r; ++d) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(vec_y[d]),
-                    std::bit_cast<std::uint64_t>(ref_y[d]))
-              << KernelIsaName(isa) << " axpy rank " << r << " element " << d;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, DotVariantsWithinFewUlpsOfScalarOnPositiveData) {
-  const KernelOps& scalar = KernelsFor(KernelIsa::kScalar);
-  common::Rng rng(31);
-  for (const KernelIsa isa : RunnableVectorIsas()) {
-    const KernelOps& vec = KernelsFor(isa);
-    for (const std::size_t r : kRanks) {
-      for (int trial = 0; trial < 100; ++trial) {
-        std::vector<double> a = PositiveVector(rng, r + 1);
-        std::vector<double> b = PositiveVector(rng, r + 1);
-        std::vector<double> c = PositiveVector(rng, r + 1);
-        std::vector<double> d = PositiveVector(rng, r + 1);
-        const double* pa = a.data() + 1;
-        const double* pb = b.data() + 1;
-        const double* pc = c.data() + 1;
-        const double* pd = d.data() + 1;
-        EXPECT_LE(UlpDistance(vec.dot(pa, pb, r), scalar.dot(pa, pb, r)), 4u)
-            << KernelIsaName(isa) << " dot rank " << r;
-        const auto [vab, vcd] = vec.dot_pair(pa, pb, pc, pd, r);
-        const auto [sab, scd] = scalar.dot_pair(pa, pb, pc, pd, r);
-        EXPECT_LE(UlpDistance(vab, sab), 4u)
-            << KernelIsaName(isa) << " dot_pair(ab) rank " << r;
-        EXPECT_LE(UlpDistance(vcd, scd), 4u)
-            << KernelIsaName(isa) << " dot_pair(cd) rank " << r;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, IsaNamesRoundTripAndRejectGarbage) {
-  for (const KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    EXPECT_EQ(ParseKernelIsaName(KernelIsaName(isa)), isa);
-  }
-  EXPECT_THROW((void)ParseKernelIsaName("sse9"), std::invalid_argument);
-  EXPECT_THROW((void)ParseKernelIsaName(""), std::invalid_argument);
-}
-
-TEST(SimdKernels, ScalarTierIsAlwaysCompiledAndSupported) {
-  EXPECT_TRUE(KernelIsaCompiled(KernelIsa::kScalar));
-  EXPECT_TRUE(KernelIsaSupported(KernelIsa::kScalar));
-  EXPECT_EQ(KernelsFor(KernelIsa::kScalar).isa, KernelIsa::kScalar);
-}
-
-TEST(SimdKernels, SupportImpliesCompiledAndDetectIsSupported) {
-  for (const KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    if (KernelIsaSupported(isa)) {
-      EXPECT_TRUE(KernelIsaCompiled(isa)) << KernelIsaName(isa);
-      EXPECT_EQ(KernelsFor(isa).isa, isa);
-    } else {
-      EXPECT_THROW((void)KernelsFor(isa), std::invalid_argument)
-          << KernelIsaName(isa);
-    }
-  }
-  EXPECT_TRUE(KernelIsaSupported(DetectKernelIsa()));
-}
-
-/// Restores the process-wide active table on scope exit so the dispatch
-/// tests can't leak a forced ISA into other tests in this binary.
-class ActiveIsaGuard {
- public:
-  ActiveIsaGuard() : saved_(ActiveKernelIsa()) {}
-  ~ActiveIsaGuard() { SetKernelIsa(saved_); }
-  ActiveIsaGuard(const ActiveIsaGuard&) = delete;
-  ActiveIsaGuard& operator=(const ActiveIsaGuard&) = delete;
-
- private:
-  KernelIsa saved_;
-};
-
-TEST(SimdKernels, SetKernelIsaSwitchesTheActiveTable) {
-  ActiveIsaGuard guard;
-  SetKernelIsa(KernelIsa::kScalar);
-  EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kScalar);
-  EXPECT_EQ(ActiveKernels().isa, KernelIsa::kScalar);
-  for (const KernelIsa isa : RunnableVectorIsas()) {
-    SetKernelIsa(isa);
-    EXPECT_EQ(ActiveKernelIsa(), isa);
-    EXPECT_EQ(ActiveKernels().isa, isa);
-  }
-}
-
-TEST(SimdKernels, RequireAvx2EnvAssertsVectorPathSelection) {
-  // The CI -mavx2 leg exports DMFSGD_REQUIRE_AVX2=1 and relies on this test
-  // to fail loudly if the build or host silently fell back to scalar.
-  if (std::getenv("DMFSGD_REQUIRE_AVX2") == nullptr) {
-    GTEST_SKIP() << "DMFSGD_REQUIRE_AVX2 not set";
-  }
-  EXPECT_TRUE(KernelIsaCompiled(KernelIsa::kAvx2));
-  EXPECT_TRUE(KernelIsaSupported(KernelIsa::kAvx2));
-  EXPECT_NE(DetectKernelIsa(), KernelIsa::kScalar);
 }
 
 }  // namespace
