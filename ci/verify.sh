@@ -54,38 +54,13 @@ if [[ -f README.md ]]; then
 fi
 
 # The tracked perf record must carry every scenario and summary scalar the
-# docs promise — in particular the batched-message-plane entries (DESIGN.md
-# §13).  A bench refactor that silently drops a scenario would otherwise
-# leave a stale record in place; ci/promote_bench.sh replaces the file only
-# with artifacts that pass the same shape.
+# docs promise and pass every pin the multicore-bench CI leg holds a fresh
+# record to — one script, ci/check_bench_record.py, checks both, so the
+# tracked record and the CI assertions cannot drift apart.
 if [[ ! -f BENCH_core.json ]]; then
   docs_failures+=("BENCH_core.json (the tracked perf record) is missing")
-else
-  for required in \
-      '"async_drain/burst-seq' '"async_drain/coalesced-seq' \
-      '"async_coalesced_event_gain"' '"async_intershard_frame_gain"' \
-      '"async_pair_lookahead_window_gain"' '"sgd_update_speedup"' \
-      '"async_drain_parallel_scaling"' '"async_distributed_scaling"' \
-      '"round_sweep_speedup_n8192"' '"round_sweep_speedup_n65536"' \
-      '"round_throughput/per-message' \
-      '"async_drain/distributed-2proc-rawlink' \
-      '"async_drain/distributed-2proc-reliable' \
-      '"async_drain/distributed-2proc-lossy5' \
-      '"intershard_retransmit_overhead"' \
-      '"intershard_lossy_window_throughput"' \
-      '"ann_query/index' '"ann_query/brute-force' \
-      '"ann_recall_at_10"' '"ann_qps_speedup"' \
-      '"ann_query/index/n1000000' '"ann_recall_at_10_n1m"' \
-      '"ann_qps_speedup_n1m"' '"ann_index_build_seconds_n1m"' \
-      '"svc_mixed/' '"svc_ingest/' '"svc_query/' \
-      '"svc_mixed/n1000000' '"svc_query_parallel_scaling"' \
-      '"svc_query_p50_ms"' '"svc_query_p99_ms"' \
-      '"svc_ingest_throughput"' '"svc_coord_staleness"' \
-      '"svc_staleness_budget"'; do
-    if ! grep -qF "$required" BENCH_core.json; then
-      docs_failures+=("BENCH_core.json lacks $required — regenerate with bench_bench_core (or ci/promote_bench.sh)")
-    fi
-  done
+elif ! python3 ci/check_bench_record.py BENCH_core.json >/dev/null; then
+  docs_failures+=("BENCH_core.json fails ci/check_bench_record.py — regenerate with bench_bench_core (or ci/promote_bench.sh)")
 fi
 
 # Every --flag the README shows must be accepted somewhere: a flag name

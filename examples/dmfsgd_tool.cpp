@@ -8,11 +8,11 @@
 //   train      train a deployment on a saved dataset, save the model
 //              dmfsgd_tool train --in=/tmp/net --model=/tmp/model.csv
 //                  [--rounds=600] [--k=16] [--rank=10] [--loss=logistic]
-//                  [--coalesce] [--batch-size=B]
-//              --coalesce routes delivery through batch envelopes
-//              (DESIGN.md §13); --batch-size=B launches B probes per node
-//              per round and, with --coalesce, folds each reply envelope
-//              into one mini-batch gradient step.
+//                  [--batch-size=B]
+//              --batch-size=B launches B probes per node per round; every
+//              measurement takes its own SGD step.  --coalesce is accepted
+//              and changes nothing: the round driver delivers each message
+//              at once, so there is nothing to merge.
 //   evaluate   score a saved model against its dataset
 //              dmfsgd_tool evaluate --in=/tmp/net --model=/tmp/model.csv
 //   predict    query one pair from a saved model
@@ -95,11 +95,6 @@ core::SimulationConfig ConfigFromFlags(const common::Flags& flags,
   // only the simulator-specific knobs are read here.
   common::ApplyProtocolFlags(flags, config, dataset.MedianValue());
   config.neighbor_count = flags.GetSize("k", 16);
-  if (config.coalesce_delivery) {
-    // Mini-batch receive mode (DESIGN.md §13): each coalesced reply envelope
-    // applies one accumulated gradient step, chunked at the burst size.
-    config.gradient_batch_size = config.probe_burst;
-  }
   return config;
 }
 
@@ -112,11 +107,6 @@ int Train(const common::Flags& flags) {
   }
   const datasets::Dataset dataset = datasets::LoadDataset(in);
   const core::SimulationConfig config = ConfigFromFlags(flags, dataset);
-  if (!dataset.trace.empty() && config.coalesce_delivery) {
-    std::cerr << "train: --coalesce is not usable with trace datasets (a "
-                 "trace record must resolve inside its exchange)\n";
-    return 1;
-  }
   core::DmfsgdSimulation simulation(dataset, config);
   if (dataset.trace.empty()) {
     simulation.RunRounds(flags.GetSize("rounds", 600));
@@ -126,12 +116,7 @@ int Train(const common::Flags& flags) {
   core::SaveSnapshot(core::TakeSnapshot(simulation), model);
   std::cout << "trained on " << dataset.name << " ("
             << simulation.MeasurementCount() << " measurements, tau = "
-            << config.tau;
-  if (config.coalesce_delivery) {
-    std::cout << ", coalesced batch envelopes, mini-batch size "
-              << config.gradient_batch_size;
-  }
-  std::cout << "); model -> " << model << "\n";
+            << config.tau << "); model -> " << model << "\n";
   return 0;
 }
 

@@ -9,10 +9,10 @@
 //
 // With --coalesce the swarm exercises the batched message plane
 // (DESIGN.md §13): each peer fires --batch-size probes per round, packs
-// same-target requests into one datagram, targets answer a request batch
-// with one packed reply datagram, and receivers fold each reply envelope
-// into a single mini-batch gradient step.  The datagram counter at the end
-// shows what coalescing saves on the wire.
+// same-target requests into one datagram, and targets answer a request
+// batch with one packed reply datagram.  Every message takes its own SGD
+// step, in order.  The datagram counter at the end shows what
+// coalescing saves on the wire.
 //
 // Usage: udp_swarm [--nodes=N] [--neighbors=K] [--rounds=R] plus the shared
 // protocol flags (common::ProtocolFlagNames): --rank --eta --lambda --loss

@@ -72,8 +72,7 @@ class Flags {
 /// config's current values, so the defaults live in ProtocolConfig alone;
 /// --tau absent falls back to `tau_fallback` when it is > 0 (callers pass
 /// the dataset's median value, the paper's threshold choice).  --batch-size
-/// sets probe_burst; front-end couplings (e.g. the simulator's mini-batch
-/// fold size under --coalesce) stay at the caller.  Throws
+/// sets probe_burst and --coalesce sets coalesce_delivery.  Throws
 /// std::invalid_argument on malformed values, including a negative --rank
 /// or --batch-size.
 void ApplyProtocolFlags(const Flags& flags, core::ProtocolConfig& config,

@@ -1,6 +1,7 @@
 #include "core/async_simulation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -20,8 +21,10 @@ const AsyncSimulationConfig& Validate(const AsyncSimulationConfig& config) {
     throw std::invalid_argument(
         "AsyncDmfsgdSimulation: mean_probe_interval_s must be > 0");
   }
+  // An infinite bound would strand every message it delays in flight.
   if (!(config.min_oneway_delay_s > 0.0) ||
-      !(config.max_oneway_delay_s >= config.min_oneway_delay_s)) {
+      !(std::isfinite(config.max_oneway_delay_s) &&
+        config.max_oneway_delay_s >= config.min_oneway_delay_s)) {
     throw std::invalid_argument("AsyncDmfsgdSimulation: bad one-way delay range");
   }
   return config;

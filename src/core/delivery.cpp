@@ -1,6 +1,5 @@
 #include "core/delivery.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -165,19 +164,9 @@ std::vector<ProtocolMessage> DecodeBatchFrame(std::span<const std::byte> buffer)
   return messages;
 }
 
-void DeliveryChannel::SendBatch(MessageBatch batch) {
-  for (BatchItem& item : batch.items) {
-    Send(item.from, batch.to, std::move(item.message));
-  }
-}
-
 void ImmediateDeliveryChannel::Send(NodeId from, NodeId to,
                                     ProtocolMessage message) {
   DeliverNow(from, to, std::move(message));
-}
-
-void ImmediateDeliveryChannel::SendBatch(MessageBatch batch) {
-  DeliverBatch(batch);
 }
 
 void WireCodecDeliveryChannel::Send(NodeId from, NodeId to,
@@ -185,87 +174,6 @@ void WireCodecDeliveryChannel::Send(NodeId from, NodeId to,
   // Encode + decode every payload so a codec regression can never hide
   // behind in-process delivery.
   inner_->Send(from, to, DecodeMessage(EncodeMessage(message)));
-}
-
-void WireCodecDeliveryChannel::SendBatch(MessageBatch batch) {
-  if (batch.items.size() == 1) {
-    // One-item envelopes travel as plain datagrams on real transports;
-    // round-trip the same format here.
-    Send(batch.items.front().from, batch.to,
-         std::move(batch.items.front().message));
-    return;
-  }
-  // Multi-item envelopes round-trip through the packed batch frame — the
-  // exact bytes UdpDeliveryChannel::SendBatch puts in one datagram.
-  const std::vector<ProtocolMessage> messages =
-      DecodeBatchFrame(EncodeBatchFrame(batch));
-  MessageBatch decoded;
-  decoded.to = batch.to;
-  decoded.items.reserve(messages.size());
-  for (const ProtocolMessage& message : messages) {
-    decoded.items.push_back(BatchItem{SenderOf(message), message});
-  }
-  inner_->SendBatch(std::move(decoded));
-}
-
-void CoalescingDeliveryChannel::Buffer(NodeId from, NodeId to,
-                                       ProtocolMessage message) {
-  auto [it, inserted] = buffers_.try_emplace(to);
-  if (inserted || it->second.empty()) {
-    order_.push_back(to);
-  }
-  it->second.push_back(BatchItem{from, std::move(message)});
-  if (max_batch_ > 0 && it->second.size() >= max_batch_) {
-    MessageBatch batch;
-    batch.to = to;
-    batch.items = std::exchange(it->second, {});
-    // The destination's order_ slot stays; Flush skips empty buffers.
-    Emit(std::move(batch));
-  }
-}
-
-void CoalescingDeliveryChannel::Send(NodeId from, NodeId to,
-                                     ProtocolMessage message) {
-  Buffer(from, to, std::move(message));
-}
-
-void CoalescingDeliveryChannel::SendBatch(MessageBatch batch) {
-  for (BatchItem& item : batch.items) {
-    Buffer(item.from, batch.to, std::move(item.message));
-  }
-}
-
-void CoalescingDeliveryChannel::Emit(MessageBatch batch) {
-  ++batches_emitted_;
-  messages_emitted_ += batch.items.size();
-  max_batch_emitted_ = std::max(max_batch_emitted_, batch.items.size());
-  inner_->SendBatch(std::move(batch));
-}
-
-void CoalescingDeliveryChannel::Flush() {
-  // The emission may cascade (handlers sending again); each pass drains the
-  // destinations buffered so far, in first-buffered order, until quiescent.
-  while (!order_.empty()) {
-    std::vector<NodeId> round = std::exchange(order_, {});
-    for (const NodeId to : round) {
-      auto it = buffers_.find(to);
-      if (it == buffers_.end() || it->second.empty()) {
-        continue;  // auto-flushed by the max_batch cap, or a duplicate slot
-      }
-      MessageBatch batch;
-      batch.to = to;
-      batch.items = std::exchange(it->second, {});
-      Emit(std::move(batch));
-    }
-  }
-}
-
-std::size_t CoalescingDeliveryChannel::PendingMessages() const noexcept {
-  std::size_t pending = 0;
-  for (const auto& [to, items] : buffers_) {
-    pending += items.size();
-  }
-  return pending;
 }
 
 ShardedEventQueueDeliveryChannel::ShardedEventQueueDeliveryChannel(

@@ -13,9 +13,9 @@
 // The unit of delivery is the batch envelope (core::MessageBatch,
 // DESIGN.md §13): an ordered run of messages sharing one destination.
 // Sinks always receive batches; a plain channel delivers one-item batches,
-// a coalescing layer merges messages into larger envelopes without ever
-// reordering them, so applying a batch front to back is exactly the
-// per-message delivery the envelope replaced.
+// a coalescing channel merges messages it would deliver at the same instant
+// into larger envelopes without ever reordering them, so applying a batch
+// front to back is exactly the per-message delivery the envelope replaced.
 //
 // Channels move messages; they do not model loss.  Message loss is protocol
 // semantics (a lost leg loses exactly the updates a real deployment would
@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -89,12 +88,6 @@ class DeliveryChannel {
   /// (immediate channel) or later (event queue, sockets).
   virtual void Send(NodeId from, NodeId to, ProtocolMessage message) = 0;
 
-  /// Ships an already-assembled envelope.  The default unrolls it into
-  /// per-message Sends (semantically lossless — a batch is its messages in
-  /// order); batch-aware channels override to keep the envelope intact
-  /// (one event, one frame, one datagram).
-  virtual void SendBatch(MessageBatch batch);
-
   [[nodiscard]] virtual const char* Name() const noexcept = 0;
 
  protected:
@@ -121,16 +114,12 @@ class DeliveryChannel {
 class ImmediateDeliveryChannel final : public DeliveryChannel {
  public:
   void Send(NodeId from, NodeId to, ProtocolMessage message) override;
-  /// Delivers the whole envelope as one sink call (order preserved).
-  void SendBatch(MessageBatch batch) override;
   [[nodiscard]] const char* Name() const noexcept override { return "immediate"; }
 };
 
 /// Decorator that round-trips every message through the binary wire codec
 /// (core/wire.hpp) before handing it to the inner channel — proving each
 /// exchange is implementable over a datagram transport, bit-for-bit.
-/// Multi-message envelopes round-trip through the batch frame, proving the
-/// packed datagram format the UDP transport ships.
 class WireCodecDeliveryChannel final : public DeliveryChannel {
  public:
   /// `inner` must outlive this channel.
@@ -138,61 +127,10 @@ class WireCodecDeliveryChannel final : public DeliveryChannel {
 
   void BindSink(Sink sink) override { inner_->BindSink(std::move(sink)); }
   void Send(NodeId from, NodeId to, ProtocolMessage message) override;
-  void SendBatch(MessageBatch batch) override;
   [[nodiscard]] const char* Name() const noexcept override { return "wire-codec"; }
 
  private:
   DeliveryChannel* inner_;
-};
-
-/// Decorator that buffers sends per destination and emits them as batch
-/// envelopes on Flush() — the engine-level coalescing seam of DESIGN.md §13.
-/// Buffered messages keep their per-destination send order; destinations
-/// flush in first-buffered order, so a flush is a deterministic function of
-/// the send sequence.  Flush() loops until quiescent: handlers run by the
-/// inner channel may send again (e.g. an immediate inner channel delivering
-/// a request whose handler emits the reply), and those cascaded sends are
-/// flushed in the next pass.
-class CoalescingDeliveryChannel final : public DeliveryChannel {
- public:
-  /// `inner` must outlive this channel.  `max_batch` caps the envelope size:
-  /// a destination's buffer auto-flushes (alone, preserving order) when it
-  /// reaches the cap; 0 means unbounded.
-  explicit CoalescingDeliveryChannel(DeliveryChannel& inner,
-                                     std::size_t max_batch = 0)
-      : inner_(&inner), max_batch_(max_batch) {}
-
-  void BindSink(Sink sink) override { inner_->BindSink(std::move(sink)); }
-  void Send(NodeId from, NodeId to, ProtocolMessage message) override;
-  void SendBatch(MessageBatch batch) override;
-  /// Emits all buffered envelopes (and any the emission cascades into).
-  void Flush();
-
-  [[nodiscard]] std::size_t PendingMessages() const noexcept;
-  [[nodiscard]] std::uint64_t BatchesEmitted() const noexcept {
-    return batches_emitted_;
-  }
-  [[nodiscard]] std::uint64_t MessagesEmitted() const noexcept {
-    return messages_emitted_;
-  }
-  [[nodiscard]] std::size_t MaxBatchEmitted() const noexcept {
-    return max_batch_emitted_;
-  }
-  [[nodiscard]] const char* Name() const noexcept override { return "coalescing"; }
-
- private:
-  void Buffer(NodeId from, NodeId to, ProtocolMessage message);
-  void Emit(MessageBatch batch);
-
-  DeliveryChannel* inner_;
-  std::size_t max_batch_;
-  /// Insertion-ordered per-destination buffers: `order_` remembers first
-  /// touch, `buffers_` holds the pending envelope per destination.
-  std::vector<NodeId> order_;
-  std::map<NodeId, std::vector<BatchItem>> buffers_;
-  std::uint64_t batches_emitted_ = 0;
-  std::uint64_t messages_emitted_ = 0;
-  std::size_t max_batch_emitted_ = 0;
 };
 
 /// Assembles a driver's channel stack: the base channel, optionally wrapped

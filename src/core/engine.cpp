@@ -42,10 +42,6 @@ const SimulationConfig& RequireConfig(const Dataset& dataset,
   if (!(config.exploration >= 0.0 && config.exploration <= 1.0)) {
     throw std::invalid_argument("DeploymentEngine: exploration must be in [0, 1]");
   }
-  if (config.gradient_batch_size == 0) {
-    throw std::invalid_argument(
-        "DeploymentEngine: gradient_batch_size must be >= 1");
-  }
   return config;
 }
 
@@ -763,132 +759,9 @@ void DeploymentEngine::StartExchange(NodeId i, NodeId j,
 }
 
 void DeploymentEngine::OnBatch(const MessageBatch& batch) {
-  // Per-message mode, or a trivial envelope: every item runs its own
-  // handler in order — bit-identical to the pre-batch engine (an envelope
-  // is its messages in order, DESIGN.md §13).
-  if (config_.gradient_batch_size <= 1 || batch.items.size() <= 1) {
-    for (const BatchItem& item : batch.items) {
-      OnMessage(item.from, batch.to, item.message);
-    }
-    return;
+  for (const BatchItem& item : batch.items) {
+    OnMessage(item.from, batch.to, item.message);
   }
-  // Mini-batch receive: consecutive same-kind reply runs fold into one
-  // accumulated step per gradient_batch_size chunk; everything else keeps
-  // its per-message handler, in envelope order.
-  std::size_t i = 0;
-  while (i < batch.items.size()) {
-    const ProtocolMessage& message = batch.items[i].message;
-    if (std::holds_alternative<RttProbeReply>(message)) {
-      i = FoldRttReplies(batch, i);
-    } else if (std::holds_alternative<AbwProbeReply>(message)) {
-      i = FoldAbwReplies(batch, i);
-    } else if (std::holds_alternative<AbwProbeRequest>(message)) {
-      i = FoldAbwRequests(batch, i);
-    } else {
-      OnMessage(batch.items[i].from, batch.to, message);
-      ++i;
-    }
-  }
-}
-
-namespace {
-
-/// One past the last index of the run of items holding alternative T,
-/// capped at `limit` items (the gradient_batch_size chunk bound).
-template <typename T>
-std::size_t RunEnd(const MessageBatch& batch, std::size_t start,
-                   std::size_t limit) {
-  std::size_t end = start;
-  while (end < batch.items.size() && end - start < limit &&
-         std::holds_alternative<T>(batch.items[end].message)) {
-    ++end;
-  }
-  return end;
-}
-
-}  // namespace
-
-std::size_t DeploymentEngine::FoldRttReplies(const MessageBatch& batch,
-                                             std::size_t start) {
-  const std::size_t end =
-      RunEnd<RttProbeReply>(batch, start, config_.gradient_batch_size);
-  const NodeId prober = batch.to;
-  if (end - start == 1) {
-    HandleRttReply(prober, std::get<RttProbeReply>(batch.items[start].message));
-    return end;
-  }
-  // All gradients evaluate at the prober's pre-batch coordinates; the
-  // per-item bookkeeping (loss feedback, counters, exchange resolution)
-  // matches the per-message handlers item for item.
-  GradientStepBatch du(config_.rank);
-  GradientStepBatch dv(config_.rank);
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<RttProbeReply>(batch.items[k].message);
-    const double x = ProbeTarget(prober, reply.target);
-    RecordNeighborLoss(prober, reply.target, x, reply.v);
-    nodes_[prober].AccumulateRttUpdate(x, reply.u, reply.v, config_.params, du,
-                                       dv);
-    CountMeasurementAt(prober);
-    ResolveExchangeAt(prober);
-  }
-  nodes_[prober].ApplyBatchU(du, config_.params);
-  nodes_[prober].ApplyBatchV(dv, config_.params);
-  MarkDirty(prober);
-  return end;
-}
-
-std::size_t DeploymentEngine::FoldAbwReplies(const MessageBatch& batch,
-                                             std::size_t start) {
-  const std::size_t end =
-      RunEnd<AbwProbeReply>(batch, start, config_.gradient_batch_size);
-  const NodeId prober = batch.to;
-  if (end - start == 1) {
-    HandleAbwReply(prober, std::get<AbwProbeReply>(batch.items[start].message));
-    return end;
-  }
-  GradientStepBatch du(config_.rank);
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<AbwProbeReply>(batch.items[k].message);
-    RecordNeighborLoss(prober, reply.target, reply.measurement, reply.v);
-    nodes_[prober].AccumulateAbwProberUpdate(reply.measurement, reply.v,
-                                             config_.params, du);
-    ResolveExchangeAt(prober);
-  }
-  nodes_[prober].ApplyBatchU(du, config_.params);
-  MarkDirty(prober);
-  return end;
-}
-
-std::size_t DeploymentEngine::FoldAbwRequests(const MessageBatch& batch,
-                                              std::size_t start) {
-  const std::size_t end =
-      RunEnd<AbwProbeRequest>(batch, start, config_.gradient_batch_size);
-  const NodeId target = batch.to;
-  if (end - start == 1) {
-    HandleAbwRequest(target,
-                     std::get<AbwProbeRequest>(batch.items[start].message));
-    return end;
-  }
-  // Every reply of the chunk carries the same pre-batch v_j (the mini-batch
-  // analogue of Algorithm 2's reply-before-update); measurements are
-  // consumed and leg losses rolled per item, in order, exactly like the
-  // per-message handler.
-  GradientStepBatch dv(config_.rank);
-  const std::vector<double> v_pre = nodes_[target].VCopy();
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& request = std::get<AbwProbeRequest>(batch.items[k].message);
-    const double x = TargetSideProbeTarget(request.prober, target);
-    nodes_[target].AccumulateAbwTargetUpdate(x, request.u, config_.params, dv);
-    CountMeasurementAt(target);
-    if (LegLostFor(target)) {
-      ResolveExchangeAt(target);
-      continue;
-    }
-    channel_->Send(target, request.prober, AbwProbeReply{target, x, v_pre});
-  }
-  nodes_[target].ApplyBatchV(dv, config_.params);
-  MarkDirty(target);
-  return end;
 }
 
 void DeploymentEngine::OnMessage(NodeId from, NodeId to,

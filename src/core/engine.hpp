@@ -113,11 +113,9 @@ enum class ProbeStrategy {
 ///    firing in the async driver).  The parallel round sweep supports
 ///    bursts only through the sequential driver (ParallelRoundSweep
 ///    rejects probe_burst > 1).
-///  * coalesce_delivery — the round driver flushes each node's burst
-///    through a CoalescingDeliveryChannel; the async driver merges
-///    same-destination same-arrival-time messages into one event.  With
-///    gradient_batch_size == 1 the drains are bit-identical to
-///    per-message delivery (DESIGN.md §13).
+///  * coalesce_delivery — the async driver merges same-destination
+///    same-arrival-time messages into one event, bit-identical to
+///    per-message delivery (DESIGN.md §13).  The round driver ignores it.
 struct SimulationConfig : ProtocolConfig {
   PredictionMode mode = PredictionMode::kClassification;
   std::size_t neighbor_count = 10; ///< k
@@ -131,14 +129,6 @@ struct SimulationConfig : ProtocolConfig {
   double churn_rate = 0.0;
   /// Exploration probability of the loss-driven strategy.
   double exploration = 0.3;
-
-  /// Opt-in mini-batch receive mode (> 1): the engine folds runs of
-  /// consecutive same-kind replies inside one delivered envelope into a
-  /// single accumulated gradient step (GradientStepBatch), chunked at this
-  /// size.  At 1 (default) every message applies its own step — the paper's
-  /// per-measurement update — and results are bit-identical to the
-  /// pre-batch engine.  Must be >= 1.
-  std::size_t gradient_batch_size = 1;
 };
 
 class DeploymentEngine {
@@ -378,24 +368,14 @@ class DeploymentEngine {
   /// ResolveExchange attributed to the resolving handler's node.
   void ResolveExchangeAt(NodeId who);
 
-  /// Channel sink: dispatches a delivered envelope.  In per-message mode
-  /// (gradient_batch_size == 1) every item runs its own handler in order —
-  /// exactly the pre-batch semantics; in mini-batch mode consecutive
-  /// same-kind reply runs fold into accumulated steps (DESIGN.md §13).
+  /// Channel sink: runs every item of a delivered envelope through its own
+  /// handler, in envelope order (DESIGN.md §13).
   void OnBatch(const MessageBatch& batch);
   void OnMessage(NodeId from, NodeId to, const ProtocolMessage& message);
   void HandleRttRequest(NodeId prober, NodeId target);
   void HandleRttReply(NodeId prober, const RttProbeReply& reply);
   void HandleAbwRequest(NodeId target, const AbwProbeRequest& request);
   void HandleAbwReply(NodeId prober, const AbwProbeReply& reply);
-
-  /// Mini-batch folds over a consecutive run of same-kind items starting at
-  /// `start`; each returns the index one past the run.  Handlers for other
-  /// kinds and single-item runs go through the per-message path (whose
-  /// arithmetic a one-item fold would only reproduce approximately).
-  std::size_t FoldRttReplies(const MessageBatch& batch, std::size_t start);
-  std::size_t FoldAbwReplies(const MessageBatch& batch, std::size_t start);
-  std::size_t FoldAbwRequests(const MessageBatch& batch, std::size_t start);
 
   /// Feeds the loss-driven strategy after a completed exchange.
   void RecordNeighborLoss(NodeId i, NodeId j, double x,

@@ -40,47 +40,6 @@ struct UpdateParams {
   LossKind loss = LossKind::kLogistic;     ///< l in eq. 3
 };
 
-/// Accumulator for the paper's mini-batch variant (DESIGN.md §13): instead
-/// of one regularized step per received measurement, a node folds a batch's
-/// gradient terms Σ_k g_k·remote_k into one running direction and applies a
-/// *single* fused step per batch per row:
-///
-///   row = (1 - ηλ) row − η Σ_k g_k remote_k
-///
-/// Every g_k is evaluated at the node's pre-batch coordinates (that is what
-/// makes it a mini-batch rather than k sequential steps) and the decay —
-/// the regularization — applies once per batch, not once per message.
-/// Accumulate uses linalg::AxpyRaw and Apply the fused DecayAxpyRaw, so the
-/// per-batch cost is O(r) per message plus one O(r) apply.
-///
-/// Lifetime contract: `remote` spans passed to Accumulate are consumed
-/// immediately (copied into the running sum); nothing is retained.
-class GradientStepBatch {
- public:
-  /// Requires rank > 0.
-  explicit GradientStepBatch(std::size_t rank);
-
-  [[nodiscard]] std::size_t rank() const noexcept { return sum_.size(); }
-  [[nodiscard]] std::size_t Count() const noexcept { return count_; }
-  [[nodiscard]] bool Empty() const noexcept { return count_ == 0; }
-
-  /// Drops the accumulated direction (start of a new batch).
-  void Reset() noexcept { count_ = 0; }
-
-  /// Adds g * remote to the direction.  Requires remote.size() == rank().
-  void Accumulate(double g, std::span<const double> remote);
-
-  /// Applies the fused batch step to `row` and resets.  No-op when empty.
-  /// Inner-loop precondition (validated by the callers' message-decode
-  /// boundary): row.size() == rank(), and row does not alias the internal
-  /// sum (it cannot — the sum is private).
-  void ApplyTo(std::span<double> row, const UpdateParams& params) noexcept;
-
- private:
-  std::vector<double> sum_;
-  std::size_t count_ = 0;
-};
-
 class DmfsgdNode {
  public:
   /// Standalone node owning a private one-row store; u_i and v_i start
@@ -137,37 +96,6 @@ class DmfsgdNode {
   /// carried u_i.  Applies eq. 13 to v_j.
   void AbwTargetUpdate(double x, std::span<const double> u_remote,
                        const UpdateParams& params);
-
-  // -- mini-batch accumulation (DESIGN.md §13) ------------------------------
-  // The Accumulate* entry points compute the same gradient scales as the
-  // named updates above but fold them into GradientStepBatch accumulators
-  // instead of stepping immediately; ApplyBatchU/V then perform one fused
-  // step per batch.  All gradients are evaluated at the node's *current*
-  // (pre-batch) coordinates.  Rank mismatches throw, like the named updates.
-
-  /// Eqs. 9-10 terms of one batched RTT reply: g_u·v_remote into `du`,
-  /// g_v·u_remote into `dv`.  Only params.loss is consumed here; η and λ
-  /// enter once, at apply time.
-  void AccumulateRttUpdate(double x, std::span<const double> u_remote,
-                           std::span<const double> v_remote,
-                           const UpdateParams& params, GradientStepBatch& du,
-                           GradientStepBatch& dv) const;
-
-  /// Eq. 12 term of one batched ABW reply: g·v_remote into `du`.
-  void AccumulateAbwProberUpdate(double x, std::span<const double> v_remote,
-                                 const UpdateParams& params,
-                                 GradientStepBatch& du) const;
-
-  /// Eq. 13 term of one batched ABW probe: g·u_remote into `dv`.
-  void AccumulateAbwTargetUpdate(double x, std::span<const double> u_remote,
-                                 const UpdateParams& params,
-                                 GradientStepBatch& dv) const;
-
-  /// u_i = (1 - ηλ) u_i − η · du.sum, then resets `du`.  No-op when empty.
-  void ApplyBatchU(GradientStepBatch& du, const UpdateParams& params);
-
-  /// v_i = (1 - ηλ) v_i − η · dv.sum, then resets `dv`.  No-op when empty.
-  void ApplyBatchV(GradientStepBatch& dv, const UpdateParams& params);
 
   /// Regularized loss this node would incur on a measurement (diagnostics).
   [[nodiscard]] double LocalLoss(double x, std::span<const double> v_remote,

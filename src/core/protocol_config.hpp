@@ -35,9 +35,12 @@ struct ProtocolConfig {
   /// replacement.  Must be >= 1.
   std::size_t probe_burst = 1;
 
-  /// Coalesce delivery into batch envelopes: the round driver flushes each
-  /// node's burst through a CoalescingDeliveryChannel, the UDP peer packs a
-  /// burst's same-target probes into one datagram.  Order-preserving.
+  /// Coalesce delivery into batch envelopes: merge messages a channel would
+  /// deliver at the same instant — the async driver's same-arrival events,
+  /// the UDP peer's per-target request and per-prober reply datagrams.  It
+  /// never changes which updates a node applies or in what order.  The
+  /// round driver and the service ignore it: their immediate channel
+  /// delivers each message inside Send, so there is nothing to merge.
   bool coalesce_delivery = false;
 };
 

@@ -1,34 +1,21 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
-#include "core/wire.hpp"
-
 namespace dmfsgd::core {
-
-DeliveryChannel& DmfsgdSimulation::BuildStack(const SimulationConfig& config) {
-  DeliveryChannel& stack =
-      StackChannel(immediate_, wire_, config.use_wire_format);
-  if (!config.coalesce_delivery) {
-    return stack;
-  }
-  // Cap envelopes at the wire frame's item bound: a probe_burst beyond it
-  // would otherwise hand the wire-codec decorator (and any datagram
-  // transport) an unencodable envelope.
-  coalescing_.emplace(stack, kMaxWireBatchItems);
-  return *coalescing_;
-}
 
 DmfsgdSimulation::DmfsgdSimulation(const datasets::Dataset& dataset,
                                    const SimulationConfig& config,
                                    const ErrorInjector* injector)
-    : engine_(dataset, config, injector, BuildStack(config)) {}
+    : engine_(dataset, config, injector,
+              StackChannel(immediate_, wire_, config.use_wire_format)) {}
 
 void DmfsgdSimulation::RunRounds(std::size_t rounds) {
   const std::size_t n = engine_.NodeCount();
   const std::size_t burst = engine_.config().probe_burst;
-  if (!wire_.has_value() && !coalescing_.has_value() && burst == 1) {
+  if (!wire_.has_value() && burst == 1) {
     for (std::size_t round = 0; round < rounds; ++round) {
       engine_.SequentialRoundSweep();  // includes the churn sweep
     }
@@ -40,16 +27,6 @@ void DmfsgdSimulation::RunRounds(std::size_t rounds) {
       for (std::size_t b = 0; b < burst; ++b) {
         const NodeId j = engine_.PickNeighbor(i);
         engine_.StartExchange(i, j, std::nullopt);
-      }
-      if (coalescing_.has_value()) {
-        // Flush per node, after its whole burst: the burst's requests go
-        // out as envelopes grouped by target, and — because every reply of
-        // the burst addresses node i — the replies come back as one
-        // envelope, the unit the mini-batch fold consumes.  At burst 1 the
-        // flush degenerates to per-message delivery in the exact sequential
-        // order, so the drain is bit-identical to the immediate channel
-        // (pinned by the coalesced-drain parity tests).
-        coalescing_->Flush();
       }
     }
   }
@@ -66,13 +43,6 @@ std::size_t DmfsgdSimulation::ReplayTrace(std::size_t begin, std::size_t end) {
   const auto& trace = engine_.dataset().trace;
   if (trace.empty()) {
     throw std::logic_error("DmfsgdSimulation::ReplayTrace: dataset has no trace");
-  }
-  if (coalescing_.has_value()) {
-    // A trace record's observed value must be consumed by the reply handler
-    // inside StartExchange, which deferred delivery makes impossible.
-    throw std::logic_error(
-        "DmfsgdSimulation::ReplayTrace: trace replay requires per-message "
-        "delivery (coalesce_delivery must be off)");
   }
   end = std::min(end, trace.size());
   if (begin > end) {
@@ -101,18 +71,16 @@ std::size_t DmfsgdSimulation::ReplayTrace() {
 
 bool DmfsgdSimulation::Ingest(NodeId i, NodeId j,
                               std::optional<double> observed_quantity) {
-  if (observed_quantity.has_value() && coalescing_.has_value()) {
-    // Same constraint as trace replay: an override must be consumed by the
-    // reply handler inside StartExchange, which deferred delivery breaks.
-    throw std::logic_error(
-        "DmfsgdSimulation::Ingest: observed overrides require per-message "
-        "delivery (coalesce_delivery must be off)");
+  // Written so NaN fails: a NaN or infinite observation would train its way
+  // into every coordinate it touches.  The bound matches the dataset
+  // loaders' "trace value must be positive".
+  if (observed_quantity.has_value() &&
+      !(std::isfinite(*observed_quantity) && *observed_quantity > 0.0)) {
+    throw std::invalid_argument(
+        "DmfsgdSimulation::Ingest: observed quantity must be finite and > 0");
   }
   const std::size_t before = engine_.MeasurementCount();
   engine_.StartExchange(i, j, observed_quantity);
-  if (coalescing_.has_value()) {
-    coalescing_->Flush();
-  }
   return engine_.MeasurementCount() > before;
 }
 

@@ -42,9 +42,9 @@ class DmfsgdSimulation {
   /// node probes one neighbor.  Usable with trace datasets too (the static
   /// median matrix is then the measurement source).  On the bare immediate
   /// stack with probe_burst == 1 each round is one
-  /// DeploymentEngine::SequentialRoundSweep; the wire-codec and coalescing
-  /// stacks and bursts send every exchange as messages.  Both follow the
-  /// same trajectory wherever both apply.
+  /// DeploymentEngine::SequentialRoundSweep; the wire-codec stack and bursts
+  /// send every exchange as messages.  Both follow the same trajectory
+  /// wherever both apply.  coalesce_delivery changes nothing here.
   void RunRounds(std::size_t rounds);
 
   /// Runs `rounds` probing rounds with each round's per-node sweep spread
@@ -66,9 +66,10 @@ class DmfsgdSimulation {
 
   /// Launches one exchange i -> j through the channel stack — a single
   /// pushed measurement instead of a whole round.  `observed_quantity`
-  /// overrides the dataset matrix (a caller-supplied live measurement); it
-  /// requires per-message delivery, exactly like trace replay.  Returns
-  /// whether a measurement was applied (a lost leg loses it, as always).
+  /// overrides the dataset matrix (a caller-supplied live measurement, like
+  /// a trace record).  Returns whether a measurement was applied (a lost
+  /// leg loses it, as always).  Throws std::invalid_argument, before any
+  /// state changes, if `observed_quantity` is not finite and > 0.
   bool Ingest(NodeId i, NodeId j, std::optional<double> observed_quantity);
 
   /// Push-ingest with the engine picking i's next target per the configured
@@ -147,16 +148,10 @@ class DmfsgdSimulation {
   [[nodiscard]] const DeploymentEngine& engine() const noexcept { return engine_; }
 
  private:
-  [[nodiscard]] DeliveryChannel& BuildStack(const SimulationConfig& config);
-
   /// Channel stack: immediate delivery, optionally decorated by the wire
-  /// codec, optionally wrapped outermost by the coalescing decorator
-  /// (config.coalesce_delivery — RunRounds then flushes each node's probe
-  /// burst as batch envelopes, DESIGN.md §13).  Declared before the engine,
-  /// which binds its sink onto them.
+  /// codec.  Declared before the engine, which binds its sink onto them.
   ImmediateDeliveryChannel immediate_;
   std::optional<WireCodecDeliveryChannel> wire_;
-  std::optional<CoalescingDeliveryChannel> coalescing_;
   DeploymentEngine engine_;
 };
 

@@ -16,7 +16,9 @@
 // -- shared protocol configuration ------------------------------------------
 // core::ProtocolConfig            [stable]   the knobs every deployment form
 //                                            shares (rank, eta/lambda/loss,
-//                                            tau, seed, burst, coalescing)
+//                                            tau, seed, burst, coalescing);
+//                                            every measurement takes one
+//                                            SGD step, whatever the knobs
 // core::ValidateProtocolConfig    [stable]   the ONE validator those knobs go
 //                                            through, whoever embeds them
 #include "core/protocol_config.hpp"

@@ -136,10 +136,10 @@ inline void DecayAxpyRaw(double decay, double alpha,
   }
 }
 
-/// y += alpha * x — the mini-batch accumulation kernel (core::
-/// GradientStepBatch folds each message's g·remote term into one running
-/// direction, then applies a single DecayAxpyRaw step per batch).  Same
-/// aliasing contract as DecayAxpyRaw: x must not alias y.
+/// y += alpha * x — the full-gradient accumulation kernel (core::FitBatchMf
+/// sums every known entry's g·remote term into a per-row gradient, then
+/// steps each row along it).  Same aliasing contract as DecayAxpyRaw: x
+/// must not alias y.
 inline void AxpyRaw(double alpha, const double* DMFSGD_RESTRICT x,
                     double* DMFSGD_RESTRICT y, std::size_t r) noexcept {
   switch (r) {

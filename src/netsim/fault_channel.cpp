@@ -15,7 +15,8 @@ namespace {
 constexpr std::chrono::milliseconds kReorderFlush{5};
 
 void RequireRate(double rate, const char* name) {
-  if (rate < 0.0 || rate > 1.0) {
+  // Written so NaN fails: a NaN rate would silently act as 0.
+  if (!(rate >= 0.0 && rate <= 1.0)) {
     throw std::invalid_argument(std::string("FaultSpec: ") + name +
                                 " must be in [0, 1]");
   }

@@ -107,11 +107,13 @@ ReliableInterShardChannel::ReliableInterShardChannel(
     throw std::invalid_argument(
         "ReliableInterShardChannel: timer intervals must be positive");
   }
-  if (options_.backoff < 1.0) {
+  // Written so NaN fails: a NaN backoff or jitter reaches RtoFor's integer
+  // conversion, which is undefined for NaN.
+  if (!(options_.backoff >= 1.0)) {
     throw std::invalid_argument(
         "ReliableInterShardChannel: backoff must be >= 1");
   }
-  if (options_.jitter_frac < 0.0 || options_.jitter_frac >= 1.0) {
+  if (!(options_.jitter_frac >= 0.0 && options_.jitter_frac < 1.0)) {
     throw std::invalid_argument(
         "ReliableInterShardChannel: jitter_frac must be in [0, 1)");
   }

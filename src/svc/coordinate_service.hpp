@@ -10,8 +10,8 @@
 //  * **ingest plane** — a push API: every measurement (pushed pair, active
 //    probe, trace replay window, warm-up round) funnels into the engine's
 //    exchange machinery through the round driver's channel stack, so all
-//    protocol semantics (loss, churn, coalescing, mini-batch) apply to
-//    served deployments unchanged.
+//    protocol semantics (loss, churn, one SGD step per measurement) apply
+//    to served deployments unchanged.
 //  * **query plane** — live bilinear scores (DESIGN.md §16): point-to-point
 //    score/quantity, multiclass level readout, and k-nearest-peer queries
 //    through a resident ann::PeerIndex that is kept warm by draining the
@@ -120,11 +120,12 @@ class CoordinateService {
   // -- ingest plane ---------------------------------------------------------
 
   /// Pushes one measurement: launches the exchange prober -> target.
-  /// `observed_quantity` carries a live measurement (requires per-message
-  /// delivery, like trace replay); without it the dataset matrix supplies
-  /// the ground truth.  Returns whether a measurement was applied (a lost
-  /// protocol leg loses it, as in any deployment).  Throws std::out_of_range
-  /// on a bad id and std::invalid_argument on a self-probe.
+  /// `observed_quantity` carries a live measurement, like a trace record;
+  /// without it the dataset matrix supplies the ground truth.  Returns
+  /// whether a measurement was applied (a lost protocol leg loses it, as in
+  /// any deployment).  Throws std::out_of_range on a bad id, and
+  /// std::invalid_argument on a self-probe or an observed quantity that is
+  /// not finite and > 0; a throw leaves the deployment unchanged.
   bool Ingest(core::NodeId prober, core::NodeId target,
               std::optional<double> observed_quantity = std::nullopt);
 

@@ -52,7 +52,7 @@ class UdpDeliveryChannel final : public core::DeliveryChannel {
   /// Every datagram of a split batch leaves from the *first* item's sender
   /// socket (a batch shares one wire hop); per-item sender ids stay intact
   /// inside the frames.  Throws like Send.
-  void SendBatch(core::MessageBatch batch) override;
+  void SendBatch(core::MessageBatch batch);
 
   /// Payload budget per batched datagram — under the 64 KiB UDP limit with
   /// headroom, and the split bound of SendBatch.

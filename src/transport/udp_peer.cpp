@@ -1,5 +1,6 @@
 #include "transport/udp_peer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -60,7 +61,7 @@ void UdpDmfsgdPeer::Probe() {
   }
   // Coalesced burst: group the picks by target (first-pick order) so each
   // target gets one packed request datagram — and answers with one packed
-  // reply datagram, the envelope the mini-batch fold consumes.
+  // reply datagram.
   std::vector<std::pair<core::NodeId, std::size_t>> grouped;
   for (std::size_t b = 0; b < config_.probe_burst; ++b) {
     const core::NodeId target = pick();
@@ -91,76 +92,36 @@ std::size_t UdpDmfsgdPeer::Pump(std::size_t max_datagrams) {
 }
 
 void UdpDmfsgdPeer::HandleBatch(const core::MessageBatch& batch) {
-  if (!config_.coalesce_delivery || batch.items.size() <= 1) {
-    for (const core::BatchItem& item : batch.items) {
-      Handle(item.from, item.message);
-    }
-    return;
+  // Every item takes its own per-message step, in envelope order.  With
+  // coalescing on, replies are held back and each prober's go out as one
+  // packed envelope after the whole batch (DESIGN.md §13).
+  std::vector<core::MessageBatch> replies;
+  for (const core::BatchItem& item : batch.items) {
+    Handle(item.from, item.message, replies);
   }
-  // Batched receive (DESIGN.md §13).  Requests are answered as one packed
-  // reply batch per prober; replies fold into one mini-batch step — every
-  // gradient term evaluated at the pre-batch coordinates, regularization
-  // applied once per batch.  A malformed or foreign item (rank mismatch)
-  // rejects the whole envelope: its updates are one accumulated step, so
-  // item-level salvage would apply half a fold.
-  try {
-    core::GradientStepBatch du(config_.rank);
-    core::GradientStepBatch dv(config_.rank);
-    std::size_t applied = 0;  // committed only if the whole fold succeeds
-    std::vector<core::MessageBatch> replies;
-    auto reply_batch_for = [&](core::NodeId prober) -> core::MessageBatch& {
-      for (core::MessageBatch& existing : replies) {
-        if (existing.to == prober) {
-          return existing;
-        }
-      }
-      replies.emplace_back();
-      replies.back().to = prober;
-      return replies.back();
-    };
-    for (const core::BatchItem& item : batch.items) {
-      std::visit(
-          [&](const auto& typed) {
-            using T = std::decay_t<decltype(typed)>;
-            if constexpr (std::is_same_v<T, core::RttProbeRequest>) {
-              reply_batch_for(typed.prober)
-                  .items.push_back(core::BatchItem{
-                      config_.id, core::RttProbeReply{config_.id, node_.UCopy(),
-                                                      node_.VCopy()}});
-            } else if constexpr (std::is_same_v<T, core::RttProbeReply>) {
-              const double x = measure_(config_.id, typed.target);
-              node_.AccumulateRttUpdate(x, typed.u, typed.v, config_.params, du,
-                                        dv);
-              ++applied;
-            } else if constexpr (std::is_same_v<T, core::AbwProbeRequest>) {
-              // All replies of the batch carry the same pre-batch v_j — the
-              // mini-batch analogue of Algorithm 2's reply-before-update.
-              const double x = measure_(typed.prober, config_.id);
-              reply_batch_for(typed.prober)
-                  .items.push_back(core::BatchItem{
-                      config_.id,
-                      core::AbwProbeReply{config_.id, x, node_.VCopy()}});
-              node_.AccumulateAbwTargetUpdate(x, typed.u, config_.params, dv);
-              ++applied;
-            } else {
-              node_.AccumulateAbwProberUpdate(typed.measurement, typed.v,
-                                              config_.params, du);
-            }
-          },
-          item.message);
-    }
-    node_.ApplyBatchU(du, config_.params);
-    node_.ApplyBatchV(dv, config_.params);
-    measurements_applied_ += applied;
-    for (core::MessageBatch& reply : replies) {
-      channel_.SendBatch(std::move(reply));
-    }
-  } catch (const std::invalid_argument&) {
-    ++rejected_messages_;
+  for (core::MessageBatch& reply : replies) {
+    channel_.SendBatch(std::move(reply));
   }
 }
 
-void UdpDmfsgdPeer::Handle(core::NodeId from, const core::ProtocolMessage& message) {
+void UdpDmfsgdPeer::Reply(core::NodeId to, core::ProtocolMessage message,
+                          std::vector<core::MessageBatch>& replies) {
+  if (!config_.coalesce_delivery) {
+    channel_.Send(config_.id, to, std::move(message));
+    return;
+  }
+  auto existing = std::find_if(
+      replies.begin(), replies.end(),
+      [to](const core::MessageBatch& reply) { return reply.to == to; });
+  if (existing == replies.end()) {
+    existing = replies.insert(replies.end(), core::MessageBatch{});
+    existing->to = to;
+  }
+  existing->items.push_back(core::BatchItem{config_.id, std::move(message)});
+}
+
+void UdpDmfsgdPeer::Handle(core::NodeId from, const core::ProtocolMessage& message,
+                           std::vector<core::MessageBatch>& replies) {
   // A hostile datagram that decodes but doesn't fit this deployment (e.g. a
   // foreign rank) must never take the node down: semantic rejects are
   // counted and the message dropped.
@@ -169,9 +130,9 @@ void UdpDmfsgdPeer::Handle(core::NodeId from, const core::ProtocolMessage& messa
         [&](const auto& typed) {
           using T = std::decay_t<decltype(typed)>;
           if constexpr (std::is_same_v<T, core::RttProbeRequest>) {
-            channel_.Send(config_.id, from,
-                          core::RttProbeReply{config_.id, node_.UCopy(),
-                                              node_.VCopy()});
+            Reply(from,
+                  core::RttProbeReply{config_.id, node_.UCopy(), node_.VCopy()},
+                  replies);
           } else if constexpr (std::is_same_v<T, core::RttProbeReply>) {
             // Algorithm 1: the prober measures x_ij itself (in a real agent
             // the request/reply timing *is* the measurement; here the
@@ -183,8 +144,8 @@ void UdpDmfsgdPeer::Handle(core::NodeId from, const core::ProtocolMessage& messa
             // Algorithm 2, target side: infer x_ij, reply with the
             // pre-update v_j (step 3 sends before step 4 updates).
             const double x = measure_(typed.prober, config_.id);
-            channel_.Send(config_.id, from,
-                          core::AbwProbeReply{config_.id, x, node_.VCopy()});
+            Reply(from, core::AbwProbeReply{config_.id, x, node_.VCopy()},
+                  replies);
             node_.AbwTargetUpdate(x, typed.u, config_.params);
             ++measurements_applied_;
           } else {

@@ -43,9 +43,9 @@ using MeasurementFn =
 /// Probe() call (targets picked independently with replacement — a burst
 /// measures some neighbors repeatedly, legitimate repeated samples of the
 /// same path); coalesce_delivery packs a burst's same-target probes into
-/// one datagram, answers a request batch with one packed reply batch, and
-/// folds a received reply batch into a single mini-batch gradient step
-/// (DESIGN.md §13).
+/// one datagram and answers a request batch with one packed reply batch
+/// (DESIGN.md §13).  Every received message takes its own SGD step, in
+/// envelope order.
 struct UdpPeerConfig : core::ProtocolConfig {
   /// A standalone peer defaults τ to 1 (a deployment overrides it); the
   /// simulators inherit ProtocolConfig's unset 0 and force callers to pick.
@@ -101,7 +101,12 @@ class UdpDmfsgdPeer {
 
  private:
   void HandleBatch(const core::MessageBatch& batch);
-  void Handle(core::NodeId from, const core::ProtocolMessage& message);
+  /// Applies one message.  Replies go out at once, or, with coalescing on,
+  /// join `replies`, which HandleBatch ships per prober after the batch.
+  void Handle(core::NodeId from, const core::ProtocolMessage& message,
+              std::vector<core::MessageBatch>& replies);
+  void Reply(core::NodeId to, core::ProtocolMessage message,
+             std::vector<core::MessageBatch>& replies);
 
   UdpPeerConfig config_;
   MeasurementFn measure_;

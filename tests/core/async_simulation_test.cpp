@@ -90,6 +90,14 @@ TEST(AsyncSimulation, RejectsNaNMinOneWayDelay) {
   EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
 }
 
+// An infinite bound would leave the exchanges it delays in flight forever.
+TEST(AsyncSimulation, RejectsInfiniteMaxOneWayDelay) {
+  const Dataset dataset = SmallAbw();
+  AsyncSimulationConfig config = DefaultConfig(dataset);
+  config.max_oneway_delay_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
+}
+
 TEST(AsyncSimulation, TimeAdvancesAndProbesFlow) {
   const Dataset dataset = SmallRtt();
   AsyncDmfsgdSimulation simulation(dataset, DefaultConfig(dataset));

@@ -1,9 +1,8 @@
 // The batch envelope plumbing of DESIGN.md §13: MessageBatch semantics, the
-// packed batch wire frame, the coalescing decorator, event-time coalescing
-// on the event-queue channel, and — the robustness half — that truncated or
-// corrupted batched frames and cross-process envelopes reject cleanly
-// (WireError) without UB.  Labeled `quick`, so the ASan/UBSan CI legs walk
-// every malformed-input path here.
+// packed batch wire frame, event-time coalescing on the event-queue channel,
+// and — the robustness half — that truncated or corrupted batched frames and
+// cross-process envelopes reject cleanly (WireError) without UB.  Labeled
+// `quick`, so the ASan/UBSan CI legs walk every malformed-input path here.
 #include "core/delivery.hpp"
 
 #include <gtest/gtest.h>
@@ -184,77 +183,6 @@ TEST(BatchEnvelope, MalformedEnvelopesRejectAtDecodeTime) {
   auto trailing = merged;
   trailing.push_back(std::byte{0});
   EXPECT_THROW((void)channel.DecodeEnvelopeCallback(1, trailing), WireError);
-}
-
-// ------------------------------------------------------------------------
-// Coalescing decorator
-
-TEST(CoalescingChannel, BuffersAndFlushesPerDestinationInOrder) {
-  ImmediateDeliveryChannel inner;
-  CoalescingDeliveryChannel coalescing(inner);
-  std::vector<MessageBatch> delivered;
-  coalescing.BindSink(
-      [&](const MessageBatch& batch) { delivered.push_back(batch); });
-
-  coalescing.Send(1, 9, RttProbeRequest{1});
-  coalescing.Send(2, 5, RttProbeRequest{2});
-  coalescing.Send(3, 9, RttProbeRequest{3});
-  EXPECT_TRUE(delivered.empty());
-  EXPECT_EQ(coalescing.PendingMessages(), 3u);
-
-  coalescing.Flush();
-  ASSERT_EQ(delivered.size(), 2u);
-  // Destination 9 was buffered first, so it flushes first; its two messages
-  // keep send order.
-  EXPECT_EQ(delivered[0].to, 9u);
-  ASSERT_EQ(delivered[0].items.size(), 2u);
-  EXPECT_EQ(delivered[0].items[0].from, 1u);
-  EXPECT_EQ(delivered[0].items[1].from, 3u);
-  EXPECT_EQ(delivered[1].to, 5u);
-  EXPECT_EQ(coalescing.PendingMessages(), 0u);
-  EXPECT_EQ(coalescing.BatchesEmitted(), 2u);
-  EXPECT_EQ(coalescing.MessagesEmitted(), 3u);
-  EXPECT_EQ(coalescing.MaxBatchEmitted(), 2u);
-}
-
-TEST(CoalescingChannel, FlushCascadesThroughHandlerSends) {
-  // An immediate inner channel runs handlers during the flush; if a handler
-  // sends again (a request handler emitting the reply), the cascade must be
-  // flushed too, in a later pass.
-  ImmediateDeliveryChannel inner;
-  CoalescingDeliveryChannel coalescing(inner);
-  std::vector<NodeId> destinations;
-  coalescing.BindSink([&](const MessageBatch& batch) {
-    destinations.push_back(batch.to);
-    for (const BatchItem& item : batch.items) {
-      if (std::holds_alternative<RttProbeRequest>(item.message)) {
-        coalescing.Send(batch.to, item.from,
-                        RttProbeReply{batch.to, {1.0}, {1.0}});
-      }
-    }
-  });
-  coalescing.Send(1, 2, RttProbeRequest{1});
-  coalescing.Flush();
-  ASSERT_EQ(destinations.size(), 2u);
-  EXPECT_EQ(destinations[0], 2u);  // the request envelope
-  EXPECT_EQ(destinations[1], 1u);  // the cascaded reply envelope
-  EXPECT_EQ(coalescing.PendingMessages(), 0u);
-}
-
-TEST(CoalescingChannel, MaxBatchCapAutoFlushes) {
-  ImmediateDeliveryChannel inner;
-  CoalescingDeliveryChannel coalescing(inner, /*max_batch=*/2);
-  std::vector<std::size_t> sizes;
-  coalescing.BindSink(
-      [&](const MessageBatch& batch) { sizes.push_back(batch.items.size()); });
-  for (NodeId from = 0; from < 5; ++from) {
-    coalescing.Send(from, 9, RttProbeRequest{from});
-  }
-  coalescing.Flush();
-  ASSERT_EQ(sizes.size(), 3u);  // 2 + 2 auto-flushed, 1 at Flush
-  EXPECT_EQ(sizes[0], 2u);
-  EXPECT_EQ(sizes[1], 2u);
-  EXPECT_EQ(sizes[2], 1u);
 }
 
 // ------------------------------------------------------------------------

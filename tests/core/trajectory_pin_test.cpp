@@ -11,9 +11,8 @@
 //
 // Covered: the sequential and parallel (pools 1 and 4) round paths on a
 // procedural RTT space in five configurations; an ABW run with loss and
-// churn; coalesced probe bursts through the mini-batch fold and through
-// the per-message handlers; a Harvard trace window replayed before static
-// rounds; and 2-shard parallel event drains.
+// churn; probe bursts, with coalescing on and off; a Harvard trace window
+// replayed before static rounds; and 2-shard parallel event drains.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -195,40 +194,34 @@ TEST(TrajectoryPin, AbwLossAndChurn) {
 }
 
 // ------------------------------------------------------------------------
-// Reply folds: a coalesced probe burst comes back as one envelope, which the
-// engine folds into a mini-batch step or hands item by item to the
-// per-message handlers.
+// Probe bursts: message-driven rounds, four exchanges per node per round.
+// Coalescing has nothing to merge in the round driver, so it must leave the
+// trajectory alone.
 
 std::uint64_t RunBurst(const Dataset& dataset, SimulationConfig config,
-                       std::size_t gradient_batch_size) {
+                       bool coalesce) {
   config.probe_burst = 4;
-  config.coalesce_delivery = true;
+  config.coalesce_delivery = coalesce;
   config.message_loss = 0.1;
   config.churn_rate = 0.01;
-  config.gradient_batch_size = gradient_batch_size;
   DmfsgdSimulation simulation(dataset, config);
   simulation.RunRounds(kRounds / 4);
   return FactorDigest(simulation.engine().store());
 }
 
-TEST(TrajectoryPin, MiniBatchFolds) {
+TEST(TrajectoryPin, ProbeBursts) {
   const Dataset& rtt = EuclideanRtt512();
-  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)), 4)),
-            Hex(0x30cae8859dccec51ULL))
-      << "rtt";
-  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()), 4)),
-            Hex(0xc9f23397b3a79c84ULL))
-      << "abw";
-}
-
-TEST(TrajectoryPin, CoalescedBurstsPerMessage) {
-  const Dataset& rtt = EuclideanRtt512();
-  EXPECT_EQ(Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)), 1)),
-            Hex(0x0ad7c3f2ea8f83a7ULL))
-      << "rtt";
-  EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()), 1)),
-            Hex(0xc486eec02f4a6dbdULL))
-      << "abw";
+  for (const bool coalesce : {false, true}) {
+    const std::string mode = coalesce ? ", coalesced" : ", per-message";
+    EXPECT_EQ(
+        Hex(RunBurst(rtt, BaseConfig(datasets::SampledMedianValue(rtt)),
+                     coalesce)),
+        Hex(0x4d7f1bd21dc550b6ULL))
+        << "rtt" << mode;
+    EXPECT_EQ(Hex(RunBurst(HpS3(), BaseConfig(HpS3().MedianValue()), coalesce)),
+              Hex(0x987c313824d22cf2ULL))
+        << "abw" << mode;
+  }
 }
 
 // ------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,6 +170,26 @@ TEST(FaultChannel, ValidatesRates) {
   bad.outbound.delay_ms = 0;
   EXPECT_THROW(FaultInjectingInterShardChannel(raw0, bad),
                std::invalid_argument);
+}
+
+// NaN compares false against every bound; accepted, it would silently act
+// as a rate of 0.
+TEST(FaultChannel, RejectsNaNRates) {
+  LoopbackInterShardHub hub(2);
+  LoopbackInterShardChannel raw0(hub, 0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double FaultSpec::*rate :
+       {&FaultSpec::drop_rate, &FaultSpec::duplicate_rate,
+        &FaultSpec::reorder_rate, &FaultSpec::delay_rate}) {
+    FaultChannelOptions bad;
+    bad.outbound.*rate = nan;
+    EXPECT_THROW(FaultInjectingInterShardChannel(raw0, bad),
+                 std::invalid_argument);
+    bad = FaultChannelOptions();
+    bad.inbound.*rate = nan;
+    EXPECT_THROW(FaultInjectingInterShardChannel(raw0, bad),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -167,6 +169,37 @@ TEST_F(CoordinateServiceTest, RejectedQueriesAreNotCounted) {
   EXPECT_THROW((void)service.QueryLevel(bad, 0), std::out_of_range);
   EXPECT_THROW((void)service.QueryNearestPeers(bad, 3), std::out_of_range);
   EXPECT_EQ(service.stats().queries, answered);
+}
+
+// A pushed observation is outside input: one NaN or infinite value would
+// train its way into every row it touches, and a value <= 0 is no quantity
+// at all.  Each must throw before the deployment changes.
+TEST_F(CoordinateServiceTest, IngestRejectsNonFiniteAndNonPositiveObservations) {
+  const Dataset dataset = SmallRtt();
+  CoordinateService service(dataset, SmallConfig(dataset));
+  service.IngestRounds(2);
+  const core::NodeId target = service.engine().Neighbors()[0].front();
+  const std::vector<double> u_before(service.store().UData().begin(),
+                                     service.store().UData().end());
+  const std::vector<double> v_before(service.store().VData().begin(),
+                                     service.store().VData().end());
+  const std::size_t measurements = service.engine().MeasurementCount();
+  for (const double observed : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(), 0.0,
+                                -1.0}) {
+    EXPECT_THROW((void)service.Ingest(0, target, observed),
+                 std::invalid_argument)
+        << observed;
+    EXPECT_TRUE(std::equal(u_before.begin(), u_before.end(),
+                           service.store().UData().begin()))
+        << observed;
+    EXPECT_TRUE(std::equal(v_before.begin(), v_before.end(),
+                           service.store().VData().begin()))
+        << observed;
+    EXPECT_EQ(service.engine().MeasurementCount(), measurements) << observed;
+  }
+  // A valid observation still trains.
+  EXPECT_TRUE(service.Ingest(0, target, dataset.Quantity(0, target)));
 }
 
 TEST_F(CoordinateServiceTest, RestartFromCheckpointIsBitIdentical) {

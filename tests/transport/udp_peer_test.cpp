@@ -143,8 +143,9 @@ TEST(UdpPeer, SwarmLearnsOverRealSockets) {
   EXPECT_GT(eval::Auc(scores, labels), 0.85);
 }
 
-/// MakeSwarm with the batched message plane on: bursts of `burst` probes,
-/// packed request/reply datagrams, mini-batch folds at the receivers.
+/// MakeSwarm with the batched message plane on: bursts of `burst` probes
+/// and packed request/reply datagrams; every message takes its own SGD
+/// step at the receiver.
 std::vector<std::unique_ptr<UdpDmfsgdPeer>> MakeBatchedSwarm(
     const Dataset& dataset, double tau, std::size_t k, std::size_t burst,
     bool coalesce) {
@@ -180,8 +181,8 @@ std::vector<std::unique_ptr<UdpDmfsgdPeer>> MakeBatchedSwarm(
 
 TEST(UdpPeer, BatchedSwarmLearnsWithFewerDatagrams) {
   // Same probe budget (burst 4 x 80 rounds), coalesced vs per-message: the
-  // packed datagrams and receive-side mini-batch folds must preserve
-  // learning quality while measurably cutting the datagram count.
+  // packed datagrams must preserve learning quality while measurably
+  // cutting the datagram count.
   const Dataset dataset = SmallRtt();
   const double tau = dataset.MedianValue();
   auto evaluate = [&](std::vector<std::unique_ptr<UdpDmfsgdPeer>>& peers) {
@@ -229,9 +230,9 @@ TEST(UdpPeer, BatchedSwarmLearnsWithFewerDatagrams) {
   EXPECT_LT(datagrams_packed, datagrams_plain * 9 / 10);
 }
 
-TEST(UdpPeer, AbwBatchedSwarmFoldsAtBothEnds) {
-  // Algorithm 2: a packed request batch folds eq. 13 at the target and the
-  // packed reply batch folds eq. 12 at the prober.
+TEST(UdpPeer, AbwBatchedSwarmStepsAtBothEnds) {
+  // Algorithm 2: every item of a packed request batch applies eq. 13 at the
+  // target and every item of the packed reply batch eq. 12 at the prober.
   const Dataset dataset = SmallAbw();
   const double tau = dataset.MedianValue();
   auto peers = MakeBatchedSwarm(dataset, tau, 8, 4, /*coalesce=*/true);
