@@ -299,8 +299,41 @@ void PeerIndex::LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch) 
   BeamSearch(
       entries, options_.ef_construction, slot,
       [&](Slot s) { return DistanceSquaredToSnapshot(row, s); }, scratch);
+  SetEdges(slot, scratch.out, scratch);
+}
+
+void PeerIndex::RepairSlot(Slot slot, SearchScratch& scratch) {
+  // A beam as narrow as the degree walks from the member's own out-edges
+  // to its refreshed row.  Every member it scores is a candidate, and the
+  // ef_construction nearest go to the prune, as deep a list as an insert's
+  // beam hands it: the prune's long, diverse edges come from that depth,
+  // and a pool only as deep as the beam loses recall over a long ingest
+  // (DESIGN.md §16).
+  std::vector<RankedSlot>& scored = scratch.scored;
+  scored.clear();
+  const std::span<const double> row(Snapshot(slot), rank_);
+  BeamSearch(
+      Edges(slot), options_.degree, slot,
+      [&](Slot s) {
+        const double key = DistanceSquaredToSnapshot(row, s);
+        if (s != slot) {
+          scored.push_back(RankedSlot{key, s});
+        }
+        return key;
+      },
+      scratch);
+  const std::size_t keep = std::min(options_.ef_construction, scored.size());
+  const auto kept_end = scored.begin() + static_cast<std::ptrdiff_t>(keep);
+  std::nth_element(scored.begin(), kept_end, scored.end(), Better);
+  scored.erase(kept_end, scored.end());
+  std::sort(scored.begin(), scored.end(), Better);
+  SetEdges(slot, scored, scratch);
+}
+
+void PeerIndex::SetEdges(Slot slot, std::span<const RankedSlot> candidates,
+                         SearchScratch& scratch) {
   std::vector<Slot>& chosen = scratch.chosen;
-  SelectNeighbors(scratch.out, chosen, scratch.pruned);
+  SelectNeighbors(candidates, chosen, scratch.pruned);
   adj_len_[slot] = static_cast<std::uint32_t>(chosen.size());
   std::copy(chosen.begin(), chosen.end(),
             adj_.data() + static_cast<std::size_t>(slot) * options_.degree);
@@ -636,7 +669,13 @@ bool PeerIndex::Update(std::size_t id) {
   store_->CopyVRow(id, {snap_v_.data() + static_cast<std::size_t>(slot) * rank_,
                         rank_});
   const ScratchLease lease(*this);
-  LinkSlot(slot, id_of_.size(), *lease);
+  // A member with no out-edges has nowhere to repair from and is
+  // re-inserted like a new member.
+  if (adj_len_[slot] > 0) {
+    RepairSlot(slot, *lease);
+  } else {
+    LinkSlot(slot, id_of_.size(), *lease);
+  }
   return true;
 }
 

@@ -30,12 +30,17 @@
 //    it is rebuilt from live rows on the RebuildAll escalation path and
 //    drifts harmlessly in between.
 //  * drift: Update(id) measures the member's v-row drift against its
-//    snapshot and epsilon-skips below `drift_epsilon` — the common case for
-//    one SGD step — otherwise refreshes the snapshot and re-links the
-//    member's out-edges (stale in-edges are tolerated; they are routing
-//    hints, not answers).  ApplyUpdates() drains an engine dirty set and
-//    escalates to RebuildAll() when the drifted fraction makes per-member
-//    re-linking more expensive than rebuilding.
+//    snapshot and epsilon-skips below `drift_epsilon`; otherwise it
+//    refreshes the snapshot and re-links the member's out-edges (stale
+//    in-edges are tolerated; they are routing hints, not answers).  The
+//    re-link is a *repair*: a beam as narrow as the degree walks from the
+//    member's current out-edges to its new row — no random entry points,
+//    no insert-wide beam — and the `ef_construction` nearest members it
+//    scored go to the prune and back-links of an insert.  Only a member
+//    with no out-edges is *re-inserted*.
+//    ApplyUpdates() drains an engine dirty set and escalates to
+//    RebuildAll() when the drifted fraction makes per-member re-linking
+//    more expensive than rebuilding.
 //
 // Exact mode: a search with ef >= Size() — or, with the coarse layer on,
 // ivf_nprobe >= the cell count — bypasses the graph and runs
@@ -43,14 +48,16 @@
 // query is bit-identical to the oracle by construction — the property the
 // peer-selection parity and IVF exact-mode tests pin.
 //
-// Determinism: construction and maintenance draw entry points from one
-// internal Rng seeded by options.seed; the coarse layer is built from a
-// deterministic evenly-spaced subsample (no Rng draws, so enabling it
-// never shifts the adjacency stream); all ranking uses the strict total
-// order (key, slot); searches seed from the coarse medoids (or fixed
-// evenly-spaced slots) — the same (seed, member order, operation sequence)
-// always yields the same adjacency and the same query results, at any
-// number of query threads.
+// Determinism: insertions — construction, Add, RebuildAll and the
+// re-insert of a member with no out-edges — draw entry points from one
+// internal Rng seeded by options.seed; a repair draws nothing (it is a
+// pure function of the adjacency and the snapshots); the coarse layer is
+// built from a deterministic evenly-spaced subsample (no Rng draws, so
+// enabling it never shifts the adjacency stream); all ranking uses the
+// strict total order (key, slot); searches seed from the coarse medoids
+// (or fixed evenly-spaced slots) — the same (seed, member order, operation
+// sequence) always yields the same adjacency and the same query results,
+// at any number of query threads.
 //
 // Concurrency (DESIGN.md §18): queries never mutate the store or the
 // graph.  Each Search/SearchFrom leases a SearchScratch (visited epochs,
@@ -81,7 +88,8 @@ namespace dmfsgd::ann {
 
 struct PeerIndexOptions {
   std::size_t degree = 16;            ///< max out-edges per member
-  std::size_t ef_construction = 96;   ///< beam width for insert / re-link
+  /// Beam width for inserts; candidate pool for repairs.
+  std::size_t ef_construction = 96;
   std::size_t ef_search = 96;         ///< default query beam width
   std::size_t entry_points = 4;       ///< beam seeds per search (coarse layer off)
   /// L2 drift of the v row below which Update() skips re-linking — small
@@ -175,7 +183,9 @@ class PeerIndex {
   void Remove(std::size_t id);
 
   /// Re-links `id` if its live v row drifted more than drift_epsilon from
-  /// the indexed snapshot; returns whether a re-link happened.  Throws if
+  /// the indexed snapshot; returns whether a re-link happened.  The
+  /// re-link repairs the out-edges with a narrow beam from the current ones
+  /// (no Rng draw); a member with no out-edges is re-inserted.  Throws if
   /// absent.
   bool Update(std::size_t id);
 
@@ -229,7 +239,8 @@ class PeerIndex {
     std::vector<Slot> entries;           ///< beam seed slots
     std::uint64_t score_evals = 0;       ///< folded into the index atomic
     // Link temporaries, so a relink allocates nothing once warm.
-    std::vector<Slot> chosen;            ///< LinkSlot: the new out-edges
+    std::vector<RankedSlot> scored;      ///< RepairSlot: every member scored
+    std::vector<Slot> chosen;            ///< SetEdges: the new out-edges
     std::vector<RankedSlot> relink;      ///< LinkBack: full list + newcomer
     std::vector<Slot> rechosen;          ///< LinkBack: the re-pruned list
     std::vector<Slot> pruned;            ///< SelectNeighbors: backfill
@@ -271,6 +282,15 @@ class PeerIndex {
   /// Chooses and wires `slot`'s out-edges by beam search over the already
   /// linked graph, seeding from `linked` random slots (rng_ draws).
   void LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch);
+  /// Re-chooses `slot`'s out-edges after its snapshot moved: a `degree`-wide
+  /// beam from its current out-edges toward the new snapshot, pruning the
+  /// ef_construction nearest members the beam scored.  A pure function of
+  /// the adjacency and the snapshots; draws nothing from rng_.
+  void RepairSlot(Slot slot, SearchScratch& scratch);
+  /// Prunes `candidates` (best-first) into `slot`'s out-edges and adds the
+  /// back-link from each chosen edge.
+  void SetEdges(Slot slot, std::span<const RankedSlot> candidates,
+                SearchScratch& scratch);
   /// Relative-neighborhood prune over `candidates` (sorted best-first by
   /// distance to the subject's snapshot); keeps up to degree, backfills
   /// with pruned candidates (buffered in `pruned`) to keep the graph dense.

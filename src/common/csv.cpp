@@ -1,6 +1,9 @@
 #include "common/csv.hpp"
 
-#include <cstdio>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -95,20 +98,44 @@ std::vector<std::string> SplitCsvLine(const std::string& line, char separator) {
 }
 
 std::string FormatDouble(double value) {
+  std::string out;
+  AppendDouble(out, value);
+  return out;
+}
+
+void AppendDouble(std::string& out, double value) {
+  // general + precision 17 is defined as printf's %.17g; its longest text,
+  // e.g. "-2.2250738585072014e-308", is 24 chars, so the buffer always fits.
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
+}
+
+std::uint64_t ParseUnsigned(std::string_view field) {
+  std::uint64_t value = 0;
+  const char* end = field.data() + field.size();
+  const std::from_chars_result result = std::from_chars(field.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) {
+    throw std::invalid_argument("ParseUnsigned: not an unsigned count: '" +
+                                std::string(field) + "'");
+  }
+  return value;
 }
 
 double ParseDouble(const std::string& field) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(field, &consumed);
-  } catch (const std::exception&) {
+  // strtod rather than std::stod: stod throws on every ERANGE, and glibc
+  // raises ERANGE for a subnormal result too, so a stored subnormal could
+  // not be read back.  Only an overflow is rejected.
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (end == begin || (errno == ERANGE && std::isinf(value))) {
     throw std::invalid_argument("ParseDouble: not a number: '" + field + "'");
   }
-  if (consumed != field.size()) {
+  if (end != begin + field.size()) {
     throw std::invalid_argument("ParseDouble: trailing characters in '" + field + "'");
   }
   return value;

@@ -5,8 +5,10 @@
 // library produces and keeps parsing unambiguous.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmfsgd::common {
@@ -38,10 +40,23 @@ void WriteCsv(const std::filesystem::path& path,
 /// Formats a double with enough digits (%.17g) that parsing the field back
 /// recovers the exact bits.  The snapshot log (svc/snapshot_log.hpp) pins
 /// restart-from-snapshot bit-identical to the live store, so lossy
-/// formatting here would silently break recovery.
+/// formatting here would silently break recovery.  The text is printf's
+/// "%.17g" byte for byte, produced by std::to_chars without printf's
+/// format parsing and locale.
 [[nodiscard]] std::string FormatDouble(double value);
 
-/// Parses a double; throws std::invalid_argument on garbage or trailing junk.
+/// Appends FormatDouble(value) to `out` without building a temporary.
+void AppendDouble(std::string& out, double value);
+
+/// Parses a whole field as an unsigned decimal that fits in 64 bits;
+/// throws std::invalid_argument on anything else — a sign, whitespace,
+/// trailing bytes or an overflow, all of which std::stoull lets through or
+/// wraps.
+[[nodiscard]] std::uint64_t ParseUnsigned(std::string_view field);
+
+/// Parses a double; throws std::invalid_argument on garbage, trailing junk
+/// or a magnitude past DBL_MAX.  Subnormals parse (to the nearest value), so
+/// every finite FormatDouble text reads back to the same bits.
 [[nodiscard]] double ParseDouble(const std::string& field);
 
 }  // namespace dmfsgd::common

@@ -81,22 +81,29 @@ CoordinateSnapshot LoadSnapshot(const std::filesystem::path& path) {
   if (doc.header.size() != 3 || doc.header[0] != "dmfsgd-snapshot") {
     throw std::invalid_argument("LoadSnapshot: not a snapshot file");
   }
-  const auto rank = static_cast<std::size_t>(std::stoull(doc.header[1]));
-  const auto n = static_cast<std::size_t>(std::stoull(doc.header[2]));
+  const std::size_t rank = common::ParseUnsigned(doc.header[1]);
+  const std::size_t n = common::ParseUnsigned(doc.header[2]);
   if (rank == 0) {
     throw std::invalid_argument("LoadSnapshot: rank must be positive");
   }
   if (doc.rows.size() != n) {
     throw std::invalid_argument("LoadSnapshot: node count mismatch");
   }
+  // The header is outside input: check every row's width before sizing the
+  // store, without computing 2·rank, which can wrap (and let short rows
+  // through into a store sized by a wrapped n·rank).  Once every row holds
+  // 2·rank parsed fields, n·rank cannot wrap.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t width = doc.rows[i].size();
+    if (width % 2 != 0 || width / 2 != rank) {
+      throw std::invalid_argument("LoadSnapshot: malformed row " +
+                                  std::to_string(i));
+    }
+  }
   CoordinateSnapshot snapshot;
   snapshot.store.Reset(n, rank);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& row = doc.rows[i];
-    if (row.size() != 2 * rank) {
-      throw std::invalid_argument("LoadSnapshot: malformed row " +
-                                  std::to_string(i));
-    }
     const auto u = snapshot.store.U(i);
     const auto v = snapshot.store.V(i);
     for (std::size_t d = 0; d < rank; ++d) {

@@ -63,11 +63,11 @@ void SnapshotLogWriter::AppendDelta(const core::CoordinateStore& store,
     payload += std::to_string(id);
     for (const double value : store.U(id)) {
       payload += ',';
-      payload += common::FormatDouble(value);
+      common::AppendDouble(payload, value);
     }
     for (const double value : store.V(id)) {
       payload += ',';
-      payload += common::FormatDouble(value);
+      common::AppendDouble(payload, value);
     }
     payload += '\n';
   }
@@ -110,11 +110,11 @@ std::optional<SnapshotLogRecovery> RecoverSnapshotLog(
       break;
     }
     std::uint64_t epoch = 0;
-    std::size_t row_count = 0;
+    std::uint64_t row_count = 0;
     try {
-      epoch = std::stoull(fields[1]);
-      row_count = std::stoull(fields[2]);
-    } catch (const std::exception&) {
+      epoch = common::ParseUnsigned(fields[1]);
+      row_count = common::ParseUnsigned(fields[2]);
+    } catch (const std::invalid_argument&) {
       break;
     }
     if (epoch != recovery.epochs + 1) {
@@ -124,7 +124,7 @@ std::optional<SnapshotLogRecovery> RecoverSnapshotLog(
     staged_ids.clear();
     staged_values.clear();
     bool whole = true;
-    for (std::size_t r = 0; r < row_count; ++r) {
+    for (std::uint64_t r = 0; r < row_count; ++r) {
       if (!std::getline(deltas, line)) {
         whole = false;
         break;
@@ -132,18 +132,23 @@ std::optional<SnapshotLogRecovery> RecoverSnapshotLog(
       payload += line;
       payload += '\n';
       fields = common::SplitCsvLine(line);
-      if (fields.size() != 1 + 2 * rank) {
+      // 1 + 2·rank fields, compared without multiplying: the base image's
+      // rank is outside input too.
+      const std::size_t values = fields.size() - 1;
+      if (values % 2 != 0 || values / 2 != rank) {
         whole = false;
         break;
       }
       try {
-        const auto id = static_cast<core::NodeId>(std::stoull(fields[0]));
+        // Range-checked as a 64-bit value before it narrows to a NodeId,
+        // so no id can alias a real row.
+        const std::uint64_t id = common::ParseUnsigned(fields[0]);
         if (id >= recovery.store.NodeCount()) {
           whole = false;
           break;
         }
-        staged_ids.push_back(id);
-        for (std::size_t d = 0; d < 2 * rank; ++d) {
+        staged_ids.push_back(static_cast<core::NodeId>(id));
+        for (std::size_t d = 0; d < values; ++d) {
           staged_values.push_back(common::ParseDouble(fields[1 + d]));
         }
       } catch (const std::exception&) {

@@ -81,8 +81,11 @@ struct SnapshotLogRecovery {
 
 /// Recovers the store a log generation describes, tolerating a torn tail.
 /// Returns std::nullopt if `dir` holds no base image (nothing to recover —
-/// a fresh start, not an error).  Throws std::runtime_error only if the
-/// base image itself is unreadable (without it no consistent state exists).
+/// a fresh start, not an error).  Throws only if the base image itself is
+/// unreadable (std::runtime_error) or malformed (std::invalid_argument, as
+/// core::LoadSnapshot): without it no consistent state exists.  A delta
+/// epoch that is torn, fails its checksum or names a row outside the base
+/// image is discarded with everything after it.
 [[nodiscard]] std::optional<SnapshotLogRecovery> RecoverSnapshotLog(
     const std::filesystem::path& dir);
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
 #include "datasets/meridian.hpp"
@@ -179,11 +182,51 @@ std::vector<std::vector<std::size_t>> Adjacency(const PeerIndex& index) {
   return adjacency;
 }
 
+// A member that jumps across the space (a churn reset; here, a copy of a
+// far member's row) must relink into its new neighbourhood, not stay wired
+// to its old one: its out-edges overlap those a fresh index gives it about
+// as much as an insertion's do (0.85 here when every relink re-inserted).
+TEST(PeerIndexDrift, FarJumpsRelinkIntoTheirNewNeighbourhood) {
+  common::Rng rng(5);
+  CoordinateStore store(1000, 8);
+  for (std::size_t i = 0; i < store.NodeCount(); ++i) {
+    store.RandomizeRow(i, rng);
+  }
+  const PeerIndexOptions options;
+  PeerIndex index(store, options);
+  std::vector<core::NodeId> moved;
+  for (std::size_t j = 0; j < 40; ++j) {
+    const std::size_t to = (j * 919 + 13) % store.NodeCount();
+    const std::size_t from = (to + 500 + j) % store.NodeCount();
+    const auto row = store.V(from);
+    std::copy(row.begin(), row.end(), store.V(to).begin());
+    moved.push_back(static_cast<core::NodeId>(to));
+  }
+  const auto stats = index.ApplyUpdates(moved);
+  ASSERT_FALSE(stats.rebuilt);
+  ASSERT_EQ(stats.relinked, moved.size());
+
+  const PeerIndex fresh(store, options);
+  double overlap = 0.0;
+  for (const core::NodeId id : moved) {
+    const auto relinked = index.NeighborsOf(id);
+    const auto expected = fresh.NeighborsOf(id);
+    std::size_t shared = 0;
+    for (const std::size_t e : relinked) {
+      shared += static_cast<std::size_t>(
+          std::count(expected.begin(), expected.end(), e));
+    }
+    overlap += static_cast<double>(shared) / static_cast<double>(expected.size());
+  }
+  EXPECT_GE(overlap / static_cast<double>(moved.size()), 0.75);
+}
+
 // svc::CoordinateService refreshes a copy of its published index and swaps
 // it in, so a copy — constructed, or assigned over an unrelated index —
-// must replay every ApplyUpdates batch exactly as its source, through
-// relinks (the copied Rng stream) and a RebuildAll escalation, with the
-// coarse layer off and on; and copying must not disturb the source.
+// must replay every mutation exactly as its source: repairs after small
+// and large drift, a RebuildAll escalation, and an insertion (which draws
+// from the copied Rng stream), with the coarse layer off and on; and
+// copying must not disturb the source.
 TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
   for (const std::size_t cells : {0u, 12u}) {
     SCOPED_TRACE(cells);
@@ -224,13 +267,34 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
     EXPECT_EQ(Adjacency(assigned), Adjacency(source));
     EXPECT_EQ(assigned.CellEntries(), source.CellEntries());
 
-    // Relinks, a bulk drift past rebuild_fraction, then relinks again.
+    const auto expect_replicas_match = [&] {
+      for (const PeerIndex* replica : {&copy, &assigned}) {
+        EXPECT_EQ(Adjacency(*replica), Adjacency(source));
+        EXPECT_EQ(replica->CellEntries(), source.CellEntries());
+      }
+    };
+    // Batches of `count` rows from `first`: nudged by up to `step` per
+    // coordinate (small drift, one SGD step's worth) or re-randomized
+    // (step = 0: a jump).  Relinks, a bulk drift past rebuild_fraction,
+    // then relinks again.
+    struct Batch {
+      std::size_t first;
+      std::size_t count;
+      double step;
+    };
     bool rebuilt = false;
-    for (const auto& [first, count] :
-         {std::pair<std::size_t, std::size_t>{10, 12}, {0, 200}, {250, 20}}) {
+    for (const Batch batch : {Batch{30, 40, 0.02}, Batch{10, 12, 0.0},
+                              Batch{0, 200, 0.0}, Batch{250, 20, 0.0},
+                              Batch{100, 60, 0.01}}) {
       std::vector<core::NodeId> dirty;
-      for (std::size_t i = first; i < first + count; ++i) {
-        store.RandomizeRow(i, rng);
+      for (std::size_t i = batch.first; i < batch.first + batch.count; ++i) {
+        if (batch.step == 0.0) {
+          store.RandomizeRow(i, rng);
+        } else {
+          for (double& value : store.V(i)) {
+            value += rng.Uniform(-batch.step, batch.step);
+          }
+        }
         dirty.push_back(static_cast<core::NodeId>(i));
       }
       const auto expected = source.ApplyUpdates(dirty);
@@ -239,11 +303,19 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
         EXPECT_EQ(stats.relinked, expected.relinked);
         EXPECT_EQ(stats.epsilon_skips, expected.epsilon_skips);
         EXPECT_EQ(stats.rebuilt, expected.rebuilt);
-        EXPECT_EQ(Adjacency(*replica), Adjacency(source));
-        EXPECT_EQ(replica->CellEntries(), source.CellEntries());
       }
+      expect_replicas_match();
       EXPECT_TRUE(expected.rebuilt || expected.relinked > 0);
       rebuilt |= expected.rebuilt;
+      if (batch.first == 10) {
+        // Before the rebuild re-seeds it, the copied Rng stream picks a
+        // re-added member's entry points.
+        for (PeerIndex* index : {&source, &copy, &assigned}) {
+          index->Remove(42);
+          index->Add(42);
+        }
+        expect_replicas_match();
+      }
     }
     EXPECT_TRUE(rebuilt);
     EXPECT_EQ(source.CellCount(), cells);

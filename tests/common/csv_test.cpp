@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace dmfsgd::common {
 namespace {
@@ -83,6 +93,80 @@ TEST(SplitCsvLine, TrailingSeparatorYieldsEmptyField) {
 TEST(FormatDouble, RoundTripsThroughParse) {
   for (const double value : {0.0, 1.5, -3.25, 1e-9, 123456.789, 42.1}) {
     EXPECT_DOUBLE_EQ(ParseDouble(FormatDouble(value)), value);
+  }
+}
+
+std::string PrintfG17(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+/// Requires FormatDouble and AppendDouble to print printf's %.17g bytes,
+/// and a finite value to parse back to the same bits.
+void ExpectPrintfBytes(double value) {
+  const std::string expected = PrintfG17(value);
+  ASSERT_EQ(FormatDouble(value), expected)
+      << "bits " << std::bit_cast<std::uint64_t>(value);
+  std::string appended = "x,";
+  AppendDouble(appended, value);
+  ASSERT_EQ(appended, "x," + expected);
+  if (std::isfinite(value)) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ParseDouble(expected)),
+              std::bit_cast<std::uint64_t>(value))
+        << expected;
+  }
+}
+
+// Snapshot files and their checksums are pinned byte for byte, so the
+// formatter must reproduce printf's %.17g text exactly, at the edges
+// (signed zeros, infinities, NaNs, the extremes, subnormals) and anywhere
+// in between.
+TEST(FormatDouble, PrintsPrintfG17ForSpecialAndExtremeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double value :
+       {0.0, -0.0, kInf, -kInf, kNaN, -kNaN, DBL_MAX, -DBL_MAX, DBL_MIN,
+        -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0),
+        DBL_EPSILON, 1.0 / 3.0, 0.1, 42.1}) {
+    ExpectPrintfBytes(value);
+  }
+  // Powers of ten, their neighbours and the fixed/scientific switch
+  // (%g goes scientific below 1e-4 and from 1e17 on).
+  for (int exponent = -323; exponent <= 308; ++exponent) {
+    const double power = std::pow(10.0, exponent);
+    for (const double value :
+         {power, -power, std::nextafter(power, 0.0), std::nextafter(power, kInf),
+          9.5 * power, 0.99999999999999989 * power}) {
+      ExpectPrintfBytes(value);
+    }
+  }
+}
+
+TEST(FormatDouble, PrintsPrintfG17ForRandomBitPatterns) {
+  Rng rng(20261018);
+  for (std::size_t draw = 0; draw < 100000; ++draw) {
+    ExpectPrintfBytes(std::bit_cast<double>(rng()));
+  }
+}
+
+TEST(ParseDouble, ReadsSubnormalsBackExactly) {
+  for (const double value : {DBL_TRUE_MIN, -DBL_TRUE_MIN, 1e-310, -2.5e-315,
+                             std::nextafter(DBL_MIN, 0.0)}) {
+    EXPECT_EQ(ParseDouble(FormatDouble(value)), value);
+  }
+  EXPECT_THROW((void)ParseDouble("1e999"), std::invalid_argument);
+  EXPECT_THROW((void)ParseDouble("-1e999"), std::invalid_argument);
+}
+
+TEST(ParseUnsigned, TakesOnlyWholeUnsignedDecimals) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("4294967296"), 4294967296u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* field : {"", "-1", "+1", " 1", "1 ", "1x", "0x1", "1.0",
+                            "18446744073709551616"}) {
+    EXPECT_THROW((void)ParseUnsigned(field), std::invalid_argument) << field;
   }
 }
 

@@ -122,6 +122,30 @@ TEST_F(SnapshotTest, LoadRejectsTruncatedRows) {
   EXPECT_THROW((void)LoadSnapshot(path), std::invalid_argument);
 }
 
+// The header is outside input.  Its counts must be whole unsigned numbers
+// ("2x" and " 2" are not 2; a count past 64 bits or a negative one is
+// malformed, not an out_of_range or a length_error), and a rank whose
+// doubling wraps (2^63 + 1 doubles to 2) must not let two-field rows pass
+// the width check into a store sized by the wrapped n·rank.
+TEST_F(SnapshotTest, LoadRejectsMalformedHeaderCounts) {
+  const auto path = dir_ / "header.csv";
+  for (const char* file :
+       {"dmfsgd-snapshot,9223372036854775809,2\n1,2\n3,4\n",
+        "dmfsgd-snapshot,9223372036854775809,1\n1,2\n",
+        "dmfsgd-snapshot,1099511627776,2\n1,2\n3,4\n",
+        "dmfsgd-snapshot,2x,1\n1,2,3,4\n", "dmfsgd-snapshot, 2,1\n1,2,3,4\n",
+        "dmfsgd-snapshot,2,1x\n1,2,3,4\n",
+        "dmfsgd-snapshot,99999999999999999999,1\n1,2\n",
+        "dmfsgd-snapshot,-2,1\n1,2\n"}) {
+    SCOPED_TRACE(file);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << file;
+    }
+    EXPECT_THROW((void)LoadSnapshot(path), std::invalid_argument);
+  }
+}
+
 TEST_F(SnapshotTest, PredictAllMatchesPerPairPredictForAnyPoolSize) {
   const Dataset dataset = SmallRtt();
   const CoordinateSnapshot snapshot = TrainedSnapshot(dataset);

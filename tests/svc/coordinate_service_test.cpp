@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "datasets/meridian.hpp"
+#include "datasets/procedural.hpp"
 
 namespace dmfsgd::svc {
 namespace {
@@ -131,6 +133,43 @@ TEST_F(CoordinateServiceTest, StalenessStaysWithinBudget) {
   service.IngestRounds(2);
   EXPECT_LE(service.CurrentStaleness(), config.staleness_budget);
   EXPECT_GT(service.stats().index_refreshes, 0u);
+}
+
+// Nearly every probe drifts one v row past drift_epsilon, so a long probe
+// stream relinks each member many times over.  Those relinks must keep the
+// graph as navigable as a fresh build: after 8 probes per node at the
+// default staleness budget, recall@10 of the served index over every node
+// stays within 0.01 of an index built fresh on the final coordinates.
+TEST_F(CoordinateServiceTest, LongIngestKeepsRecallNearAFreshIndex) {
+  datasets::EuclideanRttConfig space;
+  space.node_count = 2048;
+  const Dataset dataset = datasets::MakeEuclideanRtt(space);
+  ServiceConfig config;
+  config.tau = datasets::SampledMedianValue(dataset);
+  config.seed = 2;
+  CoordinateService service(dataset, config);
+  service.IngestRounds(2);
+  const std::size_t n = service.NodeCount();
+  common::Rng probers(63);
+  for (std::size_t probe = 0; probe < 8 * n; ++probe) {
+    (void)service.IngestProbe(static_cast<core::NodeId>(probers.UniformInt(n)));
+  }
+  EXPECT_GT(service.stats().index_relinks, 7 * n);
+  EXPECT_EQ(service.stats().index_rebuilds, 2u);  // the warm-up rounds only
+
+  const eval::KnnOrdering ordering = service.DefaultOrdering();
+  const ann::PeerIndex fresh(service.store(), config.index);
+  double served = 0.0;
+  double rebuilt = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const eval::KnnResult oracle =
+        eval::BruteForceKnnAll(service.store(), i, 10, ordering);
+    served += eval::RecallAtK(service.QueryNearestPeers(i, 10), oracle);
+    rebuilt += eval::RecallAtK(fresh.SearchFrom(i, 10, ordering), oracle);
+  }
+  served /= static_cast<double>(n);
+  rebuilt /= static_cast<double>(n);
+  EXPECT_GE(served, rebuilt - 0.01) << "fresh index: " << rebuilt;
 }
 
 TEST_F(CoordinateServiceTest, QueriesNeverMutateTheStore) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/coordinate_store.hpp"
@@ -184,6 +187,67 @@ TEST_F(SnapshotLogTest, EveryTruncationPointRecoversTheLastGoodEpoch) {
     ASSERT_EQ(recovery->truncated_tail, !at_boundary) << "cut at byte " << cut;
     ExpectStoresIdentical(recovery->store, state_after[expected_epoch]);
   }
+}
+
+/// An epoch frame with a valid commit line (the writer's FNV-1a 64 over the
+/// header and row lines), holding the one row line `row`.
+std::string CommittedEpoch(std::uint64_t epoch, std::string_view row) {
+  const std::string payload =
+      "epoch," + std::to_string(epoch) + ",1\n" + std::string(row) + "\n";
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return payload + "commit," + std::to_string(epoch) + "," + digest + "\n";
+}
+
+// Row ids are outside input.  An id past the 32-bit NodeId range, or one
+// that a lenient parse would wrap (a leading minus), must not narrow onto a
+// real row: every malformed id discards its epoch like a torn frame.
+TEST_F(SnapshotLogTest, OutOfRangeRowIdsDiscardTheirEpoch) {
+  const core::CoordinateStore store = MakeStore(2, 1);
+  for (const char* id :
+       {"4294967296", "4294967297", "-18446744073709551615", "-1", "+1", " 1",
+        "1 ", "2", "18446744073709551617", "0x1", ""}) {
+    SCOPED_TRACE(id);
+    { SnapshotLogWriter writer(dir_, store); }
+    {
+      std::ofstream out(dir_ / "deltas.log", std::ios::binary | std::ios::trunc);
+      out << CommittedEpoch(1, std::string(id) + ",0.5,0.25");
+    }
+    const auto recovery = RecoverSnapshotLog(dir_);
+    ASSERT_TRUE(recovery.has_value());
+    EXPECT_EQ(recovery->epochs, 0u);
+    EXPECT_TRUE(recovery->truncated_tail);
+    ExpectStoresIdentical(recovery->store, store);
+  }
+  // The same frame with a real id applies: the frame itself is well formed.
+  { SnapshotLogWriter writer(dir_, store); }
+  {
+    std::ofstream out(dir_ / "deltas.log", std::ios::binary | std::ios::trunc);
+    out << CommittedEpoch(1, "1,0.5,0.25");
+  }
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  EXPECT_EQ(recovery->epochs, 1u);
+  EXPECT_FALSE(recovery->truncated_tail);
+  EXPECT_EQ(recovery->store.U(1)[0], 0.5);
+  EXPECT_EQ(recovery->store.V(1)[0], 0.25);
+  EXPECT_EQ(recovery->store.U(0)[0], store.U(0)[0]);
+}
+
+// A base image whose rank doubles past SIZE_MAX must not let short delta
+// rows through (1 + 2·rank wraps to 3).
+TEST_F(SnapshotLogTest, OverflowingBaseRankIsRejected) {
+  {
+    std::ofstream out(dir_ / "base.csv", std::ios::trunc);
+    out << "dmfsgd-snapshot,9223372036854775809,1\n1,2\n";
+  }
+  EXPECT_THROW((void)RecoverSnapshotLog(dir_), std::invalid_argument);
 }
 
 TEST_F(SnapshotLogTest, CorruptedEpochIsDiscardedWithEverythingAfterIt) {
