@@ -842,22 +842,31 @@ SvcPlaneResult SvcMixedTraffic(const datasets::Dataset& dataset,
 }
 
 /// Window-width gain of the per-shard-pair lookahead matrix on a
-/// heterogeneous delay space: identical seeds drained with the global-min
-/// lookahead and with the matrix; the gain is windows(global) /
-/// windows(per-pair) >= 1 (results are bit-identical either way — the
-/// matrix only widens windows, DESIGN.md §12).
+/// heterogeneous delay space: identical seeds drained with the matrix and,
+/// under a one-process ShardRuntime, with the uniform global-min lookahead;
+/// the gain is windows(global) / windows(per-pair) >= 1 (results are
+/// bit-identical either way — the matrix only widens windows, DESIGN.md
+/// §12).
 double PairLookaheadWindowGain(std::size_t n, std::size_t shards,
                                double horizon_s) {
   datasets::TwoClusterRttConfig cluster_config;
   cluster_config.node_count = n;
   const datasets::Dataset dataset = datasets::MakeTwoClusterRtt(cluster_config);
   common::ThreadPool pool(1);
-  core::AsyncSimulationConfig uniform = AsyncConfig(shards);
-  uniform.use_pair_lookaheads = false;
-  core::AsyncDmfsgdSimulation uniform_run(dataset, uniform);
-  uniform_run.RunUntilParallel(horizon_s, pool);
-  core::AsyncSimulationConfig pairwise = AsyncConfig(shards);
-  core::AsyncDmfsgdSimulation pairwise_run(dataset, pairwise);
+  core::AsyncDmfsgdSimulation uniform_run(dataset, AsyncConfig(shards));
+  netsim::LoopbackInterShardHub hub(1);
+  netsim::LoopbackInterShardChannel channel(hub, 0);
+  core::ShardedEventQueueDeliveryChannel& delivery = uniform_run.ShardedChannel();
+  netsim::ShardRuntime uniform_runtime(
+      uniform_run.MutableEvents(), channel,
+      netsim::LookaheadMatrix(uniform_run.ShardCount(),
+                              uniform_run.LookaheadSeconds()),
+      [&delivery](netsim::ShardedEventQueue::OwnerId owner,
+                  std::vector<std::byte> payload) {
+        return delivery.DecodeEnvelopeCallback(owner, std::move(payload));
+      });
+  uniform_run.RunUntilDistributed(horizon_s, pool, uniform_runtime);
+  core::AsyncDmfsgdSimulation pairwise_run(dataset, AsyncConfig(shards));
   pairwise_run.RunUntilParallel(horizon_s, pool);
   return static_cast<double>(uniform_run.WindowsExecuted()) /
          static_cast<double>(pairwise_run.WindowsExecuted());

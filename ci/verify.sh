@@ -13,6 +13,11 @@
 #                                  (the lossy-link leg passes `lossy`:
 #                                  fault-injection, reliability and registry
 #                                  tests, including the 20%-loss parity pins)
+#   --native-pins                  also build the trajectory pins and the
+#                                  kernel tests with -march=native in
+#                                  build-native/ and require the unchanged
+#                                  default-flag digests (DESIGN.md §5); it
+#                                  bites only on a host with FMA
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,6 +25,7 @@ cd "$(dirname "$0")/.."
 build_type=Release
 sanitize=""
 run_bench=1
+native_pins=0
 test_label_args=()
 for arg in "$@"; do
   case "$arg" in
@@ -28,8 +34,10 @@ for arg in "$@"; do
     --no-bench)     run_bench=0 ;;
     --quick-tests)  test_label_args=(-L quick) ;;
     --test-label=*) test_label_args=(-L "${arg#*=}") ;;
+    --native-pins)  native_pins=1 ;;
     *) echo "usage: ci/verify.sh [--build-type=T] [--sanitize=asan|tsan]" \
-            "[--no-bench] [--quick-tests] [--test-label=L]" >&2; exit 2 ;;
+            "[--no-bench] [--quick-tests] [--test-label=L] [--native-pins]" >&2
+       exit 2 ;;
   esac
 done
 
@@ -142,9 +150,11 @@ fi
 cmake_args=(-B "$build_dir" -S . -DCMAKE_BUILD_TYPE="$build_type"
             -DDMFSGD_SANITIZE="$sanitize")
 # ccache keeps the CI matrix warm; harmless to omit locally.
+launcher_args=()
 if command -v ccache >/dev/null 2>&1; then
-  cmake_args+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+  launcher_args=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
+cmake_args+=(${launcher_args[@]+"${launcher_args[@]}"})
 cmake "${cmake_args[@]}"
 cmake --build "$build_dir" -j"$(nproc)"
 # (The empty-array guard keeps `set -u` happy on bash < 4.4.)
@@ -165,4 +175,21 @@ if [[ $run_bench -eq 1 ]]; then
     "./$build_dir/bench_bench_core" "$build_dir/BENCH_core_quick.json" --quick
     cat "$build_dir/BENCH_core_quick.json"
   fi
+fi
+
+# ---------------------------------------------------------- native pins ----
+# One arithmetic on every build (DESIGN.md §5): with every instruction the
+# host has, the trajectory digests recorded at the default flags and the
+# bit-exact kernel tests must still pass.  The library compiles with
+# -ffp-contract=off, so an FMA host cannot fuse a multiply-add; on a host
+# without FMA this check cannot fail.
+if [[ $native_pins -eq 1 ]]; then
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE="$build_type" \
+        -DCMAKE_CXX_FLAGS=-march=native -DDMFSGD_BUILD_BENCH=OFF \
+        -DDMFSGD_BUILD_EXAMPLES=OFF \
+        ${launcher_args[@]+"${launcher_args[@]}"}
+  cmake --build build-native -j"$(nproc)" \
+        --target core_trajectory_pin_test linalg_kernels_test
+  ./build-native/core_trajectory_pin_test
+  ./build-native/linalg_kernels_test
 fi

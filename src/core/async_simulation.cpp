@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -17,6 +16,10 @@ namespace {
 using datasets::Metric;
 
 const AsyncSimulationConfig& Validate(const AsyncSimulationConfig& config) {
+  if (config.shard_count == 0) {
+    throw std::invalid_argument(
+        "AsyncDmfsgdSimulation: shard_count must be >= 1");
+  }
   if (!(config.mean_probe_interval_s > 0.0)) {
     throw std::invalid_argument(
         "AsyncDmfsgdSimulation: mean_probe_interval_s must be > 0");
@@ -28,13 +31,6 @@ const AsyncSimulationConfig& Validate(const AsyncSimulationConfig& config) {
     throw std::invalid_argument("AsyncDmfsgdSimulation: bad one-way delay range");
   }
   return config;
-}
-
-std::size_t ResolveShardCount(const AsyncSimulationConfig& config) {
-  if (config.shard_count != 0) {
-    return config.shard_count;
-  }
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 /// Row-major `shards` x `shards` cells as a lookahead matrix.
@@ -55,7 +51,7 @@ AsyncDmfsgdSimulation::AsyncDmfsgdSimulation(const datasets::Dataset& dataset,
                                              const AsyncSimulationConfig& config,
                                              const ErrorInjector* injector)
     : config_(Validate(config)),
-      events_(dataset.NodeCount(), ResolveShardCount(config)),
+      events_(dataset.NodeCount(), config.shard_count),
       delayed_(events_,
                [this](NodeId i, NodeId j) { return OneWayDelay(i, j); },
                config.base.coalesce_delivery),
@@ -70,9 +66,11 @@ AsyncDmfsgdSimulation::AsyncDmfsgdSimulation(const datasets::Dataset& dataset,
     // commute with min.
     const std::vector<double> cells = BlockMinimumDelays();
     lookahead_s_ = *std::min_element(cells.begin(), cells.end());
-    if (config_.use_pair_lookaheads && events_.ShardCount() > 1) {
-      pair_lookaheads_ = LookaheadMatrixOf(cells, events_.ShardCount());
-    }
+    pair_lookaheads_ = LookaheadMatrixOf(cells, events_.ShardCount());
+  } else {
+    // ABW delays are hash-drawn from [min, max): the configured lower bound
+    // holds for every pair, so no scan is needed.
+    pair_lookaheads_ = netsim::LookaheadMatrix(events_.ShardCount(), lookahead_s_);
   }
 
   // Kick off every node's probe loop with a random initial phase so the
@@ -136,7 +134,6 @@ std::vector<double> AsyncDmfsgdSimulation::BlockMinimumDelays() const {
   // The scan covers ordered pairs: an RTT matrix may differ slightly
   // between (i, j) and (j, i).
   const datasets::Dataset& dataset = engine_.dataset();
-  const bool rtt = dataset.metric == Metric::kRtt;
   const std::size_t shards = events_.ShardCount();
   const std::size_t n = dataset.NodeCount();
   std::vector<double> cells(shards * shards,
@@ -146,7 +143,7 @@ std::vector<double> AsyncDmfsgdSimulation::BlockMinimumDelays() const {
     for (std::size_t to = 0; to < shards; ++to) {
       const auto [first, last] = events_.OwnersOfShard(to);
       for (std::size_t j = first; j < last; ++j) {
-        if (i == j || (rtt && !dataset.IsKnown(i, j))) {
+        if (i == j || !dataset.IsKnown(i, j)) {
           continue;
         }
         row[to] = std::min(
@@ -157,30 +154,15 @@ std::vector<double> AsyncDmfsgdSimulation::BlockMinimumDelays() const {
   return cells;
 }
 
-const netsim::LookaheadMatrix& AsyncDmfsgdSimulation::PairLookaheads() {
-  if (pair_lookaheads_.has_value()) {
-    return *pair_lookaheads_;
-  }
-  const std::size_t shards = events_.ShardCount();
-  if (!config_.use_pair_lookaheads || shards == 1) {
-    pair_lookaheads_.emplace(shards, lookahead_s_);
-  } else {
-    // Only ABW gets here: on RTT datasets the constructor fills the matrix.
-    pair_lookaheads_ = LookaheadMatrixOf(BlockMinimumDelays(), shards);
-  }
-  return *pair_lookaheads_;
-}
-
 void AsyncDmfsgdSimulation::RunUntilParallel(double until_s,
                                              common::ThreadPool& pool) {
   if (until_s < events_.Now()) {
     throw std::invalid_argument(
         "AsyncDmfsgdSimulation::RunUntilParallel: time in the past");
   }
-  const netsim::LookaheadMatrix& lookaheads = PairLookaheads();
   engine_.BeginShardedDrain();
   try {
-    events_.RunUntilParallel(until_s, pool, lookaheads);
+    events_.RunUntilParallel(until_s, pool, pair_lookaheads_);
   } catch (...) {
     engine_.EndShardedDrain();
     throw;

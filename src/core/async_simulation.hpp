@@ -32,8 +32,9 @@
 // of the node whose handler it is.  RunUntil drains the shards through a
 // deterministic cross-shard merge (events fire in global (time, schedule
 // order) for any shard count), and RunUntilParallel drains them concurrently
-// in conservative windows bounded by the minimum one-way delay, with every
-// node's randomness moved onto its private RNG stream (DESIGN.md §9).  The
+// in conservative windows bounded by the minimum one-way delay between each
+// pair of shards (DESIGN.md §12), with every node's randomness moved onto
+// its private RNG stream (DESIGN.md §9).  The
 // parallel drain is bit-identical for every pool size at a fixed shard
 // count; its trajectory differs from the sequential drain (per-node vs
 // shared RNG streams), exactly as the round driver's parallel sweep differs
@@ -60,20 +61,15 @@ struct AsyncSimulationConfig {
   /// One-way delay bounds for metrics that don't define a delay (ABW).
   double min_oneway_delay_s = 0.010;
   double max_oneway_delay_s = 0.100;
-  /// Event-queue shards (owner-node partitions).  The default of 1 keeps
-  /// the sequential RunUntil at the single-heap cost and host-independent
+  /// Event-queue shards (owner-node partitions); must be >= 1.  The
+  /// default of 1 keeps the sequential RunUntil at the single-heap cost
   /// (the cross-shard merge scans one heap top per shard per event); set it
-  /// to ~hardware concurrency — or 0, which resolves to exactly that — to
-  /// give RunUntilParallel shards to drain concurrently.  The sequential
-  /// RunUntil is shard-count-invariant; the parallel drain is bit-identical
-  /// across pool sizes for a fixed value.
+  /// to ~hardware concurrency to give RunUntilParallel shards to drain
+  /// concurrently.  The value is part of the run's input, never resolved
+  /// from the host: the sequential RunUntil is shard-count-invariant, and
+  /// the parallel drain is bit-identical across pool sizes for a fixed
+  /// value.
   std::size_t shard_count = 1;
-  /// Bound parallel-drain windows with the per-shard-pair lookahead matrix
-  /// (the minimum one-way delay between each pair of owner blocks,
-  /// DESIGN.md §12) instead of the single global minimum.  Wider windows on
-  /// heterogeneous delay spaces; the drain trajectory is bit-identical
-  /// either way (windowing only reorders across shards, never within one).
-  bool use_pair_lookaheads = true;
 };
 
 class AsyncDmfsgdSimulation {
@@ -86,8 +82,8 @@ class AsyncDmfsgdSimulation {
   void RunUntil(double until_s);
 
   /// Advances simulated time to `until_s` with the event shards drained
-  /// concurrently over `pool`, in conservative windows bounded by the
-  /// deployment's minimum one-way delay.  While draining, every node draws
+  /// concurrently over `pool`, in conservative windows bounded by
+  /// PairLookaheads().  While draining, every node draws
   /// its randomness (think times, churn, neighbor choice, leg loss) from its
   /// private engine stream and all counters accumulate per node, so the
   /// result is bit-identical for every pool size (including 1) at a fixed
@@ -110,18 +106,21 @@ class AsyncDmfsgdSimulation {
   [[nodiscard]] std::size_t ShardCount() const noexcept {
     return events_.ShardCount();
   }
-  /// The conservative-window bound of RunUntilParallel: the deployment's
-  /// minimum one-way delay (ABW: the configured min_oneway_delay_s).
+  /// The deployment's minimum one-way delay, the smallest cell of
+  /// PairLookaheads() (ABW: the configured min_oneway_delay_s).  A uniform
+  /// matrix of it is the global-minimum window bound of DESIGN.md §9.
   [[nodiscard]] double LookaheadSeconds() const noexcept { return lookahead_s_; }
   /// The per-shard-pair lookahead matrix the parallel and distributed drains
-  /// window with (DESIGN.md §12): cell (a, b) is the minimum one-way delay
-  /// from any owner in shard a's block to any owner in shard b's block
-  /// (+infinity when no measurable pair connects the blocks), or uniformly
-  /// LookaheadSeconds() when use_pair_lookaheads is off or there is one
-  /// shard.  On RTT datasets the constructor's O(n²) ground-truth scan fills
-  /// it together with LookaheadSeconds(); on ABW datasets it is built on
-  /// first use by an O(n²) scan of the hash-drawn delays.  Cached.
-  [[nodiscard]] const netsim::LookaheadMatrix& PairLookaheads();
+  /// window with (DESIGN.md §12), built by the constructor.  On RTT datasets
+  /// cell (a, b) is the minimum one-way delay from any owner in shard a's
+  /// block to any owner in shard b's block (+infinity when no measurable
+  /// pair connects the blocks), from the same O(n²) ground-truth scan that
+  /// yields LookaheadSeconds().  On ABW datasets every cell is the
+  /// configured min_oneway_delay_s: the hash-drawn delays come from
+  /// [min, max), so the lower bound is valid for every pair without a scan.
+  [[nodiscard]] const netsim::LookaheadMatrix& PairLookaheads() const noexcept {
+    return pair_lookaheads_;
+  }
   /// Conservative windows executed by the parallel/distributed drains.
   [[nodiscard]] std::uint64_t WindowsExecuted() const noexcept {
     return events_.WindowsExecuted();
@@ -190,8 +189,8 @@ class AsyncDmfsgdSimulation {
   void ScheduleNextProbe(NodeId i);
   void StartProbe(NodeId i);
   [[nodiscard]] double OneWayDelay(NodeId i, NodeId j) const;
-  /// Row-major shards x shards minimum one-way delays between owner blocks,
-  /// from one O(n²) scan over ordered pairs.
+  /// RTT datasets only: row-major shards x shards minimum one-way delays
+  /// between owner blocks, from one O(n²) scan over ordered known pairs.
   [[nodiscard]] std::vector<double> BlockMinimumDelays() const;
 
   AsyncSimulationConfig config_;
@@ -204,7 +203,7 @@ class AsyncDmfsgdSimulation {
   DeploymentEngine engine_;
   std::uint64_t delay_seed_ = 0;
   double lookahead_s_ = 0.0;
-  std::optional<netsim::LookaheadMatrix> pair_lookaheads_;
+  netsim::LookaheadMatrix pair_lookaheads_;
 };
 
 }  // namespace dmfsgd::core

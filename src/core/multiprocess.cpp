@@ -163,11 +163,6 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
     const datasets::Dataset& dataset, const AsyncSimulationConfig& config,
     netsim::InterShardChannel& channel, double until_s, common::ThreadPool& pool,
     const netsim::ShardRuntimeOptions& runtime_options) {
-  if (config.shard_count == 0) {
-    throw std::invalid_argument(
-        "RunMultiprocessAsyncSimulation: shard_count must be explicit (a "
-        "hardware-resolved count would differ across hosts)");
-  }
   if (config.shard_count < channel.ProcessCount()) {
     throw std::invalid_argument(
         "RunMultiprocessAsyncSimulation: need at least one shard per process");

@@ -65,10 +65,8 @@ struct MultiprocessRunReport {
 /// Runs this process's share of a distributed async simulation to
 /// `until_s` and performs the End fold over `channel`.  Blocking; every
 /// process of the channel must call it with the same dataset, config and
-/// until_s.  Requires config.shard_count >= channel.ProcessCount() (so each
-/// process owns at least one shard; shard_count == 0 resolves to hardware
-/// concurrency *locally* and is therefore rejected — a distributed run
-/// needs one host-independent value).  `pool` parallelizes the local drain.
+/// until_s.  Requires config.shard_count >= channel.ProcessCount(), so each
+/// process owns at least one shard.  `pool` parallelizes the local drain.
 /// `runtime_options` tunes the window protocol (poll/stall timing, the
 /// event-frame byte budget); every process must pass the same values.  With
 /// config.base.coalesce_delivery on, same-destination same-time

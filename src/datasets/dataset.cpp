@@ -132,9 +132,9 @@ void ValidateDataset(const Dataset& dataset) {
   for (std::size_t i = 0; i < m.Rows(); ++i) {
     for (std::size_t j = 0; j < m.Cols(); ++j) {
       const double v = m(i, j);
-      if (!linalg::Matrix::IsMissing(v) && v <= 0.0) {
+      if (!linalg::Matrix::IsMissing(v) && !(v > 0.0 && std::isfinite(v))) {
         throw std::invalid_argument(
-            "ValidateDataset: known quantities must be positive");
+            "ValidateDataset: known quantities must be positive and finite");
       }
     }
   }
@@ -160,10 +160,14 @@ void ValidateDataset(const Dataset& dataset) {
     if (record.src == record.dst) {
       throw std::invalid_argument("ValidateDataset: trace contains self-pair");
     }
-    if (record.value <= 0.0) {
-      throw std::invalid_argument("ValidateDataset: trace value must be positive");
+    if (!(record.value > 0.0 && std::isfinite(record.value))) {
+      throw std::invalid_argument(
+          "ValidateDataset: trace value must be positive and finite");
     }
-    if (record.timestamp_s < previous_time) {
+    if (!std::isfinite(record.timestamp_s)) {
+      throw std::invalid_argument("ValidateDataset: trace timestamps must be finite");
+    }
+    if (!(record.timestamp_s >= previous_time)) {
       throw std::invalid_argument("ValidateDataset: trace timestamps must be sorted");
     }
     previous_time = record.timestamp_s;

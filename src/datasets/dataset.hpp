@@ -110,7 +110,8 @@ struct Dataset {
 };
 
 /// Sanity checks: square matrix, NaN diagonal, symmetric iff RTT, positive
-/// known entries, trace indices in range and timestamps sorted.  Throws
+/// finite known entries and trace values, trace indices in range, and
+/// finite sorted timestamps.  Every check fails on NaN.  Throws
 /// std::invalid_argument with a description of the first violation.
 void ValidateDataset(const Dataset& dataset);
 

@@ -1,6 +1,7 @@
 #include "datasets/io.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +23,17 @@ std::filesystem::path TracePath(const std::filesystem::path& stem) {
   auto p = stem;
   p += ".trace.csv";
   return p;
+}
+
+/// A trace node id: an unsigned decimal below `node_count`, range-checked
+/// before it narrows to TraceRecord's 32-bit field.
+std::uint32_t ParseNodeId(const std::string& field, std::size_t node_count) {
+  const std::uint64_t id = common::ParseUnsigned(field);
+  if (id >= node_count) {
+    throw std::invalid_argument("LoadDataset: trace node id out of range: '" +
+                                field + "'");
+  }
+  return static_cast<std::uint32_t>(id);
 }
 
 }  // namespace
@@ -73,7 +85,7 @@ Dataset LoadDataset(const std::filesystem::path& stem) {
   } else {
     throw std::invalid_argument("LoadDataset: unknown metric '" + metric_name + "'");
   }
-  const auto n = static_cast<std::size_t>(std::stoull(doc.header[2]));
+  const std::uint64_t n = common::ParseUnsigned(doc.header[2]);
   if (doc.rows.size() != n) {
     throw std::invalid_argument("LoadDataset: row count mismatch");
   }
@@ -99,13 +111,14 @@ Dataset LoadDataset(const std::filesystem::path& stem) {
         throw std::invalid_argument("LoadDataset: malformed trace row");
       }
       TraceRecord record;
-      record.src = static_cast<std::uint32_t>(std::stoul(row[0]));
-      record.dst = static_cast<std::uint32_t>(std::stoul(row[1]));
+      record.src = ParseNodeId(row[0], n);
+      record.dst = ParseNodeId(row[1], n);
       record.value = common::ParseDouble(row[2]);
       record.timestamp_s = common::ParseDouble(row[3]);
       dataset.trace.push_back(record);
     }
   }
+  ValidateDataset(dataset);
   return dataset;
 }
 

@@ -17,7 +17,9 @@ namespace dmfsgd::datasets {
 void SaveDataset(const Dataset& dataset, const std::filesystem::path& stem);
 
 /// Reads a dataset previously written by SaveDataset.  `metric` and `name`
-/// are restored from the matrix file header.  Throws std::runtime_error /
+/// are restored from the matrix file header.  The files are outside input:
+/// counts and ids must be plain unsigned decimals in range, and the result
+/// must pass ValidateDataset.  Throws std::runtime_error /
 /// std::invalid_argument on malformed input.
 [[nodiscard]] Dataset LoadDataset(const std::filesystem::path& stem);
 

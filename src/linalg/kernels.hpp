@@ -117,8 +117,9 @@ inline void AxpyFixed(double alpha, const double* DMFSGD_RESTRICT x,
 /// y = decay * y + alpha * x in a single pass — the fusion of the
 /// Scale-then-Axpy sequence every SGD step performs ((1-ηλ)·row − ηg·remote),
 /// which halves the traffic over the updated row.  Element-wise it evaluates
-/// the same expression fl(decay*y + alpha*x) the two-pass reference does, so
-/// results agree to within one FMA-contraction ulp (see kernels_test).
+/// the same expression fl(decay*y + alpha*x) the two-pass reference does,
+/// and the build compiles with -ffp-contract=off, so results are
+/// bit-identical on every -march (see kernels_test).
 inline void DecayAxpyRaw(double decay, double alpha,
                          const double* DMFSGD_RESTRICT x,
                          double* DMFSGD_RESTRICT y, std::size_t r) noexcept {
@@ -177,8 +178,10 @@ enum class KernelIsa {
 }
 
 /// The widest tier the compiler was allowed to vectorize the inline kernels
-/// for — a build-flag report (-march, -mavx2), not a runtime CPUID probe.
-/// A default build reports kScalar.
+/// for — a build-flag report (-march, -mavx2 in CMAKE_CXX_FLAGS), not a
+/// runtime CPUID probe, kept as benchmark provenance.  A default build
+/// reports kScalar.  The tier changes speed only: contraction is off on
+/// every build, so every tier computes the same bits (DESIGN.md §5).
 [[nodiscard]] constexpr KernelIsa ActiveKernelIsa() noexcept {
 #if defined(__AVX512F__)
   return KernelIsa::kAvx512;

@@ -114,13 +114,6 @@ std::size_t ShardedEventQueue::Pending() const noexcept {
   return pending;
 }
 
-std::size_t ShardedEventQueue::PendingInShard(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::out_of_range("ShardedEventQueue::PendingInShard: bad shard");
-  }
-  return shards_[shard].heap.size();
-}
-
 void ShardedEventQueue::Schedule(OwnerId owner, double delay_s,
                                  Callback callback) {
   if (!(delay_s >= 0.0)) {
@@ -247,20 +240,6 @@ std::uint64_t ShardedEventQueue::RunUntil(double until_s) {
   return ran;
 }
 
-bool ShardedEventQueue::RunOne() {
-  RequireFullOwnership("RunOne");
-  const std::size_t s = MinShard();
-  if (s == shards_.size()) {
-    return false;
-  }
-  Entry entry = shards_[s].heap.top();
-  shards_[s].heap.pop();
-  now_ = entry.time;
-  entry.callback();
-  ++executed_;
-  return true;
-}
-
 std::vector<double> ShardedEventQueue::ShardMinTimes() const {
   std::vector<double> mins(shards_.size(), kInf);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -385,17 +364,6 @@ void ShardedEventQueue::InjectRemote(OwnerId owner, double time,
   shards_[dest].heap.push(Entry{time, lane, seq, std::move(callback)});
 }
 
-std::uint64_t ShardedEventQueue::RunUntilParallel(double until_s,
-                                                  common::ThreadPool& pool,
-                                                  double lookahead_s) {
-  if (!(lookahead_s > 0.0)) {
-    throw std::invalid_argument(
-        "ShardedEventQueue::RunUntilParallel: lookahead must be > 0");
-  }
-  return RunWindowedDrain(until_s, pool,
-                          LookaheadMatrix(shards_.size(), lookahead_s));
-}
-
 std::uint64_t ShardedEventQueue::RunUntilParallel(
     double until_s, common::ThreadPool& pool, const LookaheadMatrix& lookaheads) {
   if (lookaheads.ShardCount() != shards_.size()) {
@@ -403,11 +371,6 @@ std::uint64_t ShardedEventQueue::RunUntilParallel(
         "ShardedEventQueue::RunUntilParallel: lookahead matrix shard count "
         "mismatch");
   }
-  return RunWindowedDrain(until_s, pool, lookaheads);
-}
-
-std::uint64_t ShardedEventQueue::RunWindowedDrain(
-    double until_s, common::ThreadPool& pool, const LookaheadMatrix& lookaheads) {
   if (!(until_s >= now_)) {
     throw std::invalid_argument(
         "ShardedEventQueue::RunUntilParallel: time in the past or NaN");

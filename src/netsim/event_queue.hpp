@@ -147,9 +147,6 @@ class ShardedEventQueue {
   /// Pending events across all shards.
   [[nodiscard]] std::size_t Pending() const noexcept;
 
-  /// Pending events in one shard.  Requires shard < ShardCount().
-  [[nodiscard]] std::size_t PendingInShard(std::size_t shard) const;
-
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t Executed() const noexcept { return executed_; }
 
@@ -220,21 +217,14 @@ class ShardedEventQueue {
   /// always run windowed, under a ShardRuntime).
   std::uint64_t RunUntil(double until_s);
 
-  /// Runs exactly one event (the globally next one) if available.
-  /// Requires full shard ownership (see RunUntil).
-  bool RunOne();
-
-  /// Parallel drain in conservative windows bounded by a uniform
-  /// `lookahead_s` (> 0) on every shard pair, spread over `pool`.  Requires
-  /// until_s >= Now() (not NaN) and full shard ownership (multi-process
-  /// drains go through a ShardRuntime).  See the class comment for the
-  /// ordering contract; callbacks must touch only owner-local state plus
-  /// what the lookahead guarantee makes safe.
-  std::uint64_t RunUntilParallel(double until_s, common::ThreadPool& pool,
-                                 double lookahead_s);
-
-  /// Parallel drain with per-shard-pair lookaheads.  Requires
-  /// lookaheads.ShardCount() == ShardCount().
+  /// Parallel drain in conservative windows bounded by the per-shard-pair
+  /// `lookaheads` (a uniform matrix is the global-minimum window of
+  /// DESIGN.md §9), spread over `pool`.  Requires
+  /// lookaheads.ShardCount() == ShardCount(), until_s >= Now() (not NaN) and
+  /// full shard ownership (multi-process drains go through a ShardRuntime).
+  /// Returns the number of events executed by this call.  See the class
+  /// comment for the ordering contract; callbacks must touch only
+  /// owner-local state plus what the lookahead guarantee makes safe.
   std::uint64_t RunUntilParallel(double until_s, common::ThreadPool& pool,
                                  const LookaheadMatrix& lookaheads);
 
@@ -322,10 +312,6 @@ class ShardedEventQueue {
 
   /// Throws std::logic_error unless every shard is owned locally.
   void RequireFullOwnership(const char* what) const;
-
-  /// Windowed drain core shared by both RunUntilParallel overloads.
-  std::uint64_t RunWindowedDrain(double until_s, common::ThreadPool& pool,
-                                 const LookaheadMatrix& lookaheads);
 
   /// After a window's join: merges every outbox into its destination heap and
   /// folds per-shard executed counts into the totals.  Returns the number of

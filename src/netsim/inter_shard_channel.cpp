@@ -185,27 +185,20 @@ void FrameWriter::Bytes(std::span<const std::byte> bytes) {
 }
 
 bool ChunkAssembler::Mark(std::uint32_t index, bool is_last) {
+  const std::uint64_t count = std::uint64_t{index} + 1;
   if (expected_ != kUnknown &&
-      (index >= expected_ || (is_last && index + 1 != expected_))) {
+      (count > expected_ || (is_last && count != expected_))) {
     throw std::logic_error(
         "ChunkAssembler: chunk index contradicts the established final chunk");
   }
   if (is_last) {
-    expected_ = index + 1;
-    if (received_ > expected_ || seen_.size() > expected_) {
+    if (!seen_.empty() && *seen_.rbegin() > index) {
       throw std::logic_error(
           "ChunkAssembler: chunks received beyond the final chunk");
     }
+    expected_ = count;
   }
-  if (index >= seen_.size()) {
-    seen_.resize(index + 1, false);
-  }
-  if (seen_[index]) {
-    return false;
-  }
-  seen_[index] = true;
-  ++received_;
-  return true;
+  return seen_.insert(index).second;
 }
 
 void FrameReader::Require(std::size_t count) const {

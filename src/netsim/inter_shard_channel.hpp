@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -269,7 +270,9 @@ class FrameWriter {
 /// result folds): duplicate- and reorder-tolerant, and loud — an index that
 /// contradicts an established final chunk is a protocol error, not a
 /// silent stall.  Chunks carry (index, is_last); the final chunk reveals
-/// the total.
+/// the total.  The index comes straight from peer bytes, so any u32 is
+/// accepted without wrapping the total, and memory grows with the chunks
+/// received, never with the largest index claimed.
 class ChunkAssembler {
  public:
   /// Marks chunk `index` as received; `is_last` establishes the chunk
@@ -281,14 +284,15 @@ class ChunkAssembler {
 
   /// Every chunk up to the final one arrived.
   [[nodiscard]] bool Complete() const noexcept {
-    return expected_ != kUnknown && received_ == expected_;
+    return expected_ != kUnknown && seen_.size() == expected_;
   }
 
  private:
-  static constexpr std::uint32_t kUnknown = 0xffffffffu;
-  std::uint32_t expected_ = kUnknown;
-  std::uint32_t received_ = 0;
-  std::vector<bool> seen_;
+  /// The chunk count is index + 1 in 64 bits: 2^32 for the largest index,
+  /// so no index collides with this sentinel.
+  static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+  std::uint64_t expected_ = kUnknown;
+  std::set<std::uint32_t> seen_;
 };
 
 /// Companion reader; every accessor throws std::runtime_error on truncation,

@@ -11,12 +11,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -27,6 +28,8 @@
 #include "datasets/procedural.hpp"
 #include "eval/roc.hpp"
 #include "linalg/matrix.hpp"
+#include "netsim/inter_shard_channel.hpp"
+#include "netsim/shard_runtime.hpp"
 
 namespace dmfsgd::core {
 namespace {
@@ -64,6 +67,29 @@ std::unique_ptr<AsyncDmfsgdSimulation> RunParallel(
   auto simulation = std::make_unique<AsyncDmfsgdSimulation>(dataset, config);
   common::ThreadPool pool(threads);
   simulation->RunUntilParallel(until_s, pool);
+  return simulation;
+}
+
+/// The global-minimum baseline: the same deployment drained by a
+/// one-process ShardRuntime that windows with the uniform
+/// LookaheadSeconds() matrix instead of PairLookaheads().
+std::unique_ptr<AsyncDmfsgdSimulation> RunUniform(
+    const Dataset& dataset, const AsyncSimulationConfig& config, double until_s,
+    std::size_t threads) {
+  auto simulation = std::make_unique<AsyncDmfsgdSimulation>(dataset, config);
+  netsim::LoopbackInterShardHub hub(1);
+  netsim::LoopbackInterShardChannel channel(hub, 0);
+  ShardedEventQueueDeliveryChannel& delivery = simulation->ShardedChannel();
+  netsim::ShardRuntime runtime(
+      simulation->MutableEvents(), channel,
+      netsim::LookaheadMatrix(simulation->ShardCount(),
+                              simulation->LookaheadSeconds()),
+      [&delivery](netsim::ShardedEventQueue::OwnerId owner,
+                  std::vector<std::byte> payload) {
+        return delivery.DecodeEnvelopeCallback(owner, std::move(payload));
+      });
+  common::ThreadPool pool(threads);
+  simulation->RunUntilDistributed(until_s, pool, runtime);
   return simulation;
 }
 
@@ -188,22 +214,27 @@ TEST(AsyncParallelDrain, LookaheadReflectsTheDeploymentMinimumDelay) {
                    BaseConfig(abw).min_oneway_delay_s);
 }
 
+TEST(AsyncParallelDrain, RejectsAZeroShardCount) {
+  // The shard count is an input of the run, never resolved from the host.
+  const Dataset dataset = SmallRtt();
+  AsyncSimulationConfig config = BaseConfig(dataset);
+  config.shard_count = 0;
+  EXPECT_THROW(AsyncDmfsgdSimulation(dataset, config), std::invalid_argument);
+}
+
 TEST(AsyncParallelDrain, PairLookaheadsWidenWindowsAndPreserveTheTrajectory) {
-  // Same seed drained with the global-minimum lookahead and with the
-  // per-pair matrix: bit-identical results (windowing only reorders across
+  // Same seed drained with the per-pair matrix and with the global-minimum
+  // lookahead: bit-identical results (windowing only reorders across
   // shards, never within one), strictly fewer windows on the heterogeneous
   // two-cluster delay space (fast metro paths, slow long-haul paths).
   datasets::TwoClusterRttConfig cluster_config;
   cluster_config.node_count = 80;
   cluster_config.seed = 77;
   const Dataset dataset = datasets::MakeTwoClusterRtt(cluster_config);
-  AsyncSimulationConfig uniform = BaseConfig(dataset);
-  uniform.shard_count = 2;  // shards == the two delay clusters
-  uniform.use_pair_lookaheads = false;
-  AsyncSimulationConfig pairwise = uniform;
-  pairwise.use_pair_lookaheads = true;
-  const auto uniform_run = RunParallel(dataset, uniform, 20.0, 2);
-  const auto pairwise_run = RunParallel(dataset, pairwise, 20.0, 2);
+  AsyncSimulationConfig config = BaseConfig(dataset);
+  config.shard_count = 2;  // shards == the two delay clusters
+  const auto uniform_run = RunUniform(dataset, config, 20.0, 2);
+  const auto pairwise_run = RunParallel(dataset, config, 20.0, 2);
   EXPECT_GT(uniform_run->MeasurementCount(), 0u);
   ExpectBitIdentical(*uniform_run, *pairwise_run);
   // Cross-cluster lookahead ~200 ms vs the global ~5 ms minimum: windows
@@ -252,99 +283,93 @@ Dataset GappyAsymmetricRtt() {
   return dataset;
 }
 
-/// The lookaheads an in-test scan over ordered pairs (i, j), i != j, gives:
-/// the global minimum one-way delay (RTT; ABW's is the configured lower
-/// bound) and the per-owner-block minima of a `shards`-shard queue.
+/// The lookaheads an in-test scan over the ordered known pairs (i, j),
+/// i != j, of an RTT dataset gives: the global minimum one-way delay and
+/// the per-owner-block minima of a `shards`-shard queue.
 struct ScannedLookaheads {
   double global = 0.0;
   std::vector<double> cells;  ///< row-major shards x shards, +inf if no pair
 };
 
-ScannedLookaheads ScanLookaheads(const Dataset& dataset,
-                                 const AsyncSimulationConfig& config,
-                                 std::size_t shards) {
+ScannedLookaheads ScanRttLookaheads(const Dataset& dataset, std::size_t shards) {
   const std::size_t n = dataset.NodeCount();
-  const bool rtt = dataset.metric == datasets::Metric::kRtt;
-  // ABW delays are hash-drawn per pair from a seed private to the
-  // simulation.  The delay function does not depend on the shard count, so
-  // a queue with one node per shard reads every pair's delay off its
-  // lookahead matrix.
-  std::optional<AsyncDmfsgdSimulation> per_node;
-  if (!rtt) {
-    AsyncSimulationConfig one_per_shard = config;
-    one_per_shard.shard_count = n;
-    one_per_shard.use_pair_lookaheads = true;
-    per_node.emplace(dataset, one_per_shard);
-  }
   const netsim::ShardedEventQueue queue(n, shards);
   ScannedLookaheads scanned;
   scanned.global = std::numeric_limits<double>::infinity();
   scanned.cells.assign(shards * shards, std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || (rtt && !dataset.IsKnown(i, j))) {
+      if (i == j || !dataset.IsKnown(i, j)) {
         continue;
       }
-      double delay = 0.0;
-      if (rtt) {
-        delay = dataset.Quantity(i, j) / 2.0 / 1000.0;
-      } else {
-        delay = per_node->PairLookaheads().At(i, j);
-        EXPECT_EQ(delay, per_node->PairLookaheads().At(j, i));
-        EXPECT_GE(delay, config.min_oneway_delay_s);
-        EXPECT_LT(delay, config.max_oneway_delay_s);
-      }
+      const double delay = dataset.Quantity(i, j) / 2.0 / 1000.0;
       double& cell = scanned.cells[queue.ShardOf(static_cast<NodeId>(i)) * shards +
                                     queue.ShardOf(static_cast<NodeId>(j))];
       cell = std::min(cell, delay);
       scanned.global = std::min(scanned.global, delay);
     }
   }
-  if (!rtt) {
-    scanned.global = config.min_oneway_delay_s;
-  }
   return scanned;
 }
 
+AsyncSimulationConfig LookaheadConfig(const Dataset& dataset, std::size_t shards) {
+  AsyncSimulationConfig config;
+  config.base.rank = 10;
+  config.base.neighbor_count = 16;
+  config.base.tau = dataset.Procedural() ? datasets::SampledMedianValue(dataset)
+                                         : dataset.MedianValue();
+  config.base.seed = 5;
+  config.shard_count = shards;
+  return config;
+}
+
 TEST(AsyncParallelDrain, LookaheadsMatchABruteForceScan) {
+  // RTT: the constructor's matrix equals an independent scan, cell for
+  // cell, at every shard count.
   datasets::EuclideanRttConfig complete;
   complete.node_count = 90;
   complete.seed = 12;
-  const Dataset datasets_under_test[] = {
-      GappyAsymmetricRtt(), datasets::MakeEuclideanRtt(complete), SmallAbw()};
+  const Dataset rtt_datasets[] = {GappyAsymmetricRtt(),
+                                  datasets::MakeEuclideanRtt(complete)};
   std::size_t unconnected_cells = 0;
-  for (const Dataset& dataset : datasets_under_test) {
-    AsyncSimulationConfig config;
-    config.base.rank = 10;
-    config.base.neighbor_count = 16;
-    config.base.tau = dataset.Procedural() ? datasets::SampledMedianValue(dataset)
-                                           : dataset.MedianValue();
-    config.base.seed = 5;
+  for (const Dataset& dataset : rtt_datasets) {
     for (const std::size_t shards : {1u, 2u, 3u}) {
-      const ScannedLookaheads scanned = ScanLookaheads(dataset, config, shards);
-      for (const bool pairwise : {false, true}) {
-        SCOPED_TRACE(dataset.name + " shards=" + std::to_string(shards) +
-                     " pairwise=" + std::to_string(pairwise));
-        config.shard_count = shards;
-        config.use_pair_lookaheads = pairwise;
-        AsyncDmfsgdSimulation simulation(dataset, config);
-        EXPECT_EQ(simulation.LookaheadSeconds(), scanned.global);
-        const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
-        ASSERT_EQ(matrix.ShardCount(), shards);
-        for (std::size_t from = 0; from < shards; ++from) {
-          for (std::size_t to = 0; to < shards; ++to) {
-            const double expected = pairwise && shards > 1
-                                        ? scanned.cells[from * shards + to]
-                                        : scanned.global;
-            EXPECT_EQ(matrix.At(from, to), expected)
-                << "cell (" << from << ", " << to << ")";
-            unconnected_cells += std::isinf(expected) ? 1 : 0;
-          }
+      SCOPED_TRACE(dataset.name + " shards=" + std::to_string(shards));
+      const ScannedLookaheads scanned = ScanRttLookaheads(dataset, shards);
+      const AsyncDmfsgdSimulation simulation(dataset,
+                                             LookaheadConfig(dataset, shards));
+      EXPECT_EQ(simulation.LookaheadSeconds(), scanned.global);
+      const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
+      ASSERT_EQ(matrix.ShardCount(), shards);
+      for (std::size_t from = 0; from < shards; ++from) {
+        for (std::size_t to = 0; to < shards; ++to) {
+          const double expected = scanned.cells[from * shards + to];
+          EXPECT_EQ(matrix.At(from, to), expected)
+              << "cell (" << from << ", " << to << ")";
+          unconnected_cells += std::isinf(expected) ? 1 : 0;
         }
       }
     }
   }
   EXPECT_GT(unconnected_cells, 0u) << "no cell without a measurable pair was checked";
+
+  // ABW: hash-drawn delays lie in [min_oneway_delay_s, max_oneway_delay_s),
+  // so every cell is the configured lower bound.
+  const Dataset abw = SmallAbw();
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    SCOPED_TRACE("ABW shards=" + std::to_string(shards));
+    const AsyncSimulationConfig config = LookaheadConfig(abw, shards);
+    const AsyncDmfsgdSimulation simulation(abw, config);
+    EXPECT_EQ(simulation.LookaheadSeconds(), config.min_oneway_delay_s);
+    const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
+    ASSERT_EQ(matrix.ShardCount(), shards);
+    for (std::size_t from = 0; from < shards; ++from) {
+      for (std::size_t to = 0; to < shards; ++to) {
+        EXPECT_EQ(matrix.At(from, to), config.min_oneway_delay_s)
+            << "cell (" << from << ", " << to << ")";
+      }
+    }
+  }
 }
 
 TEST(AsyncParallelDrain, PairLookaheadViolationStillFires) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace dmfsgd::datasets {
 namespace {
 
@@ -110,6 +113,27 @@ TEST(ValidateDataset, RejectsNonPositiveQuantities) {
   dataset.ground_truth(0, 1) = -2.0;
   dataset.ground_truth(1, 0) = -2.0;
   EXPECT_THROW(ValidateDataset(dataset), std::invalid_argument);
+}
+
+TEST(ValidateDataset, RejectsInfiniteQuantities) {
+  Dataset dataset = TinyRtt();
+  dataset.ground_truth(0, 1) = std::numeric_limits<double>::infinity();
+  dataset.ground_truth(1, 0) = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ValidateDataset(dataset), std::invalid_argument);
+}
+
+TEST(ValidateDataset, RejectsNonFiniteTraceValuesAndTimestamps) {
+  // Each check is written to fail on NaN: `value <= 0` let NaN through.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf}) {
+    SCOPED_TRACE(bad);
+    Dataset dataset = TinyRtt();
+    dataset.trace.push_back(TraceRecord{0, 1, bad, 5.0});
+    EXPECT_THROW(ValidateDataset(dataset), std::invalid_argument);
+    dataset.trace.back() = TraceRecord{0, 1, 12.0, bad};
+    EXPECT_THROW(ValidateDataset(dataset), std::invalid_argument);
+  }
 }
 
 TEST(ValidateDataset, RejectsAsymmetricRtt) {

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "datasets/harvard.hpp"
 #include "datasets/hps3.hpp"
@@ -20,6 +22,28 @@ class DatasetIoTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Writes a well-formed 4-node RTT dataset, `tiny.matrix.csv` and
+  /// `tiny.trace.csv`, with one piece swapped for the text a test passes:
+  /// the header's node count, cell (0, 1) = (1, 0), or the trace's second
+  /// row.  Returns the stem to load.
+  std::filesystem::path WriteTiny(const std::string& count = "4",
+                                  const std::string& cell01 = "10",
+                                  const std::string& trace_row = "2,3,12,1.5") {
+    {
+      std::ofstream out(dir_ / "tiny.matrix.csv");
+      out << "tiny,RTT," << count << "\n"
+          << "nan," << cell01 << ",20,30\n"
+          << cell01 << ",nan,40,50\n"
+          << "20,40,nan,60\n"
+          << "30,50,60,nan\n";
+    }
+    {
+      std::ofstream out(dir_ / "tiny.trace.csv");
+      out << "src,dst,value,timestamp_s\n0,1,11,0.5\n" << trace_row << "\n";
+    }
+    return dir_ / "tiny";
+  }
 
   std::filesystem::path dir_;
 };
@@ -78,6 +102,45 @@ TEST_F(DatasetIoTest, LoadRejectsRowCountMismatch) {
     out << "name,RTT,3\nnan,1,2\n1,nan,3\n";  // only 2 of 3 rows
   }
   EXPECT_THROW((void)LoadDataset(dir_ / "short"), std::invalid_argument);
+}
+
+// The files are outside input: each case below used to load, and the loader
+// now rejects it.
+
+TEST_F(DatasetIoTest, LoadAcceptsTheWellFormedTinyDataset) {
+  const Dataset loaded = LoadDataset(WriteTiny());
+  EXPECT_EQ(loaded.NodeCount(), 4u);
+  ASSERT_EQ(loaded.trace.size(), 2u);
+  EXPECT_EQ(loaded.trace[1].src, 2u);
+  EXPECT_EQ(loaded.trace[1].dst, 3u);
+}
+
+TEST_F(DatasetIoTest, LoadRejectsNonFiniteOrNonPositiveTraceValues) {
+  for (const std::string value : {"nan", "inf", "0", "-5"}) {
+    SCOPED_TRACE(value);
+    EXPECT_THROW((void)LoadDataset(WriteTiny("4", "10", "2,3," + value + ",1.5")),
+                 std::invalid_argument);
+  }
+}
+
+TEST_F(DatasetIoTest, LoadRejectsTraceIdsThatDoNotFitTheNodeCount) {
+  // 4294967297 = 2^32 + 1 used to narrow to node 1; -1 used to wrap.
+  for (const std::string id : {"4294967297", "-1", "4"}) {
+    SCOPED_TRACE(id);
+    EXPECT_THROW((void)LoadDataset(WriteTiny("4", "10", id + ",2,12,1.5")),
+                 std::invalid_argument);
+    EXPECT_THROW((void)LoadDataset(WriteTiny("4", "10", "2," + id + ",12,1.5")),
+                 std::invalid_argument);
+  }
+}
+
+TEST_F(DatasetIoTest, LoadRejectsAnInfiniteMatrixCell) {
+  EXPECT_THROW((void)LoadDataset(WriteTiny("4", "inf")), std::invalid_argument);
+}
+
+TEST_F(DatasetIoTest, LoadRejectsANodeCountWithTrailingBytes) {
+  // std::stoull read "4x" as 4.
+  EXPECT_THROW((void)LoadDataset(WriteTiny("4x")), std::invalid_argument);
 }
 
 }  // namespace

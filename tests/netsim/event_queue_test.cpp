@@ -31,7 +31,7 @@ TEST(ShardedEventQueue, StartsAtTimeZeroEmpty) {
     EXPECT_DOUBLE_EQ(queue.Now(), 0.0);
     EXPECT_EQ(queue.Pending(), 0u);
     EXPECT_EQ(queue.Executed(), 0u);
-    EXPECT_FALSE(queue.RunOne());
+    EXPECT_EQ(queue.RunUntil(1.0), 0u);
   }
 }
 
@@ -174,18 +174,6 @@ TEST(ShardedEventQueue, SequentialDrainFiresInTimeThenScheduleOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(ShardedEventQueue, RunOneExecutesTheGlobalMinimum) {
-  ShardedEventQueue queue(2, 2);
-  int fired = 0;
-  queue.Schedule(1, 2.0, [&] { fired = 2; });
-  queue.Schedule(0, 1.0, [&] { fired = 1; });
-  EXPECT_TRUE(queue.RunOne());
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(queue.Now(), 1.0);
-  EXPECT_EQ(queue.PendingInShard(0), 0u);
-  EXPECT_EQ(queue.PendingInShard(1), 1u);
-}
-
 TEST(ShardedEventQueue, ParallelDrainPreservesPerOwnerOrder) {
   // Handlers only touch owner-local state (the per-owner log), the contract
   // of the parallel drain; per-owner sequences must come out in time order
@@ -202,7 +190,7 @@ TEST(ShardedEventQueue, ParallelDrainPreservesPerOwnerOrder) {
                        [&logs, owner, e] { logs.at(owner).push_back(e); });
       }
     }
-    EXPECT_EQ(queue.RunUntilParallel(10.0, pool, 0.05), 30u);
+    EXPECT_EQ(queue.RunUntilParallel(10.0, pool, LookaheadMatrix(3, 0.05)), 30u);
     EXPECT_EQ(queue.Executed(), 30u);
     EXPECT_EQ(queue.Pending(), 0u);
     EXPECT_DOUBLE_EQ(queue.Now(), 10.0);
@@ -227,7 +215,7 @@ TEST(ShardedEventQueue, ParallelDrainAllowsCrossShardSchedulesPastLookahead) {
         }
       };
   queue.Schedule(0, 0.5, [&] { hop(0, 0); });
-  queue.RunUntilParallel(20.0, pool, 1.0);
+  queue.RunUntilParallel(20.0, pool, LookaheadMatrix(4, 1.0));
   EXPECT_EQ(hops, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
@@ -237,7 +225,8 @@ TEST(ShardedEventQueue, ParallelDrainRejectsLookaheadViolations) {
   // Owner 0 schedules onto owner 3's shard sooner than the lookahead —
   // causality across shards can no longer be guaranteed, so it must throw.
   queue.Schedule(0, 1.0, [&] { queue.Schedule(3, 0.01, [] {}); });
-  EXPECT_THROW(queue.RunUntilParallel(10.0, pool, 0.5), std::logic_error);
+  EXPECT_THROW(queue.RunUntilParallel(10.0, pool, LookaheadMatrix(4, 0.5)),
+               std::logic_error);
 }
 
 TEST(ShardedEventQueue, ParallelDrainStopsAtDeadlineLikeSequential) {
@@ -246,11 +235,11 @@ TEST(ShardedEventQueue, ParallelDrainStopsAtDeadlineLikeSequential) {
   int fired = 0;
   queue.Schedule(0, 1.0, [&] { ++fired; });
   queue.Schedule(1, 5.0, [&] { ++fired; });
-  EXPECT_EQ(queue.RunUntilParallel(2.0, pool, 0.25), 1u);
+  EXPECT_EQ(queue.RunUntilParallel(2.0, pool, LookaheadMatrix(2, 0.25)), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(queue.Pending(), 1u);
   EXPECT_DOUBLE_EQ(queue.Now(), 2.0);
-  queue.RunUntilParallel(5.0, pool, 0.25);
+  queue.RunUntilParallel(5.0, pool, LookaheadMatrix(2, 0.25));
   EXPECT_EQ(fired, 2);
 }
 
@@ -276,7 +265,7 @@ TEST(ShardedEventQueue, ParallelAndSequentialDrainsExecuteTheSameEvents) {
   build(parallel, par_logs);
   sequential.RunUntil(5.0);
   common::ThreadPool pool(3);
-  parallel.RunUntilParallel(5.0, pool, 0.02);
+  parallel.RunUntilParallel(5.0, pool, LookaheadMatrix(4, 0.02));
   EXPECT_EQ(par_logs, seq_logs);
   EXPECT_EQ(parallel.Executed(), sequential.Executed());
 }
@@ -361,7 +350,7 @@ TEST(ShardedEventQueue, PairLookaheadsWidenWindowsAndPreserveResults) {
   // The uniform drain may only assume the global minimum cross-shard delay.
   ShardedEventQueue uniform(4, 2);
   HeterogeneousSchedule uniform_schedule(uniform);
-  uniform.RunUntilParallel(40.0, pool, 0.5);
+  uniform.RunUntilParallel(40.0, pool, LookaheadMatrix(2, 0.5));
 
   LookaheadMatrix matrix(2, 8.0);  // the true per-pair minimum
   ShardedEventQueue pairwise(4, 2);
@@ -453,7 +442,6 @@ TEST(ShardedEventQueue, RunUntilParallelRejectsNaNHorizon) {
   ShardedEventQueue queue(4, 2);
   common::ThreadPool pool(2);
   queue.Schedule(0, 1.0, [] {});
-  EXPECT_THROW(queue.RunUntilParallel(kNaN, pool, 0.5), std::invalid_argument);
   EXPECT_THROW(queue.RunUntilParallel(kNaN, pool, LookaheadMatrix(2, 0.5)),
                std::invalid_argument);
   EXPECT_DOUBLE_EQ(queue.Now(), 0.0);

@@ -311,5 +311,34 @@ TEST(ChunkAssembler, ContradictingFinalChunksThrow) {
   EXPECT_TRUE(assembler.Complete());
 }
 
+TEST(ChunkAssembler, TopIndicesNeitherCrashNorComplete) {
+  // The index is a u32 read from peer bytes.  At the top of its range,
+  // index + 1 must not wrap the chunk count to 0 (nor hit an "unknown"
+  // sentinel), and state must not be sized by the index claimed.
+  constexpr std::uint32_t kTop = 0xffffffffu;
+  for (const bool is_last : {false, true}) {
+    SCOPED_TRACE(is_last);
+    ChunkAssembler assembler;
+    EXPECT_TRUE(assembler.Mark(kTop, is_last));
+    EXPECT_FALSE(assembler.Complete());
+    EXPECT_FALSE(assembler.Mark(kTop, is_last));  // duplicate suppressed
+    EXPECT_TRUE(assembler.Mark(0, false));
+    EXPECT_FALSE(assembler.Complete());  // 2 of 2^32 chunks, or no total yet
+  }
+  ChunkAssembler assembler;
+  EXPECT_TRUE(assembler.Mark(kTop - 1, true));  // claims 2^32 - 1 chunks
+  EXPECT_FALSE(assembler.Complete());
+  EXPECT_THROW((void)assembler.Mark(kTop, false), std::logic_error);
+  EXPECT_THROW((void)assembler.Mark(0, true), std::logic_error);
+  EXPECT_TRUE(assembler.Mark(0, false));
+  EXPECT_FALSE(assembler.Complete());
+}
+
+TEST(ChunkAssembler, FinalChunkBelowAReceivedIndexThrows) {
+  ChunkAssembler assembler;
+  EXPECT_TRUE(assembler.Mark(5, false));
+  EXPECT_THROW((void)assembler.Mark(2, true), std::logic_error);
+}
+
 }  // namespace
 }  // namespace dmfsgd::netsim
