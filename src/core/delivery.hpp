@@ -17,6 +17,11 @@
 // into larger envelopes without ever reordering them, so applying a batch
 // front to back is exactly the per-message delivery the envelope replaced.
 //
+// Across a datagram or process boundary a message travels as its wire
+// encoding (EncodeMessage) and a batch as one batch frame (EncodeBatchFrame):
+// the same two formats serve the UDP transport and the multi-process window
+// barrier.
+//
 // Channels move messages; they do not model loss.  Message loss is protocol
 // semantics (a lost leg loses exactly the updates a real deployment would
 // lose), so the engine rolls it before handing a message to the channel.
@@ -59,7 +64,8 @@ namespace dmfsgd::core {
 
 /// Same frame from already-encoded message buffers — lets a transport that
 /// measured its packing against the encoded sizes assemble the frame
-/// without serializing every message twice.  Same bounds as above.
+/// without serializing every message twice, and is the payload of a merged
+/// cross-process event (MergeEnvelopesIfReplies).  Same bounds as above.
 [[nodiscard]] std::vector<std::byte> EncodeBatchFrame(
     std::span<const std::vector<std::byte>> encoded_messages);
 
@@ -167,17 +173,20 @@ class WireCodecDeliveryChannel final : public DeliveryChannel {
 /// burst's replies converging on the prober, sent by an uninterrupted chain
 /// of handler executions) merges fully.  Sends from inside a parallel window
 /// fall back to the per-message path — the pending-envelope index is shared
-/// state and window callbacks run concurrently; cross-process envelopes
+/// state and window callbacks run concurrently; cross-process events
 /// produced in a window are instead merged per (owner, time) at the window
-/// barrier by netsim::ShardRuntime through MergeEnvelopes (DESIGN.md §13).
+/// barrier by netsim::ShardRuntime through MergeEnvelopesIfReplies
+/// (DESIGN.md §13).
 ///
 /// In a multi-process drain (DESIGN.md §12) the queue's owned-shard range is
 /// a strict subset: a Send whose destination shard is remote cannot carry a
-/// callback across the process boundary, so the channel serializes the
-/// message into an envelope and hands it to the queue's remote outbox
+/// callback across the process boundary, so the channel hands the message's
+/// wire encoding (EncodeMessage) to the queue's remote outbox
 /// (ScheduleRemote) with the same deterministic stamp a local cross-shard
-/// schedule would get; the peer process turns the envelope back into a
-/// delivery via DecodeEnvelopeCallback.
+/// schedule would get; the peer process turns it back into a delivery via
+/// DecodeEnvelopeCallback.  The payload carries neither endpoint: the event
+/// stamp's owner is the destination and SenderOf(message) the sender, so
+/// there is no second copy to disagree with.
 class ShardedEventQueueDeliveryChannel final : public DeliveryChannel {
  public:
   /// One-way delay in seconds for a directed pair.
@@ -192,41 +201,24 @@ class ShardedEventQueueDeliveryChannel final : public DeliveryChannel {
     return "sharded-event-queue";
   }
 
-  /// Cross-process envelope: [from u32][wire-codec message bytes].  The
-  /// destination is *not* embedded — the event stamp's owner is the
-  /// authoritative destination (it picks the shard heap on the receiving
-  /// side), and carrying a second copy would invite unvalidated mismatch.
-  [[nodiscard]] static std::vector<std::byte> EncodeEnvelope(
-      NodeId from, const ProtocolMessage& message);
-
-  /// Concatenates several single-message envelopes (same destination, same
-  /// event time) into one batch envelope:
-  ///   [kBatchEnvelopeMarker u32][count u16]{[length u32][envelope]}*
-  /// The marker can never collide with a single envelope's leading `from`
-  /// field — node ids are always < OwnerCount().  Requires 1 <= count <=
-  /// kMaxWireBatchItems and non-empty parts.
-  [[nodiscard]] static std::vector<std::byte> MergeEnvelopes(
-      std::span<const std::vector<std::byte>> envelopes);
-
-  /// The marker distinguishing merged batch envelopes from single ones.
-  static constexpr std::uint32_t kBatchEnvelopeMarker = 0xffffffffu;
-
-  /// The ShardRuntime merger hook (DESIGN.md §13): merges the group only if
-  /// every envelope carries a *reply* (RttProbeReply / AbwProbeReply).
-  /// Reply handlers mutate destination-local state only — they emit no
-  /// messages and draw no randomness — so executing a whole reply group at
-  /// its first stamp is provably order-equivalent; request handlers emit
-  /// (consuming lane sequence numbers), so request groups are declined and
-  /// ship as individual events.
+  /// The ShardRuntime merger hook (DESIGN.md §13): packs the group's wire
+  /// messages into one batch frame (EncodeBatchFrame, the UDP transport's
+  /// format) only if every one is a *reply* (RttProbeReply /
+  /// AbwProbeReply).  Reply handlers mutate destination-local state only —
+  /// they emit no messages and draw no randomness — so executing a whole
+  /// reply group at its first stamp is provably order-equivalent; request
+  /// handlers emit (consuming lane sequence numbers), so request groups are
+  /// declined and ship as individual events.
   [[nodiscard]] static std::optional<std::vector<std::byte>>
   MergeEnvelopesIfReplies(std::span<const std::vector<std::byte>> envelopes);
 
   /// The receiving side's ShardRuntime decoder: returns a callback that
-  /// decodes `payload` — a single envelope or a MergeEnvelopes batch — and
+  /// decodes `payload` — one wire message or a batch frame of them — and
   /// delivers the message(s) to `to` (the remote event's owner stamp)
-  /// through the bound sink, as one envelope in original order.  Throws
-  /// WireError on malformed envelopes — at decode time, not delivery time,
-  /// so a corrupt frame fails loudly.
+  /// through the bound sink, as one envelope in original order, each item
+  /// attributed to SenderOf(message).  Throws WireError on a malformed
+  /// payload or a sender outside the deployment — at decode time, not
+  /// delivery time, so a corrupt frame fails loudly.
   [[nodiscard]] netsim::ShardedEventQueue::Callback DecodeEnvelopeCallback(
       NodeId to, std::vector<std::byte> payload);
 

@@ -205,10 +205,6 @@ void DeploymentEngine::ChurnSweep() {
   }
 }
 
-bool DeploymentEngine::MaybeChurnNode(NodeId i) {
-  return MaybeChurnNodeWith(i, rng_);
-}
-
 bool DeploymentEngine::MaybeChurnNodeWith(NodeId i, common::Rng& rng) {
   if (config_.churn_rate <= 0.0 || !rng.Bernoulli(config_.churn_rate)) {
     return false;

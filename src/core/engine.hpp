@@ -157,14 +157,10 @@ class DeploymentEngine {
   /// Rolls churn for every node (one round's worth of membership dynamics).
   void ChurnSweep();
 
-  /// Rolls churn for a single node (the async driver's per-probe unit).
-  /// Returns whether the node churned.
-  bool MaybeChurnNode(NodeId i);
-
-  /// MaybeChurnNode against an explicit RNG stream; sharded drains pass the
-  /// node's private stream so churn stays a pure function of the node's own
-  /// history.  The churn counter routes per-node while a sharded drain is
-  /// active.
+  /// Rolls churn for a single node (the async simulation's per-probe
+  /// unit) against `rng`, the node's private stream, so churn stays a pure
+  /// function of the node's own history.  Returns whether the node churned.
+  /// The churn counter routes per-node while a sharded drain is active.
   bool MaybeChurnNodeWith(NodeId i, common::Rng& rng);
 
   /// Picks the neighbor node i probes next, per the configured strategy.
@@ -258,10 +254,6 @@ class DeploymentEngine {
   /// touches an RNG stream or any coordinate arithmetic: a run with
   /// tracking enabled is bit-identical to the same run without it.
   void EnableDriftTracking();
-
-  [[nodiscard]] bool DriftTrackingEnabled() const noexcept {
-    return drift_tracking_;
-  }
 
   /// Drains the dirty set: ids whose u or v row changed since the last
   /// take (or since EnableDriftTracking), ascending — deterministic hand-

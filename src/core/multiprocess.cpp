@@ -1,11 +1,10 @@
 #include "core/multiprocess.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
 #include "netsim/shard_runtime.hpp"
 
@@ -14,12 +13,10 @@ namespace dmfsgd::core {
 namespace {
 
 // Result-fold frame types; disjoint from the ShardRuntime window protocol
-// (types 1-2), which parks them in its leftover buffer when they race ahead.
+// (types 1-2), which parks them for ShardRuntime::Receive when they race
+// ahead.
 constexpr std::uint8_t kFrameNodeRows = 16;
 constexpr std::uint8_t kFrameRunStats = 17;
-
-constexpr int kResultPollMs = 50;
-constexpr double kResultStallTimeoutS = 60.0;
 
 /// Per-peer gather state of the coordinator's result fold.
 struct PeerFold {
@@ -46,7 +43,7 @@ void SendOwnedRows(netsim::InterShardChannel& channel,
     const std::size_t first = report.owned_begin + c * rows_per_chunk;
     const std::size_t last =
         std::min<std::size_t>(first + rows_per_chunk, report.owned_end);
-    netsim::FrameWriter writer;
+    common::ByteWriter writer;
     writer.U8(kFrameNodeRows);
     writer.U32(static_cast<std::uint32_t>(c));
     writer.U8(c + 1 == chunk_count ? 1 : 0);
@@ -62,7 +59,7 @@ void SendOwnedRows(netsim::InterShardChannel& channel,
     }
     channel.Send(0, writer.Take());
   }
-  netsim::FrameWriter stats;
+  common::ByteWriter stats;
   stats.U8(kFrameRunStats);
   stats.U64(report.events_executed);
   stats.U64(report.measurements);
@@ -71,16 +68,12 @@ void SendOwnedRows(netsim::InterShardChannel& channel,
   channel.Send(0, stats.Take());
 }
 
-void GatherPeerResults(netsim::InterShardChannel& channel,
-                       std::vector<netsim::InterShardFrame> leftovers,
+/// The coordinator's half of the fold: every peer's rows and counters,
+/// received through the runtime so the stall timeout and liveness rules of
+/// the window loop apply here too.
+void GatherPeerResults(netsim::ShardRuntime& runtime,
                        MultiprocessRunReport& report) {
-  std::vector<PeerFold> folds(channel.ProcessCount());
-  const auto stall_timeout =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(kResultStallTimeoutS));
-  auto deadline = std::chrono::steady_clock::now() + stall_timeout;
-  std::uint64_t liveness = channel.LivenessEpoch();
-  std::vector<std::uint64_t> frames_received_from(channel.ProcessCount(), 0);
+  std::vector<PeerFold> folds(report.process_count);
   auto all_complete = [&] {
     for (std::size_t p = 1; p < folds.size(); ++p) {
       if (!folds[p].Complete()) {
@@ -89,32 +82,33 @@ void GatherPeerResults(netsim::InterShardChannel& channel,
     }
     return true;
   };
-  auto handle = [&](const netsim::InterShardFrame& frame) {
-    netsim::FrameReader reader(frame.bytes);
+  while (!all_complete()) {
+    const netsim::InterShardFrame frame = runtime.Receive("result-fold");
+    common::ByteReader reader(frame.bytes);
     const std::uint8_t type = reader.U8();
     PeerFold& fold = folds.at(frame.from_process);
     if (type == kFrameRunStats) {
       if (fold.stats_received) {
-        return;  // duplicated datagram
+        continue;  // duplicated datagram
       }
       fold.stats_received = true;
       report.events_executed += reader.U64();
       report.measurements += reader.U64();
       report.dropped_legs += reader.U64();
       report.churns += reader.U64();
-      return;
+      continue;
     }
     if (type != kFrameNodeRows) {
       // A duplicated datagram of a peer's final-window proposal or event
       // chunk can straggle in after RunUntil consumed the original — the
       // same duplicates the window protocol itself tolerates.  Drop them.
-      return;
+      continue;
     }
     const std::uint32_t chunk = reader.U32();
     const bool is_last = reader.U8() != 0;
     const std::uint32_t rows = reader.U32();
     if (!fold.rows.Mark(chunk, is_last)) {
-      return;  // duplicated datagram
+      continue;  // duplicated datagram
     }
     for (std::uint32_t r = 0; r < rows; ++r) {
       const std::uint32_t node = reader.U32();
@@ -128,31 +122,6 @@ void GatherPeerResults(netsim::InterShardChannel& channel,
       for (std::size_t d = 0; d < report.rank; ++d) {
         report.v[node * report.rank + d] = reader.F64();
       }
-    }
-  };
-  for (const auto& frame : leftovers) {
-    handle(frame);
-  }
-  while (!all_complete()) {
-    auto frame = channel.Receive(kResultPollMs);
-    if (frame.has_value()) {
-      ++frames_received_from[frame->from_process];
-      handle(*frame);
-      continue;
-    }
-    // Mirror ShardRuntime's liveness handling: ack progress under
-    // retransmission re-arms the deadline, so a slow-but-alive peer's fold
-    // is awaited rather than declared dead.
-    const std::uint64_t epoch = channel.LivenessEpoch();
-    if (epoch != liveness) {
-      liveness = epoch;
-      deadline = std::chrono::steady_clock::now() + stall_timeout;
-      continue;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw netsim::StallError(report.windows, "result-fold",
-                               std::move(frames_received_from),
-                               channel.Diagnostics());
     }
   }
 }
@@ -182,7 +151,7 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
       runtime_options);
   if (config.base.coalesce_delivery) {
     // Same-destination same-time cross-process *replies* ship as one batch
-    // envelope (DESIGN.md §13; request groups are declined — their handlers
+    // frame (DESIGN.md §13; request groups are declined — their handlers
     // emit).  Every process derives this from the shared config, so the
     // fleet agrees on event counts.
     runtime.SetRemoteEventMerger(
@@ -234,7 +203,7 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
     snapshot_transport();
     return report;
   }
-  GatherPeerResults(channel, runtime.TakeLeftoverFrames(), report);
+  GatherPeerResults(runtime, report);
   // Push out the delayed acks for the peers' final frames, then linger
   // briefly to re-ack any retransmission whose ack the network dropped —
   // otherwise a peer's Flush retransmits into the void until its timeout.

@@ -6,7 +6,7 @@
 // shards (and therefore of nodes), and drains conservative windows in lock
 // step under a netsim::ShardRuntime.  Handlers only ever touch the state of
 // the node they run at, every cross-owner influence travels as a protocol
-// message (shipped as a stamped envelope when it crosses processes), and all
+// message (a stamped wire message when it crosses processes), and all
 // randomness flows through per-node streams — so the distributed run is
 // bit-identical to a single-process parallel drain of the same seed and
 // shard count, window for window.
@@ -67,10 +67,11 @@ struct MultiprocessRunReport {
 /// process of the channel must call it with the same dataset, config and
 /// until_s.  Requires config.shard_count >= channel.ProcessCount(), so each
 /// process owns at least one shard.  `pool` parallelizes the local drain.
-/// `runtime_options` tunes the window protocol (poll/stall timing, the
-/// event-frame byte budget); every process must pass the same values.  With
+/// `runtime_options` tunes the window protocol and the result fold
+/// (poll/stall timing, the event-frame byte budget); every process must
+/// pass the same values.  With
 /// config.base.coalesce_delivery on, same-destination same-time
-/// cross-process messages ship as merged batch envelopes (DESIGN.md §13):
+/// cross-process replies ship as one batch frame per group (DESIGN.md §13):
 /// results stay bit-identical to the per-message run, while events_executed
 /// and frames_sent drop.
 [[nodiscard]] MultiprocessRunReport RunMultiprocessAsyncSimulation(

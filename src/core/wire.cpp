@@ -1,121 +1,51 @@
 #include "core/wire.hpp"
 
-#include <cstring>
 #include <string>
 
 namespace dmfsgd::core {
 
 namespace {
 
-// --- encoding primitives (little-endian, explicit byte order) -------------
+using common::ByteReader;
+using common::ByteWriter;
 
-void PutU8(std::vector<std::byte>& out, std::uint8_t value) {
-  out.push_back(static_cast<std::byte>(value));
-}
-
-void PutU16(std::vector<std::byte>& out, std::uint16_t value) {
-  PutU8(out, static_cast<std::uint8_t>(value & 0xff));
-  PutU8(out, static_cast<std::uint8_t>(value >> 8));
-}
-
-void PutU32(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    PutU8(out, static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-void PutDouble(std::vector<std::byte>& out, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int shift = 0; shift < 64; shift += 8) {
-    PutU8(out, static_cast<std::uint8_t>((bits >> shift) & 0xff));
-  }
-}
-
-void PutVector(std::vector<std::byte>& out, const std::vector<double>& values) {
+void PutVector(ByteWriter& out, const std::vector<double>& values) {
   if (values.size() > kMaxWireVectorSize) {
     throw WireError("Encode: coordinate vector too long");
   }
-  PutU16(out, static_cast<std::uint16_t>(values.size()));
+  out.U16(static_cast<std::uint16_t>(values.size()));
   for (const double v : values) {
-    PutDouble(out, v);
+    out.F64(v);
   }
 }
 
-// --- decoding primitives ---------------------------------------------------
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> buffer) : buffer_(buffer) {}
-
-  [[nodiscard]] std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(buffer_[offset_++]);
+std::vector<double> GetVector(ByteReader& reader) {
+  const std::uint16_t count = reader.U16();
+  if (count > kMaxWireVectorSize) {
+    throw WireError("Decode: coordinate vector length out of bounds");
   }
-
-  [[nodiscard]] std::uint16_t U16() {
-    const auto lo = U8();
-    const auto hi = U8();
-    return static_cast<std::uint16_t>(lo | (hi << 8));
+  std::vector<double> values(count);
+  for (double& v : values) {
+    v = reader.F64();
   }
-
-  [[nodiscard]] std::uint32_t U32() {
-    std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(U8()) << shift;
-    }
-    return value;
-  }
-
-  [[nodiscard]] double Double() {
-    Need(8);
-    std::uint64_t bits = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-                  buffer_[offset_++]))
-              << shift;
-    }
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  [[nodiscard]] std::vector<double> Vector() {
-    const std::uint16_t count = U16();
-    if (count > kMaxWireVectorSize) {
-      throw WireError("Decode: coordinate vector length out of bounds");
-    }
-    std::vector<double> values(count);
-    for (double& v : values) {
-      v = Double();
-    }
-    return values;
-  }
-
-  void ExpectEnd() const {
-    if (offset_ != buffer_.size()) {
-      throw WireError("Decode: trailing bytes in message");
-    }
-  }
-
- private:
-  void Need(std::size_t bytes) const {
-    if (offset_ + bytes > buffer_.size()) {
-      throw WireError("Decode: truncated message");
-    }
-  }
-
-  std::span<const std::byte> buffer_;
-  std::size_t offset_ = 0;
-};
-
-void PutHeader(std::vector<std::byte>& out, MessageType type) {
-  PutU8(out, kWireVersion);
-  PutU8(out, static_cast<std::uint8_t>(type));
+  return values;
 }
 
-Reader OpenMessage(std::span<const std::byte> buffer, MessageType expected) {
-  Reader reader(buffer);
+void ExpectEnd(const ByteReader& reader) {
+  if (!reader.AtEnd()) {
+    throw WireError("Decode: trailing bytes in message");
+  }
+}
+
+ByteWriter OpenFrame(MessageType type) {
+  ByteWriter out;
+  out.U8(kWireVersion);
+  out.U8(static_cast<std::uint8_t>(type));
+  return out;
+}
+
+ByteReader OpenMessage(std::span<const std::byte> buffer, MessageType expected) {
+  ByteReader reader(buffer);
   const std::uint8_t version = reader.U8();
   if (version != kWireVersion) {
     throw WireError("Decode: unsupported wire version " + std::to_string(version));
@@ -130,41 +60,37 @@ Reader OpenMessage(std::span<const std::byte> buffer, MessageType expected) {
 }  // namespace
 
 std::vector<std::byte> Encode(const RttProbeRequest& message) {
-  std::vector<std::byte> out;
-  PutHeader(out, MessageType::kRttProbeRequest);
-  PutU32(out, message.prober);
-  return out;
+  ByteWriter out = OpenFrame(MessageType::kRttProbeRequest);
+  out.U32(message.prober);
+  return out.Take();
 }
 
 std::vector<std::byte> Encode(const RttProbeReply& message) {
-  std::vector<std::byte> out;
-  PutHeader(out, MessageType::kRttProbeReply);
-  PutU32(out, message.target);
+  ByteWriter out = OpenFrame(MessageType::kRttProbeReply);
+  out.U32(message.target);
   PutVector(out, message.u);
   PutVector(out, message.v);
-  return out;
+  return out.Take();
 }
 
 std::vector<std::byte> Encode(const AbwProbeRequest& message) {
-  std::vector<std::byte> out;
-  PutHeader(out, MessageType::kAbwProbeRequest);
-  PutU32(out, message.prober);
+  ByteWriter out = OpenFrame(MessageType::kAbwProbeRequest);
+  out.U32(message.prober);
   PutVector(out, message.u);
-  PutDouble(out, message.rate_mbps);
-  return out;
+  out.F64(message.rate_mbps);
+  return out.Take();
 }
 
 std::vector<std::byte> Encode(const AbwProbeReply& message) {
-  std::vector<std::byte> out;
-  PutHeader(out, MessageType::kAbwProbeReply);
-  PutU32(out, message.target);
-  PutDouble(out, message.measurement);
+  ByteWriter out = OpenFrame(MessageType::kAbwProbeReply);
+  out.U32(message.target);
+  out.F64(message.measurement);
   PutVector(out, message.v);
-  return out;
+  return out.Take();
 }
 
 MessageType PeekType(std::span<const std::byte> buffer) {
-  Reader reader(buffer);
+  ByteReader reader(buffer);
   const std::uint8_t version = reader.U8();
   if (version != kWireVersion) {
     throw WireError("PeekType: unsupported wire version");
@@ -178,40 +104,40 @@ MessageType PeekType(std::span<const std::byte> buffer) {
 }
 
 RttProbeRequest DecodeRttProbeRequest(std::span<const std::byte> buffer) {
-  Reader reader = OpenMessage(buffer, MessageType::kRttProbeRequest);
+  ByteReader reader = OpenMessage(buffer, MessageType::kRttProbeRequest);
   RttProbeRequest message;
   message.prober = reader.U32();
-  reader.ExpectEnd();
+  ExpectEnd(reader);
   return message;
 }
 
 RttProbeReply DecodeRttProbeReply(std::span<const std::byte> buffer) {
-  Reader reader = OpenMessage(buffer, MessageType::kRttProbeReply);
+  ByteReader reader = OpenMessage(buffer, MessageType::kRttProbeReply);
   RttProbeReply message;
   message.target = reader.U32();
-  message.u = reader.Vector();
-  message.v = reader.Vector();
-  reader.ExpectEnd();
+  message.u = GetVector(reader);
+  message.v = GetVector(reader);
+  ExpectEnd(reader);
   return message;
 }
 
 AbwProbeRequest DecodeAbwProbeRequest(std::span<const std::byte> buffer) {
-  Reader reader = OpenMessage(buffer, MessageType::kAbwProbeRequest);
+  ByteReader reader = OpenMessage(buffer, MessageType::kAbwProbeRequest);
   AbwProbeRequest message;
   message.prober = reader.U32();
-  message.u = reader.Vector();
-  message.rate_mbps = reader.Double();
-  reader.ExpectEnd();
+  message.u = GetVector(reader);
+  message.rate_mbps = reader.F64();
+  ExpectEnd(reader);
   return message;
 }
 
 AbwProbeReply DecodeAbwProbeReply(std::span<const std::byte> buffer) {
-  Reader reader = OpenMessage(buffer, MessageType::kAbwProbeReply);
+  ByteReader reader = OpenMessage(buffer, MessageType::kAbwProbeReply);
   AbwProbeReply message;
   message.target = reader.U32();
-  message.measurement = reader.Double();
-  message.v = reader.Vector();
-  reader.ExpectEnd();
+  message.measurement = reader.F64();
+  message.v = GetVector(reader);
+  ExpectEnd(reader);
   return message;
 }
 

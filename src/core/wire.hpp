@@ -9,15 +9,16 @@
 //
 // The format is versioned and length-checked: Decode* functions throw
 // WireError on truncated buffers, version or tag mismatches, so a corrupted
-// datagram can never silently produce a bogus coordinate update.
+// datagram can never silently produce a bogus coordinate update.  Fields go
+// through the shared byte codec (common/bytes.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/messages.hpp"
 
 namespace dmfsgd::core {
@@ -36,11 +37,8 @@ enum class MessageType : std::uint8_t {
 };
 
 /// Thrown on any malformed buffer (truncation, bad version, bad tag,
-/// oversized vector).
-class WireError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// oversized vector): the byte codec's one decode error.
+using WireError = common::DecodeError;
 
 /// Maximum coordinate vector length accepted on decode — sanity bound that
 /// rejects garbage length fields before allocating.

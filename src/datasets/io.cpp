@@ -39,6 +39,12 @@ std::uint32_t ParseNodeId(const std::string& field, std::size_t node_count) {
 }  // namespace
 
 void SaveDataset(const Dataset& dataset, const std::filesystem::path& stem) {
+  if (dataset.Procedural()) {
+    // Its ground truth is a function, not a matrix: the file would read
+    // back as a 0-node dataset.
+    throw std::invalid_argument(
+        "SaveDataset: procedural datasets have no matrix to save");
+  }
   const auto& m = dataset.ground_truth;
   // Header row doubles as metadata: name, metric, node count.
   const std::vector<std::string> header = {

@@ -13,7 +13,9 @@
 namespace dmfsgd::datasets {
 
 /// Writes `<stem>.matrix.csv` (+ `<stem>.trace.csv` if the trace is
-/// non-empty).  Throws std::runtime_error on IO failure.
+/// non-empty).  Throws std::invalid_argument, before writing anything, for
+/// a procedural dataset (no matrix to write), and std::runtime_error on IO
+/// failure.
 void SaveDataset(const Dataset& dataset, const std::filesystem::path& stem);
 
 /// Reads a dataset previously written by SaveDataset.  `metric` and `name`

@@ -26,10 +26,6 @@ void RequireSpec(const FaultSpec& spec) {
   RequireRate(spec.drop_rate, "drop_rate");
   RequireRate(spec.duplicate_rate, "duplicate_rate");
   RequireRate(spec.reorder_rate, "reorder_rate");
-  RequireRate(spec.delay_rate, "delay_rate");
-  if (spec.delay_ms <= 0) {
-    throw std::invalid_argument("FaultSpec: delay_ms must be positive");
-  }
 }
 
 }  // namespace
@@ -66,10 +62,6 @@ FaultInjectingInterShardChannel::Fault FaultInjectingInterShardChannel::Draw(
   edge += spec.reorder_rate;
   if (roll < edge) {
     return Fault::kReorder;
-  }
-  edge += spec.delay_rate;
-  if (roll < edge) {
-    return Fault::kDelay;
   }
   return Fault::kNone;
 }
@@ -127,15 +119,6 @@ void FaultInjectingInterShardChannel::Send(std::size_t to_process,
       held.release = now + kReorderFlush;
       held_.push_back(std::move(held));
       return;  // flush below would release it immediately on a quiet link
-    }
-    case Fault::kDelay: {
-      ++frames_delayed_;
-      HeldFrame held;
-      held.to_process = to_process;
-      held.bytes.assign(frame.begin(), frame.end());
-      held.release = now + std::chrono::milliseconds(options_.outbound.delay_ms);
-      held_.push_back(std::move(held));
-      return;
     }
     case Fault::kNone:
       inner_->Send(to_process, frame);
@@ -218,7 +201,6 @@ std::optional<InterShardFrame> FaultInjectingInterShardChannel::Receive(
         }
         inbound_held_ = std::move(*frame);
         continue;
-      case Fault::kDelay:
       case Fault::kNone:
         if (inbound_held_.has_value()) {
           inbound_ready_.push_back(std::move(*inbound_held_));

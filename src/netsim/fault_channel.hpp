@@ -1,8 +1,8 @@
 // Deterministic fault injection for inter-shard transport (DESIGN.md §15).
 //
 // FaultInjectingInterShardChannel wraps any InterShardChannel and perturbs
-// frames on their way through: drop, duplicate, reorder (hold one frame and
-// release it after the next one toward the same peer), and delay.  Every
+// frames on their way through: drop, duplicate, and reorder (hold one frame
+// and release it after the next one toward the same peer).  Every
 // decision is a function of (seed, direction, frame ordinal) drawn from a
 // per-direction seeded common::Rng stream — never of wall-clock time — so
 // the same seed injects the same fault pattern on every run, which is what
@@ -15,9 +15,9 @@
 //
 // so injected duplicates are suppressed and injected drops repaired one
 // layer up.  It also runs without the reliable layer (tests, demos); to keep
-// the lock-step window barrier from wedging in that configuration, held
-// frames (reorder/delay) additionally flush on a short timer serviced by
-// both Send and Receive.
+// the lock-step window barrier from wedging in that configuration, reorder
+// holds additionally flush on a short timer serviced by both Send and
+// Receive.
 //
 // Kill switch: `kill_after_frames = k` blackholes the endpoint after it has
 // sent k frames — subsequent sends vanish and all further receives are
@@ -38,13 +38,11 @@ namespace dmfsgd::netsim {
 
 /// Fault rates for one direction of traffic.  Rates are independent
 /// per-frame probabilities in [0, 1]; a frame suffers at most one fault,
-/// checked in the order drop, duplicate, reorder, delay.
+/// checked in the order drop, duplicate, reorder.
 struct FaultSpec {
   double drop_rate = 0.0;       ///< frame vanishes
   double duplicate_rate = 0.0;  ///< frame is delivered twice
   double reorder_rate = 0.0;    ///< frame is held and swapped with the next
-  double delay_rate = 0.0;      ///< frame is held for delay_ms
-  int delay_ms = 5;             ///< hold duration for delayed frames
 };
 
 struct FaultChannelOptions {
@@ -82,8 +80,8 @@ class FaultInjectingInterShardChannel final : public InterShardChannel {
   [[nodiscard]] std::uint64_t LivenessEpoch() const noexcept override {
     return inner_->LivenessEpoch();
   }
-  /// Releases every held frame (reorder/delay holds have nothing left to
-  /// swap with), then forwards to the inner channel.  A killed endpoint
+  /// Releases every held frame (reorder holds have nothing left to swap
+  /// with), then forwards to the inner channel.  A killed endpoint
   /// discards its holds instead — a dead process ships nothing.
   bool Flush(int timeout_ms) override;
 
@@ -98,14 +96,11 @@ class FaultInjectingInterShardChannel final : public InterShardChannel {
   [[nodiscard]] std::uint64_t FramesReordered() const noexcept {
     return frames_reordered_;
   }
-  [[nodiscard]] std::uint64_t FramesDelayed() const noexcept {
-    return frames_delayed_;
-  }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  enum class Fault { kNone, kDrop, kDuplicate, kReorder, kDelay };
+  enum class Fault { kNone, kDrop, kDuplicate, kReorder };
 
   struct HeldFrame {
     std::size_t to_process = 0;
@@ -115,8 +110,7 @@ class FaultInjectingInterShardChannel final : public InterShardChannel {
 
   /// Draws the fault (if any) for the next frame in `direction`'s stream.
   [[nodiscard]] Fault Draw(common::Rng& rng, const FaultSpec& spec);
-  /// Ships held outbound frames whose release time passed (or, for reorder
-  /// holds, that a newer frame toward the same peer has overtaken).
+  /// Ships held outbound frames whose release time passed.
   void FlushHeld(Clock::time_point now);
 
   InterShardChannel* inner_;
@@ -131,7 +125,6 @@ class FaultInjectingInterShardChannel final : public InterShardChannel {
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_duplicated_ = 0;
   std::uint64_t frames_reordered_ = 0;
-  std::uint64_t frames_delayed_ = 0;
 };
 
 }  // namespace dmfsgd::netsim

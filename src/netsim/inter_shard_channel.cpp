@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
+
+#include "common/bytes.hpp"
 
 namespace dmfsgd::netsim {
 
@@ -103,11 +104,10 @@ UdpInterShardChannel::UdpInterShardChannel(transport::UdpSocket socket,
 void UdpInterShardChannel::Send(std::size_t to_process,
                                 std::span<const std::byte> frame) {
   RequireSendable(to_process, frame);
-  std::vector<std::byte> datagram(sizeof(std::uint32_t) + frame.size());
-  const auto from = static_cast<std::uint32_t>(index_);
-  std::memcpy(datagram.data(), &from, sizeof(from));
-  std::memcpy(datagram.data() + sizeof(from), frame.data(), frame.size());
-  socket_.SendTo(datagram, ports_[to_process]);
+  common::ByteWriter datagram(sizeof(std::uint32_t) + frame.size());
+  datagram.U32(static_cast<std::uint32_t>(index_));
+  datagram.Bytes(frame);
+  socket_.SendTo(datagram.Take(), ports_[to_process]);
 }
 
 std::optional<InterShardFrame> UdpInterShardChannel::Receive(int timeout_ms) {
@@ -125,17 +125,17 @@ std::optional<InterShardFrame> UdpInterShardChannel::Receive(int timeout_ms) {
     if (datagram->payload.size() <= sizeof(std::uint32_t)) {
       ++dropped_datagrams_;
     } else {
-      std::uint32_t from = 0;
-      std::memcpy(&from, datagram->payload.data(), sizeof(from));
+      common::ByteReader reader(datagram->payload);
+      const std::uint32_t from = reader.U32();
       if (from >= ports_.size() || ports_[from] != datagram->sender_port) {
         ++stray_datagrams_;
       } else if (from == index_) {
         ++dropped_datagrams_;
       } else {
-        return InterShardFrame{
-            from, std::vector<std::byte>(
-                      datagram->payload.begin() + sizeof(std::uint32_t),
-                      datagram->payload.end())};
+        const std::span<const std::byte> frame =
+            reader.Bytes(datagram->payload.size() - sizeof(std::uint32_t));
+        return InterShardFrame{from,
+                               std::vector<std::byte>(frame.begin(), frame.end())};
       }
     }
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -156,33 +156,7 @@ ChannelDiagnostics UdpInterShardChannel::Diagnostics() const {
 }
 
 // ------------------------------------------------------------------------
-// Frame codec helpers
-
-void FrameWriter::U8(std::uint8_t value) {
-  bytes_.push_back(static_cast<std::byte>(value));
-}
-
-void FrameWriter::U32(std::uint32_t value) {
-  const std::size_t at = bytes_.size();
-  bytes_.resize(at + sizeof(value));
-  std::memcpy(bytes_.data() + at, &value, sizeof(value));
-}
-
-void FrameWriter::U64(std::uint64_t value) {
-  const std::size_t at = bytes_.size();
-  bytes_.resize(at + sizeof(value));
-  std::memcpy(bytes_.data() + at, &value, sizeof(value));
-}
-
-void FrameWriter::F64(double value) {
-  const std::size_t at = bytes_.size();
-  bytes_.resize(at + sizeof(value));
-  std::memcpy(bytes_.data() + at, &value, sizeof(value));
-}
-
-void FrameWriter::Bytes(std::span<const std::byte> bytes) {
-  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
-}
+// Chunked transfers
 
 bool ChunkAssembler::Mark(std::uint32_t index, bool is_last) {
   const std::uint64_t count = std::uint64_t{index} + 1;
@@ -199,48 +173,6 @@ bool ChunkAssembler::Mark(std::uint32_t index, bool is_last) {
     expected_ = count;
   }
   return seen_.insert(index).second;
-}
-
-void FrameReader::Require(std::size_t count) const {
-  if (pos_ + count > bytes_.size()) {
-    throw std::runtime_error("FrameReader: truncated frame");
-  }
-}
-
-std::uint8_t FrameReader::U8() {
-  Require(1);
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint32_t FrameReader::U32() {
-  Require(sizeof(std::uint32_t));
-  std::uint32_t value = 0;
-  std::memcpy(&value, bytes_.data() + pos_, sizeof(value));
-  pos_ += sizeof(value);
-  return value;
-}
-
-std::uint64_t FrameReader::U64() {
-  Require(sizeof(std::uint64_t));
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes_.data() + pos_, sizeof(value));
-  pos_ += sizeof(value);
-  return value;
-}
-
-double FrameReader::F64() {
-  Require(sizeof(double));
-  double value = 0.0;
-  std::memcpy(&value, bytes_.data() + pos_, sizeof(value));
-  pos_ += sizeof(value);
-  return value;
-}
-
-std::vector<std::byte> FrameReader::Bytes(std::size_t count) {
-  Require(count);
-  std::vector<std::byte> out(bytes_.begin() + pos_, bytes_.begin() + pos_ + count);
-  pos_ += count;
-  return out;
 }
 
 }  // namespace dmfsgd::netsim

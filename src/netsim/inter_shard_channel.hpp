@@ -206,9 +206,10 @@ class LoopbackInterShardChannel final : public InterShardChannel {
 /// `ports[p]` is known everywhere), or — for processes with no common
 /// ancestor — exchange ports through a netsim::PortRegistry rendezvous
 /// file (port_registry.hpp) and construct the channel from the exchanged
-/// vector.  Each datagram carries a 4-byte sender-process prefix; datagrams
-/// from unknown ports or with malformed prefixes are counted
-/// (StrayDatagrams/DroppedDatagrams) and dropped, never fatal.
+/// vector.  Each datagram carries a 4-byte little-endian sender-process
+/// prefix (common/bytes.hpp); datagrams from unknown ports or with
+/// malformed prefixes are counted (StrayDatagrams/DroppedDatagrams) and
+/// dropped, never fatal.
 class UdpInterShardChannel final : public InterShardChannel {
  public:
   /// Requires ports.size() >= 1, process_index < ports.size(), and `socket`
@@ -247,24 +248,7 @@ class UdpInterShardChannel final : public InterShardChannel {
 };
 
 // ------------------------------------------------------------------------
-// Frame codec helpers
-
-/// Little-endian byte-frame writer shared by the shard runtime's window
-/// protocol and the coordinator's result fold.
-class FrameWriter {
- public:
-  void U8(std::uint8_t value);
-  void U32(std::uint32_t value);
-  void U64(std::uint64_t value);
-  void F64(double value);
-  void Bytes(std::span<const std::byte> bytes);
-
-  [[nodiscard]] std::size_t Size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] std::vector<std::byte> Take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::byte> bytes_;
-};
+// Chunked transfers
 
 /// Reassembly tracker for one sender's chunked transfer (event batches,
 /// result folds): duplicate- and reorder-tolerant, and loud — an index that
@@ -293,26 +277,6 @@ class ChunkAssembler {
   static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
   std::uint64_t expected_ = kUnknown;
   std::set<std::uint32_t> seen_;
-};
-
-/// Companion reader; every accessor throws std::runtime_error on truncation,
-/// so a malformed frame can never be silently misparsed.
-class FrameReader {
- public:
-  explicit FrameReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t U8();
-  [[nodiscard]] std::uint32_t U32();
-  [[nodiscard]] std::uint64_t U64();
-  [[nodiscard]] double F64();
-  [[nodiscard]] std::vector<std::byte> Bytes(std::size_t count);
-  [[nodiscard]] bool AtEnd() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  void Require(std::size_t count) const;
-
-  std::span<const std::byte> bytes_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace dmfsgd::netsim

@@ -1,34 +1,15 @@
 #include "netsim/reliable_channel.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+
+#include "common/bytes.hpp"
 
 namespace dmfsgd::netsim {
 
 namespace {
 
 constexpr auto kFarFuture = std::chrono::steady_clock::time_point::max();
-
-void PutU64(std::vector<std::byte>& bytes, std::size_t at, std::uint64_t value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
-}
-
-std::uint64_t GetU64(std::span<const std::byte> bytes, std::size_t at) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof(value));
-  return value;
-}
-
-void PutU32(std::vector<std::byte>& bytes, std::size_t at, std::uint32_t value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
-}
-
-std::uint32_t GetU32(std::span<const std::byte> bytes, std::size_t at) {
-  std::uint32_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof(value));
-  return value;
-}
 
 }  // namespace
 
@@ -39,61 +20,58 @@ std::vector<std::byte> EncodeReliableData(std::uint64_t seq,
   if (payload.empty()) {
     throw std::invalid_argument("EncodeReliableData: empty payload");
   }
-  std::vector<std::byte> bytes(kReliableDataHeaderBytes + payload.size());
-  bytes[0] = static_cast<std::byte>(kReliableData);
-  PutU64(bytes, 1, seq);
-  PutU64(bytes, 9, cumulative_ack);
-  PutU64(bytes, 17, sack_bitmap);
-  PutU32(bytes, 25, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(bytes.data() + kReliableDataHeaderBytes, payload.data(),
-              payload.size());
-  return bytes;
+  common::ByteWriter out(kReliableDataHeaderBytes + payload.size());
+  out.U8(kReliableData);
+  out.U64(seq);
+  out.U64(cumulative_ack);
+  out.U64(sack_bitmap);
+  out.U32(static_cast<std::uint32_t>(payload.size()));
+  out.Bytes(payload);
+  return out.Take();
 }
 
 std::vector<std::byte> EncodeReliableAck(std::uint64_t cumulative_ack,
                                          std::uint64_t sack_bitmap) {
-  std::vector<std::byte> bytes(kReliableAckFrameBytes);
-  bytes[0] = static_cast<std::byte>(kReliableAck);
-  PutU64(bytes, 1, cumulative_ack);
-  PutU64(bytes, 9, sack_bitmap);
-  return bytes;
+  common::ByteWriter out(kReliableAckFrameBytes);
+  out.U8(kReliableAck);
+  out.U64(cumulative_ack);
+  out.U64(sack_bitmap);
+  return out.Take();
 }
 
 ReliableFrameView DecodeReliableFrame(std::span<const std::byte> bytes) {
-  if (bytes.empty()) {
-    throw std::runtime_error("DecodeReliableFrame: empty frame");
-  }
+  common::ByteReader reader(bytes);
   ReliableFrameView view;
-  view.type = static_cast<std::uint8_t>(bytes[0]);
+  view.type = reader.U8();
   if (view.type == kReliableAck) {
     if (bytes.size() != kReliableAckFrameBytes) {
-      throw std::runtime_error(
+      throw common::DecodeError(
           "DecodeReliableFrame: ack frame has the wrong length");
     }
-    view.cumulative_ack = GetU64(bytes, 1);
-    view.sack_bitmap = GetU64(bytes, 9);
+    view.cumulative_ack = reader.U64();
+    view.sack_bitmap = reader.U64();
     return view;
   }
   if (view.type != kReliableData) {
-    throw std::runtime_error("DecodeReliableFrame: unknown frame type");
+    throw common::DecodeError("DecodeReliableFrame: unknown frame type");
   }
   if (bytes.size() <= kReliableDataHeaderBytes) {
     // A header with no payload is as malformed as a truncated header: Send
     // never accepts empty frames, so nothing legitimate encodes this way.
-    throw std::runtime_error("DecodeReliableFrame: truncated data frame");
+    throw common::DecodeError("DecodeReliableFrame: truncated data frame");
   }
-  view.seq = GetU64(bytes, 1);
+  view.seq = reader.U64();
   if (view.seq == 0) {
-    throw std::runtime_error("DecodeReliableFrame: data frame with seq 0");
+    throw common::DecodeError("DecodeReliableFrame: data frame with seq 0");
   }
-  view.cumulative_ack = GetU64(bytes, 9);
-  view.sack_bitmap = GetU64(bytes, 17);
-  if (GetU32(bytes, 25) != bytes.size() - kReliableDataHeaderBytes) {
+  view.cumulative_ack = reader.U64();
+  view.sack_bitmap = reader.U64();
+  if (reader.U32() != bytes.size() - kReliableDataHeaderBytes) {
     // A torn tail would otherwise pass as a shorter valid payload.
-    throw std::runtime_error(
+    throw common::DecodeError(
         "DecodeReliableFrame: payload length does not match the frame");
   }
-  view.payload = bytes.subspan(kReliableDataHeaderBytes);
+  view.payload = reader.Bytes(bytes.size() - kReliableDataHeaderBytes);
   return view;
 }
 
@@ -230,7 +208,7 @@ std::optional<InterShardFrame> ReliableInterShardChannel::ProcessIncoming(
   ReliableFrameView view;
   try {
     view = DecodeReliableFrame(raw.bytes);
-  } catch (const std::runtime_error&) {
+  } catch (const common::DecodeError&) {
     ++malformed_frames_;
     return std::nullopt;
   }

@@ -102,9 +102,10 @@ struct ReliableFrameView {
 [[nodiscard]] std::vector<std::byte> EncodeReliableAck(
     std::uint64_t cumulative_ack, std::uint64_t sack_bitmap);
 
-/// Decodes either frame kind.  Throws std::runtime_error on an unknown type
-/// byte, a truncated header, or a data frame with an empty payload — a
-/// malformed frame must reject loudly, never misparse.
+/// Decodes either frame kind.  Throws common::DecodeError on an empty frame,
+/// an unknown type byte, an ack of the wrong length, a truncated header, a
+/// data frame with an empty payload, seq 0 or a length field that disagrees
+/// with the frame — a malformed frame must reject loudly, never misparse.
 [[nodiscard]] ReliableFrameView DecodeReliableFrame(
     std::span<const std::byte> bytes);
 

@@ -1,14 +1,15 @@
 #include "netsim/shard_runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dmfsgd::netsim {
@@ -19,7 +20,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Window-protocol frame types.  Higher layers using the same channel (the
 // coordinator's result fold) must pick types outside this range; the runtime
-// parks frames it does not recognize in the leftover buffer.
+// parks frames it does not recognize for ShardRuntime::Receive.
 constexpr std::uint8_t kFramePropose = 1;
 constexpr std::uint8_t kFrameEventChunk = 2;
 
@@ -198,13 +199,18 @@ std::uint64_t ShardRuntime::RunUntil(double until_s, common::ThreadPool& pool) {
   return executed;
 }
 
-std::vector<InterShardFrame> ShardRuntime::TakeLeftoverFrames() {
-  return std::exchange(leftover_, {});
+InterShardFrame ShardRuntime::Receive(const char* phase) {
+  if (!leftover_.empty()) {
+    InterShardFrame frame = std::move(leftover_.front());
+    leftover_.pop_front();
+    return frame;
+  }
+  return ReceiveOrThrow(window_id_, phase);
 }
 
 void ShardRuntime::BroadcastProposal(std::uint64_t window_id,
                                      const std::vector<double>& local_mins) {
-  FrameWriter writer;
+  common::ByteWriter writer;
   writer.U8(kFramePropose);
   writer.U64(window_id);
   const std::size_t begin = queue_->OwnedShardBegin();
@@ -249,7 +255,7 @@ std::vector<ShardedEventQueue::RemoteEvent> ShardRuntime::CoalesceRemoteEvents(
   // chunk-header headroom; an overfull group splits — the follow-on batch
   // keeps the next member's (later) stamp, so order survives the split.
   const std::size_t byte_budget = options_.max_frame_bytes - 128;
-  // 512 mirrors the delivery layer's batch-envelope item cap without
+  // 512 mirrors the batch frame's item cap (kMaxWireBatchItems) without
   // making this payload-agnostic layer include the wire codec.
   constexpr std::size_t kMaxGroupPayloads = 512;
   std::vector<Group> groups;
@@ -257,8 +263,7 @@ std::vector<ShardedEventQueue::RemoteEvent> ShardRuntime::CoalesceRemoteEvents(
   std::map<std::pair<ShardedEventQueue::OwnerId, std::uint64_t>, std::size_t>
       index;
   for (ShardedEventQueue::RemoteEvent& event : events) {
-    std::uint64_t time_bits = 0;
-    std::memcpy(&time_bits, &event.time, sizeof(time_bits));
+    const auto time_bits = std::bit_cast<std::uint64_t>(event.time);
     const std::size_t bytes = event.payload.size() + 8;
     auto [it, inserted] =
         index.try_emplace({event.owner, time_bits}, groups.size());
@@ -350,7 +355,7 @@ void ShardRuntime::SendEventBatches(
       chunk_bytes[slot] += bytes;
     }
     for (std::size_t c = 0; c < chunks.size(); ++c) {
-      FrameWriter writer;
+      common::ByteWriter writer(chunk_bytes[c]);
       writer.U8(kFrameEventChunk);
       writer.U64(window_id);
       writer.U32(static_cast<std::uint32_t>(c));
@@ -402,7 +407,7 @@ InterShardFrame ShardRuntime::ReceiveOrThrow(std::uint64_t window_id,
 void ShardRuntime::HandleFrame(std::uint64_t window_id,
                                const InterShardFrame& frame,
                                WindowExchange& exchange) {
-  FrameReader reader(frame.bytes);
+  common::ByteReader reader(frame.bytes);
   const std::uint8_t type = reader.U8();
   if (type != kFramePropose && type != kFrameEventChunk) {
     leftover_.push_back(frame);
@@ -448,10 +453,10 @@ void ShardRuntime::HandleFrame(std::uint64_t window_id,
     const double time = reader.F64();
     const std::uint32_t lane = reader.U32();
     const std::uint64_t seq = reader.U64();
-    const std::uint32_t payload_len = reader.U32();
-    std::vector<std::byte> payload = reader.Bytes(payload_len);
-    queue_->InjectRemote(owner, time, lane, seq,
-                         decoder_(owner, std::move(payload)));
+    const std::span<const std::byte> payload = reader.Bytes(reader.U32());
+    queue_->InjectRemote(
+        owner, time, lane, seq,
+        decoder_(owner, std::vector<std::byte>(payload.begin(), payload.end())));
   }
 }
 

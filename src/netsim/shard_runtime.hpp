@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -77,8 +78,8 @@ class StallError : public std::runtime_error {
 
   /// Window the runtime was gathering when the timeout fired.
   [[nodiscard]] std::uint64_t WindowId() const noexcept { return window_id_; }
-  /// Which gather blocked: "propose", "event-batch", or a higher layer's
-  /// phase name (the coordinator's result fold reuses this error).
+  /// Which gather blocked: "propose", "event-batch", or the phase a higher
+  /// layer passed to ShardRuntime::Receive ("result-fold").
   [[nodiscard]] const std::string& Phase() const noexcept { return phase_; }
   /// Protocol frames the blocked receive loop accepted from each process
   /// since construction; a dead peer's entry stops advancing.
@@ -102,8 +103,8 @@ class ShardRuntime {
  public:
   /// Re-materializes the callback of a remote event from its payload; the
   /// scheduling layer that called ScheduleRemote provides the inverse (the
-  /// async driver decodes a protocol-message envelope and hands it to the
-  /// engine's sink).
+  /// async simulation decodes a wire message or a batch frame of them and
+  /// hands it to the engine's sink).
   using RemoteEventDecoder = std::function<ShardedEventQueue::Callback(
       ShardedEventQueue::OwnerId owner, std::vector<std::byte> payload)>;
 
@@ -112,8 +113,8 @@ class ShardRuntime {
   /// Merges several same-destination, same-time remote-event payloads into
   /// one batch payload, or declines (nullopt) when the group is not safely
   /// mergeable — the scheduling layer knows which payload kinds have
-  /// emission-free handlers (DESIGN.md §13: reply envelopes; the inverse
-  /// lives in ShardedEventQueueDeliveryChannel::MergeEnvelopes /
+  /// emission-free handlers (DESIGN.md §13: replies; the pair lives in
+  /// ShardedEventQueueDeliveryChannel::MergeEnvelopesIfReplies /
   /// DecodeEnvelopeCallback).  The runtime itself stays payload-agnostic:
   /// declined groups ship as the original individual events.
   using RemoteEventMerger = std::function<std::optional<std::vector<std::byte>>(
@@ -146,7 +147,7 @@ class ShardRuntime {
   /// barrier ships a window's remote events, runs with identical
   /// (owner, time) — concurrently produced messages bound for one node,
   /// e.g. a probe burst's replies — are folded into a single stamped
-  /// envelope carrying the merger's combined payload.  The surviving stamp
+  /// event carrying the merger's combined payload.  The surviving stamp
   /// is the group's least (lane, seq) key, so the batch executes exactly
   /// where its first message would have (DESIGN.md §13); fewer events cross
   /// the channel, and under an MTU-sized max_frame_bytes, fewer frames.
@@ -162,11 +163,13 @@ class ShardRuntime {
     return frames_sent_;
   }
 
-  /// Frames received during the window loop that belong to a higher layer
-  /// (e.g. the coordinator's result fold racing ahead of a slow peer's last
-  /// barrier).  The caller that keeps using the channel after RunUntil must
-  /// consume these first.
-  [[nodiscard]] std::vector<InterShardFrame> TakeLeftoverFrames();
+  /// The receive for a higher layer that keeps using the channel after
+  /// RunUntil (the coordinator's result fold): returns first the frames the
+  /// window loop received but did not own (a fold frame racing ahead of a
+  /// slow peer's last barrier), then reads the channel under this runtime's
+  /// receive_poll_ms and stall_timeout_s.  Throws StallError tagged with
+  /// `phase` when no frame and no liveness progress arrive in time.
+  [[nodiscard]] InterShardFrame Receive(const char* phase);
 
  private:
   struct WindowExchange;  // per-window gather state (defined in the .cpp)
@@ -204,7 +207,7 @@ class ShardRuntime {
   std::vector<std::size_t> process_of_shard_;  ///< shard → owning process
   std::uint64_t window_id_ = 0;
   std::vector<InterShardFrame> pending_;   ///< buffered out-of-order frames
-  std::vector<InterShardFrame> leftover_;  ///< frames for higher layers
+  std::deque<InterShardFrame> leftover_;   ///< frames for higher layers
   std::vector<std::uint64_t> frames_received_from_;  ///< per-process count
 };
 

@@ -1,8 +1,9 @@
 // The batch envelope plumbing of DESIGN.md §13: MessageBatch semantics, the
 // packed batch wire frame, event-time coalescing on the event-queue channel,
-// and — the robustness half — that truncated or corrupted batched frames and
-// cross-process envelopes reject cleanly (WireError) without UB.  Labeled
-// `quick`, so the ASan/UBSan CI legs walk every malformed-input path here.
+// and — the robustness half — that truncated or corrupted batch frames and
+// cross-process event payloads (a wire message or a batch frame of them)
+// reject cleanly (WireError) without UB.  Labeled `quick`, so the ASan/UBSan
+// CI legs walk every malformed-input path here.
 #include "core/delivery.hpp"
 
 #include <gtest/gtest.h>
@@ -117,7 +118,7 @@ TEST(BatchFrame, OversizedBatchRefusesToEncode) {
 }
 
 // ------------------------------------------------------------------------
-// Cross-process envelopes (single + merged batch)
+// Cross-process event payloads: one wire message, or a batch frame of them
 
 TEST(BatchEnvelope, MergedEnvelopeDeliversAllMessagesInOrder) {
   netsim::ShardedEventQueue events(/*owners=*/8, /*shards=*/2);
@@ -126,14 +127,15 @@ TEST(BatchEnvelope, MergedEnvelopeDeliversAllMessagesInOrder) {
   std::vector<MessageBatch> delivered;
   channel.BindSink([&](const MessageBatch& batch) { delivered.push_back(batch); });
 
-  const std::vector<std::vector<std::byte>> envelopes = {
-      ShardedEventQueueDeliveryChannel::EncodeEnvelope(
-          1, RttProbeReply{1, {1.0}, {2.0}}),
-      ShardedEventQueueDeliveryChannel::EncodeEnvelope(
-          2, RttProbeReply{2, {3.0}, {4.0}}),
+  const std::vector<std::vector<std::byte>> payloads = {
+      EncodeMessage(RttProbeReply{1, {1.0}, {2.0}}),
+      EncodeMessage(RttProbeReply{2, {3.0}, {4.0}}),
   };
-  auto callback = channel.DecodeEnvelopeCallback(
-      5, ShardedEventQueueDeliveryChannel::MergeEnvelopes(envelopes));
+  const auto merged =
+      ShardedEventQueueDeliveryChannel::MergeEnvelopesIfReplies(payloads);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(*merged, EncodeBatchFrame(payloads)) << "the UDP batch format";
+  auto callback = channel.DecodeEnvelopeCallback(5, *merged);
   callback();
 
   ASSERT_EQ(delivered.size(), 1u);
@@ -141,6 +143,12 @@ TEST(BatchEnvelope, MergedEnvelopeDeliversAllMessagesInOrder) {
   ASSERT_EQ(delivered.front().items.size(), 2u);
   EXPECT_EQ(delivered.front().items[0].from, 1u);
   EXPECT_EQ(delivered.front().items[1].from, 2u);
+
+  // A group holding a request is declined: request handlers emit.
+  const std::vector<std::vector<std::byte>> mixed = {
+      payloads[0], EncodeMessage(RttProbeRequest{3})};
+  EXPECT_FALSE(
+      ShardedEventQueueDeliveryChannel::MergeEnvelopesIfReplies(mixed).has_value());
 }
 
 TEST(BatchEnvelope, MalformedEnvelopesRejectAtDecodeTime) {
@@ -149,25 +157,29 @@ TEST(BatchEnvelope, MalformedEnvelopesRejectAtDecodeTime) {
                                            [](NodeId, NodeId) { return 0.01; });
   channel.BindSink([](const MessageBatch&) {});
 
-  // Truncated single envelope (shorter than the sender id).
+  // Truncated single message (shorter than the wire header).
   EXPECT_THROW((void)channel.DecodeEnvelopeCallback(
                    1, std::vector<std::byte>{std::byte{1}}),
                WireError);
-  // Sender id out of the deployment's range.
+  // Sender id out of the deployment's range, alone and inside a batch.
+  EXPECT_THROW((void)channel.DecodeEnvelopeCallback(
+                   1, EncodeMessage(RttProbeRequest{200})),
+               WireError);
   EXPECT_THROW(
       (void)channel.DecodeEnvelopeCallback(
-          1, ShardedEventQueueDeliveryChannel::EncodeEnvelope(
-                 200, RttProbeRequest{200})),
+          1, EncodeBatchFrame(std::vector<std::vector<std::byte>>{
+                 EncodeMessage(RttProbeReply{1, {1.0}, {2.0}}),
+                 EncodeMessage(RttProbeReply{200, {1.0}, {2.0}})})),
       WireError);
 
-  const std::vector<std::vector<std::byte>> envelopes = {
-      ShardedEventQueueDeliveryChannel::EncodeEnvelope(1, RttProbeRequest{1}),
-      ShardedEventQueueDeliveryChannel::EncodeEnvelope(2, RttProbeRequest{2}),
+  const std::vector<std::vector<std::byte>> payloads = {
+      EncodeMessage(RttProbeRequest{1}),
+      EncodeMessage(RttProbeRequest{2}),
   };
-  const auto merged = ShardedEventQueueDeliveryChannel::MergeEnvelopes(envelopes);
-  // Every truncation of a merged envelope must reject cleanly: prefixes
-  // shorter than the marker fall into the single-envelope path's truncation
-  // check, everything longer into the batch header/length checks.
+  const auto merged = EncodeBatchFrame(payloads);
+  // Every truncation of a batch must reject cleanly: prefixes shorter than
+  // the wire header fail the type peek, everything longer the batch
+  // header/length checks.
   for (std::size_t len = 0; len < merged.size(); ++len) {
     EXPECT_THROW((void)channel.DecodeEnvelopeCallback(
                      1, std::vector<std::byte>(merged.begin(),
@@ -175,12 +187,20 @@ TEST(BatchEnvelope, MalformedEnvelopesRejectAtDecodeTime) {
                  WireError)
         << "prefix length " << len;
   }
-  // A corrupt sub-envelope (garbage inner sender) rejects the whole batch.
+  // A corrupt nested message rejects the whole batch: a garbage sender in
+  // the first message ([01 05][count u16][length u32][01 01][prober u32]),
+  // or a garbage version byte.
   auto corrupt = merged;
   corrupt[10] = std::byte{0xee};
   EXPECT_THROW((void)channel.DecodeEnvelopeCallback(1, corrupt), WireError);
-  // Trailing bytes after the last sub-envelope reject too.
+  corrupt = merged;
+  corrupt[8] = std::byte{0xee};
+  EXPECT_THROW((void)channel.DecodeEnvelopeCallback(1, corrupt), WireError);
+  // Trailing bytes after the last message reject too, batched or single.
   auto trailing = merged;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW((void)channel.DecodeEnvelopeCallback(1, trailing), WireError);
+  trailing = payloads[0];
   trailing.push_back(std::byte{0});
   EXPECT_THROW((void)channel.DecodeEnvelopeCallback(1, trailing), WireError);
 }

@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <exception>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
 #include "netsim/inter_shard_channel.hpp"
+#include "netsim/shard_runtime.hpp"
 
 namespace dmfsgd::core {
 namespace {
@@ -219,6 +225,75 @@ TEST(MultiprocessDrain, CoalescedEnvelopesKeepParityWithFewerEventsAndFrames) {
   const Reference reference(dataset, dense(true), 6.0);
   ExpectReportMatchesReference(coalesced, reference,
                                /*expect_same_event_count=*/false);
+}
+
+/// Forwards to a backend but swallows result-fold frames (type bytes 16 and
+/// 17): a peer that finished the drain and died before its fold arrived.
+class FoldSwallowingChannel final : public netsim::InterShardChannel {
+ public:
+  explicit FoldSwallowingChannel(netsim::InterShardChannel& inner)
+      : inner_(&inner) {}
+
+  [[nodiscard]] std::size_t ProcessCount() const noexcept override {
+    return inner_->ProcessCount();
+  }
+  [[nodiscard]] std::size_t ProcessIndex() const noexcept override {
+    return inner_->ProcessIndex();
+  }
+  void Send(std::size_t to_process, std::span<const std::byte> frame) override {
+    const auto type = static_cast<std::uint8_t>(frame.front());
+    if (type != 16 && type != 17) {
+      inner_->Send(to_process, frame);
+    }
+  }
+  [[nodiscard]] std::optional<netsim::InterShardFrame> Receive(
+      int timeout_ms) override {
+    return inner_->Receive(timeout_ms);
+  }
+  [[nodiscard]] const char* Name() const noexcept override {
+    return "fold-swallowing";
+  }
+
+ private:
+  netsim::InterShardChannel* inner_;
+};
+
+// The coordinator's result fold waits under the runtime's stall_timeout_s,
+// like every gather of the window loop, not under a timeout of its own.
+TEST(MultiprocessDrain, ResultFoldStallsAfterTheRuntimeStallTimeout) {
+  const Dataset dataset = SmallRtt();
+  const AsyncSimulationConfig config = BaseConfig(dataset, 4);
+  netsim::ShardRuntimeOptions options;
+  options.stall_timeout_s = 1.0;
+  netsim::LoopbackInterShardHub hub(2);
+  std::exception_ptr peer_error;
+  std::thread peer([&] {
+    try {
+      netsim::LoopbackInterShardChannel loopback(hub, 1);
+      FoldSwallowingChannel swallowing(loopback);
+      common::ThreadPool pool(1);
+      (void)RunMultiprocessAsyncSimulation(dataset, config, swallowing, 5.0,
+                                           pool, options);
+    } catch (...) {
+      peer_error = std::current_exception();
+    }
+  });
+  netsim::LoopbackInterShardChannel channel(hub, 0);
+  common::ThreadPool pool(1);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)RunMultiprocessAsyncSimulation(dataset, config, channel, 5.0, pool,
+                                         options);
+    ADD_FAILURE() << "a fold that never arrives must trip the stall timeout";
+  } catch (const netsim::StallError& stall) {
+    EXPECT_EQ(stall.Phase(), "result-fold");
+  }
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  peer.join();
+  EXPECT_FALSE(peer_error) << "the peer's own run must succeed";
+  EXPECT_LT(waited_s, 15.0) << "the fold ignored stall_timeout_s = 1";
 }
 
 /// Runs a genuinely forked 2-process run over real UDP datagrams and

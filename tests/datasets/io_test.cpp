@@ -9,6 +9,7 @@
 
 #include "datasets/harvard.hpp"
 #include "datasets/hps3.hpp"
+#include "datasets/procedural.hpp"
 
 namespace dmfsgd::datasets {
 namespace {
@@ -80,6 +81,18 @@ TEST_F(DatasetIoTest, RoundTripsDynamicTrace) {
     EXPECT_NEAR(loaded.trace[r].timestamp_s, original.trace[r].timestamp_s, 1e-6);
   }
   EXPECT_NO_THROW(ValidateDataset(loaded));
+}
+
+// A procedural dataset's ground truth is a function, not a matrix: saving
+// it would write a 0-node file that LoadDataset then rejects.
+TEST_F(DatasetIoTest, SaveRefusesProceduralDatasetsBeforeWriting) {
+  EuclideanRttConfig config;
+  config.node_count = 64;
+  const Dataset procedural = MakeEuclideanRtt(config);
+  ASSERT_TRUE(procedural.Procedural());
+  EXPECT_THROW(SaveDataset(procedural, dir_ / "procedural"),
+               std::invalid_argument);
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
 }
 
 TEST_F(DatasetIoTest, LoadMissingFileThrows) {

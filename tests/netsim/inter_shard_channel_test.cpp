@@ -136,33 +136,5 @@ TEST(UdpInterShardChannel, RejectsMismatchedSocketBinding) {
                std::invalid_argument);
 }
 
-TEST(FrameCodec, RoundTripsEveryFieldType) {
-  FrameWriter writer;
-  writer.U8(7);
-  writer.U32(0xdeadbeefu);
-  writer.U64(0x0123456789abcdefULL);
-  writer.F64(-1234.5678);
-  writer.Bytes(FrameOf("tail"));
-  const std::vector<std::byte> bytes = writer.Take();
-  FrameReader reader(bytes);
-  EXPECT_EQ(reader.U8(), 7u);
-  EXPECT_EQ(reader.U32(), 0xdeadbeefu);
-  EXPECT_EQ(reader.U64(), 0x0123456789abcdefULL);
-  EXPECT_DOUBLE_EQ(reader.F64(), -1234.5678);
-  EXPECT_EQ(TextOf(reader.Bytes(4)), "tail");
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(FrameCodec, ThrowsOnTruncation) {
-  FrameWriter writer;
-  writer.U32(42);
-  const std::vector<std::byte> bytes = writer.Take();
-  FrameReader reader(bytes);
-  (void)reader.U32();
-  EXPECT_THROW((void)reader.U8(), std::runtime_error);
-  FrameReader short_reader(std::span<const std::byte>(bytes).subspan(0, 2));
-  EXPECT_THROW((void)short_reader.U32(), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace dmfsgd::netsim
