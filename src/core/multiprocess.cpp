@@ -12,8 +12,8 @@ namespace dmfsgd::core {
 
 namespace {
 
-// Result-fold frame types; disjoint from the ShardRuntime window protocol
-// (types 1-2), which parks them for ShardRuntime::Receive when they race
+// Result-fold frame types; disjoint from the ShardRuntime window frame
+// (type 2), which parks them for ShardRuntime::Receive when they race
 // ahead.
 constexpr std::uint8_t kFrameNodeRows = 16;
 constexpr std::uint8_t kFrameRunStats = 17;
@@ -99,9 +99,9 @@ void GatherPeerResults(netsim::ShardRuntime& runtime,
       continue;
     }
     if (type != kFrameNodeRows) {
-      // A duplicated datagram of a peer's final-window proposal or event
-      // chunk can straggle in after RunUntil consumed the original — the
-      // same duplicates the window protocol itself tolerates.  Drop them.
+      // A duplicated datagram of a peer's final-window event chunk can
+      // straggle in after RunUntil consumed the original — the same
+      // duplicates the window protocol itself tolerates.  Drop them.
       continue;
     }
     const std::uint32_t chunk = reader.U32();
@@ -113,7 +113,7 @@ void GatherPeerResults(netsim::ShardRuntime& runtime,
     for (std::uint32_t r = 0; r < rows; ++r) {
       const std::uint32_t node = reader.U32();
       if (node >= report.node_count) {
-        throw std::logic_error(
+        throw common::DecodeError(
             "RunMultiprocessAsyncSimulation: peer sent an out-of-range node");
       }
       for (std::size_t d = 0; d < report.rank; ++d) {
@@ -199,7 +199,12 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
     // frame; drain until the coordinator acked everything (no-op on plain
     // backends).  Bounded well under the stall timeout: if the final ack
     // never comes the data still arrived, and waiting longer buys nothing.
+    // Then linger like the coordinator: a third process whose last window
+    // chunk this one acked, with the ack dropped, is still retransmitting
+    // it from its terminal Flush, which would otherwise wait out its
+    // stall timeout.
     (void)channel.Flush(10'000);
+    (void)channel.Receive(300);
     snapshot_transport();
     return report;
   }

@@ -162,12 +162,12 @@ bool ChunkAssembler::Mark(std::uint32_t index, bool is_last) {
   const std::uint64_t count = std::uint64_t{index} + 1;
   if (expected_ != kUnknown &&
       (count > expected_ || (is_last && count != expected_))) {
-    throw std::logic_error(
+    throw common::DecodeError(
         "ChunkAssembler: chunk index contradicts the established final chunk");
   }
   if (is_last) {
     if (!seen_.empty() && *seen_.rbegin() > index) {
-      throw std::logic_error(
+      throw common::DecodeError(
           "ChunkAssembler: chunks received beyond the final chunk");
     }
     expected_ = count;

@@ -2,13 +2,14 @@
 //
 // The owner partition of netsim::ShardedEventQueue is the natural seam for
 // distributing the async simulation across processes: each process drains a
-// contiguous shard range, and everything that crosses the partition —
-// window proposals, barrier-carrying event batches, result folds — travels
-// as small self-contained byte frames between processes.  InterShardChannel
-// is that frame transport, deliberately dumber than core::DeliveryChannel:
-// it moves opaque frames between *processes*, knows nothing about protocol
-// messages or event stamps (that is netsim::ShardRuntime's job), and never
-// consumes randomness.
+// contiguous shard range, and everything that crosses the partition — the
+// per-window event batches (which carry the next window's minima and act as
+// the barrier) and the result fold — travels as small self-contained byte
+// frames between processes.  InterShardChannel is that frame transport,
+// deliberately dumber than core::DeliveryChannel: it moves opaque frames
+// between *processes*, knows nothing about protocol messages or event
+// stamps (that is netsim::ShardRuntime's job), and never consumes
+// randomness.
 //
 // Two backends:
 //
@@ -252,7 +253,7 @@ class UdpInterShardChannel final : public InterShardChannel {
 
 /// Reassembly tracker for one sender's chunked transfer (event batches,
 /// result folds): duplicate- and reorder-tolerant, and loud — an index that
-/// contradicts an established final chunk is a protocol error, not a
+/// contradicts an established final chunk is malformed peer input, not a
 /// silent stall.  Chunks carry (index, is_last); the final chunk reveals
 /// the total.  The index comes straight from peer bytes, so any u32 is
 /// accepted without wrapping the total, and memory grows with the chunks
@@ -261,9 +262,9 @@ class ChunkAssembler {
  public:
   /// Marks chunk `index` as received; `is_last` establishes the chunk
   /// count.  Returns false for a duplicate (the caller must then skip the
-  /// chunk's payload — it was already consumed).  Throws std::logic_error
-  /// on an index at or beyond an established final chunk, or a second,
-  /// contradicting final chunk.
+  /// chunk's payload — it was already consumed).  Throws
+  /// common::DecodeError on an index at or beyond an established final
+  /// chunk, or a second, contradicting final chunk.
   bool Mark(std::uint32_t index, bool is_last);
 
   /// Every chunk up to the final one arrived.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -18,11 +19,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Window-protocol frame types.  Higher layers using the same channel (the
-// coordinator's result fold) must pick types outside this range; the runtime
-// parks frames it does not recognize for ShardRuntime::Receive.
-constexpr std::uint8_t kFramePropose = 1;
+// The window protocol's frame type.  Higher layers using the same channel
+// (the coordinator's result fold) must pick other types; the runtime parks
+// frames it does not recognize for ShardRuntime::Receive.
 constexpr std::uint8_t kFrameEventChunk = 2;
+
+// Chunk budget: headroom for the header, then 28 bytes plus the payload per
+// event; chunk 0 adds the vector, a count and 8 bytes per shard.
+constexpr std::size_t kChunkHeadroom = 64;
+constexpr std::size_t VectorBytes(std::size_t shards) { return 4 + 8 * shards; }
 
 std::string FormatStall(std::uint64_t window_id, const std::string& phase,
                         const std::vector<std::uint64_t>& frames_received_from,
@@ -68,36 +73,64 @@ StallError::StallError(std::uint64_t window_id, std::string phase,
       frames_received_from_(std::move(frames_received_from)),
       diagnostics_(std::move(diagnostics)) {}
 
-/// Gather state for one window: which peers proposed, and each peer's
-/// event-batch reassembly (duplicate-safe via ChunkAssembler — a duplicated
-/// datagram must not inject its events twice).
-struct ShardRuntime::WindowExchange {
-  explicit WindowExchange(std::size_t processes, std::vector<double> mins)
-      : proposed(processes, false),
-        batches(processes),
-        merged_mins(std::move(mins)) {}
-
-  std::vector<bool> proposed;
-  std::vector<ChunkAssembler> batches;
-  std::vector<double> merged_mins;
-
-  [[nodiscard]] bool AllProposed(std::size_t self) const {
-    for (std::size_t p = 0; p < proposed.size(); ++p) {
-      if (p != self && !proposed[p]) {
-        return false;
-      }
+std::vector<std::byte> EncodeEventChunk(const EventChunk& chunk) {
+  common::ByteWriter writer;
+  writer.U8(kFrameEventChunk);
+  writer.U64(chunk.window_id);
+  writer.U32(chunk.index);
+  writer.U8(chunk.last ? 1 : 0);
+  if (chunk.index == 0) {
+    writer.U32(static_cast<std::uint32_t>(chunk.next_mins.size()));
+    for (const double t : chunk.next_mins) {
+      writer.F64(t);
     }
-    return true;
   }
-  [[nodiscard]] bool AllBatchesComplete(std::size_t self) const {
-    for (std::size_t p = 0; p < proposed.size(); ++p) {
-      if (p != self && !batches[p].Complete()) {
-        return false;
-      }
+  writer.U32(static_cast<std::uint32_t>(chunk.events.size()));
+  for (const ShardedEventQueue::RemoteEvent& event : chunk.events) {
+    writer.U32(event.owner);
+    writer.F64(event.time);
+    writer.U32(event.lane);
+    writer.U64(event.seq);
+    writer.U32(static_cast<std::uint32_t>(event.payload.size()));
+    writer.Bytes(event.payload);
+  }
+  return writer.Take();
+}
+
+EventChunk DecodeEventChunk(std::span<const std::byte> bytes) {
+  common::ByteReader reader(bytes);
+  EventChunk chunk;
+  if (reader.U8() != kFrameEventChunk) {
+    throw common::DecodeError("DecodeEventChunk: not an event chunk");
+  }
+  chunk.window_id = reader.U64();
+  chunk.index = reader.U32();
+  const std::uint8_t last = reader.U8();
+  if (last > 1) {
+    throw common::DecodeError("DecodeEventChunk: last flag is not 0 or 1");
+  }
+  chunk.last = last == 1;
+  if (chunk.index == 0) {
+    const std::uint32_t shards = reader.U32();
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      chunk.next_mins.push_back(reader.F64());
     }
-    return true;
   }
-};
+  const std::uint32_t count = reader.U32();
+  for (std::uint32_t e = 0; e < count; ++e) {
+    ShardedEventQueue::RemoteEvent& event = chunk.events.emplace_back();
+    event.owner = reader.U32();
+    event.time = reader.F64();
+    event.lane = reader.U32();
+    event.seq = reader.U64();
+    const std::span<const std::byte> payload = reader.Bytes(reader.U32());
+    event.payload.assign(payload.begin(), payload.end());
+  }
+  if (!reader.AtEnd()) {
+    throw common::DecodeError("DecodeEventChunk: trailing bytes");
+  }
+  return chunk;
+}
 
 ShardRuntime::ShardRuntime(ShardedEventQueue& queue, InterShardChannel& channel,
                            LookaheadMatrix lookaheads, RemoteEventDecoder decoder,
@@ -139,6 +172,13 @@ ShardRuntime::ShardRuntime(ShardedEventQueue& queue, InterShardChannel& channel,
       process_of_shard_[s] = p;
     }
   }
+  if (channel.ProcessCount() > 1 &&
+      kChunkHeadroom + VectorBytes(queue.ShardCount()) >
+          options_.max_frame_bytes) {
+    throw std::invalid_argument(
+        "ShardRuntime: the next-window vector of this many shards does not fit "
+        "one frame of max_frame_bytes");
+  }
   const auto [begin, end] = BlockRange(queue.ShardCount(), channel.ProcessCount(),
                                        channel.ProcessIndex());
   queue.SetOwnedShardRange(begin, end);
@@ -146,53 +186,41 @@ ShardRuntime::ShardRuntime(ShardedEventQueue& queue, InterShardChannel& channel,
 }
 
 std::uint64_t ShardRuntime::RunUntil(double until_s, common::ThreadPool& pool) {
-  const std::size_t processes = channel_->ProcessCount();
+  if (!(until_s >= queue_->Now())) {
+    throw std::invalid_argument(
+        "ShardRuntime::RunUntil: time in the past or NaN");
+  }
+  const bool distributed = channel_->ProcessCount() > 1;
+  if (next_mins_.empty()) {
+    // Before the first window every process holds the replicated
+    // construction of every shard, so the local minima are the global ones.
+    next_mins_ = queue_->ShardMinTimes();
+  }
   std::uint64_t executed = 0;
   for (;;) {
-    // Local truth for owned shards only; remote shards hold the stale
-    // replicas of the deterministic construction and must be overridden by
-    // their owners' proposals.
-    const std::vector<double> local = queue_->ShardMinTimes();
-    std::vector<double> mins(queue_->ShardCount(), kInf);
-    for (std::size_t s = queue_->OwnedShardBegin(); s < queue_->OwnedShardEnd();
-         ++s) {
-      mins[s] = local[s];
-    }
-    WindowExchange exchange(processes, std::move(mins));
-    if (processes > 1) {
-      BroadcastProposal(window_id_, local);
-      GatherProposals(window_id_, exchange);
-    }
     const double t_min =
-        *std::min_element(exchange.merged_mins.begin(), exchange.merged_mins.end());
+        *std::min_element(next_mins_.begin(), next_mins_.end());
     if (!(t_min <= until_s)) {
-      break;  // every process computes the same vector, so all agree to stop
+      break;  // every process holds the same vector, so all agree to stop
     }
-    std::vector<double> ends = ShardedEventQueue::ConservativeWindowEnds(
-        exchange.merged_mins, lookaheads_);
+    std::vector<double> ends =
+        ShardedEventQueue::ConservativeWindowEnds(next_mins_, lookaheads_);
     const double frontier =
         std::min(until_s, *std::min_element(ends.begin(), ends.end()));
     queue_->BeginWindow(std::move(ends));
     queue_->DrainOwnedShards(pool, until_s);
     executed += queue_->FinishWindow();
-    if (processes > 1) {
-      SendEventBatches(window_id_,
-                       CoalesceRemoteEvents(queue_->TakeRemoteEvents()));
-      GatherEventBatches(window_id_, exchange);
-    }
+    next_mins_ = distributed ? ExchangeEventBatches() : queue_->ShardMinTimes();
     queue_->AdvanceNow(frontier);
     ++window_id_;
   }
   queue_->AdvanceNow(until_s);
-  if (processes > 1) {
-    // The terminal proposes can still be in flight: every process agreed to
-    // stop, but on a lossy link one process's final propose may have been
-    // dropped — and a reliability decorator only retransmits inside
-    // Send/Receive/Flush.  Returning without a flush would strand the peer
-    // in its final gather until its stall timeout with nobody left to
-    // retransmit.  Bounded by the stall timeout: against a live peer this
-    // settles in a few RTOs; against a dead one the caller was stalling
-    // anyway.
+  if (distributed) {
+    // Every process agreed to stop, but on a lossy link a final chunk may
+    // have been dropped, and a reliability decorator retransmits only inside
+    // Send/Receive/Flush: returning now would strand the peer in its last
+    // gather.  Bounded by the stall timeout: a live peer settles in a few
+    // RTOs; against a dead one the caller was stalling anyway.
     (void)channel_->Flush(
         static_cast<int>(options_.stall_timeout_s * 1000.0));
   }
@@ -205,33 +233,7 @@ InterShardFrame ShardRuntime::Receive(const char* phase) {
     leftover_.pop_front();
     return frame;
   }
-  return ReceiveOrThrow(window_id_, phase);
-}
-
-void ShardRuntime::BroadcastProposal(std::uint64_t window_id,
-                                     const std::vector<double>& local_mins) {
-  common::ByteWriter writer;
-  writer.U8(kFramePropose);
-  writer.U64(window_id);
-  const std::size_t begin = queue_->OwnedShardBegin();
-  const std::size_t end = queue_->OwnedShardEnd();
-  writer.U32(static_cast<std::uint32_t>(end - begin));
-  for (std::size_t s = begin; s < end; ++s) {
-    writer.U32(static_cast<std::uint32_t>(s));
-    writer.F64(local_mins[s]);
-  }
-  const std::vector<std::byte> frame = writer.Take();
-  for (std::size_t p = 0; p < channel_->ProcessCount(); ++p) {
-    if (p != channel_->ProcessIndex()) {
-      SendFrame(p, frame);
-    }
-  }
-}
-
-void ShardRuntime::SendFrame(std::size_t to_process,
-                             std::span<const std::byte> frame) {
-  channel_->Send(to_process, frame);
-  ++frames_sent_;
+  return ReceiveOrThrow(phase);
 }
 
 std::vector<ShardedEventQueue::RemoteEvent> ShardRuntime::CoalesceRemoteEvents(
@@ -310,17 +312,26 @@ std::vector<ShardedEventQueue::RemoteEvent> ShardRuntime::CoalesceRemoteEvents(
   return merged;
 }
 
-void ShardRuntime::SendEventBatches(
-    std::uint64_t window_id, std::vector<ShardedEventQueue::RemoteEvent> events) {
-  // One bucketing pass maps every event to its owner's process; each peer
-  // then gets >= 1 chunk (an empty one doubles as the barrier), each chunk
-  // capped at the clamped max_frame_bytes budget.
-  std::vector<std::vector<const ShardedEventQueue::RemoteEvent*>> buckets(
-      channel_->ProcessCount());
-  for (const auto& event : events) {
-    buckets[process_of_shard_[queue_->ShardOf(event.owner)]].push_back(&event);
+std::vector<double> ShardRuntime::ExchangeEventBatches() {
+  // This process's share of every shard's next minimum: its owned shards'
+  // heads, and the earliest event it ships to each other shard (the heads
+  // of those are stale replicas).  Bucketing maps every event to its
+  // owner's process.
+  const std::size_t processes = channel_->ProcessCount();
+  std::vector<double> mins = queue_->ShardMinTimes();
+  for (std::size_t s = 0; s < mins.size(); ++s) {
+    mins[s] = queue_->IsOwnedShard(s) ? mins[s] : kInf;
   }
-  for (std::size_t p = 0; p < channel_->ProcessCount(); ++p) {
+  std::vector<std::vector<ShardedEventQueue::RemoteEvent>> buckets(processes);
+  for (ShardedEventQueue::RemoteEvent& event :
+       CoalesceRemoteEvents(queue_->TakeRemoteEvents())) {
+    const std::size_t shard = queue_->ShardOf(event.owner);
+    mins[shard] = std::min(mins[shard], event.time);
+    buckets[process_of_shard_[shard]].push_back(std::move(event));
+  }
+  // Each peer gets >= 1 chunk (an empty one doubles as the barrier), each
+  // capped at the clamped max_frame_bytes budget.
+  for (std::size_t p = 0; p < processes; ++p) {
     if (p == channel_->ProcessIndex()) {
       continue;
     }
@@ -329,53 +340,65 @@ void ShardRuntime::SendEventBatches(
     // First-fit-decreasing: big records (merged reply envelopes) open
     // chunks, small ones fill the tails — order across and within chunks is
     // free because every event carries its own deterministic stamp, and the
-    // packing itself is deterministic (stable sort, first-fit scan).
-    std::vector<const ShardedEventQueue::RemoteEvent*> ordered = buckets[p];
+    // packing itself is deterministic (stable sort, first-fit scan).  Chunk
+    // 0's budget includes the vector: only a lone event may exceed it.
+    std::vector<ShardedEventQueue::RemoteEvent>& ordered = buckets[p];
     std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const auto* a, const auto* b) {
-                       return a->payload.size() > b->payload.size();
+                     [](const auto& a, const auto& b) {
+                       return a.payload.size() > b.payload.size();
                      });
-    std::vector<std::vector<const ShardedEventQueue::RemoteEvent*>> chunks(1);
-    std::vector<std::size_t> chunk_bytes(1, 64);  // header headroom
-    for (const auto* event : ordered) {
-      const std::size_t bytes = 28 + event->payload.size();
-      std::size_t slot = chunks.size();
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        if (chunk_bytes[c] + bytes <= options_.max_frame_bytes ||
-            chunks[c].empty()) {
-          slot = c;
-          break;
-        }
+    std::vector<EventChunk> chunks(1);
+    chunks[0].next_mins = mins;
+    std::vector<std::size_t> chunk_bytes(
+        1, kChunkHeadroom + VectorBytes(mins.size()));
+    for (ShardedEventQueue::RemoteEvent& event : ordered) {
+      const std::size_t bytes = 28 + event.payload.size();
+      std::size_t slot = 0;
+      while (slot < chunks.size() &&
+             chunk_bytes[slot] + bytes > options_.max_frame_bytes) {
+        ++slot;
       }
       if (slot == chunks.size()) {
-        chunks.emplace_back();
-        chunk_bytes.push_back(64);
+        chunks.emplace_back().index = static_cast<std::uint32_t>(slot);
+        chunk_bytes.push_back(kChunkHeadroom);
       }
-      chunks[slot].push_back(event);
+      chunks[slot].events.push_back(std::move(event));
       chunk_bytes[slot] += bytes;
     }
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      common::ByteWriter writer(chunk_bytes[c]);
-      writer.U8(kFrameEventChunk);
-      writer.U64(window_id);
-      writer.U32(static_cast<std::uint32_t>(c));
-      writer.U8(c + 1 == chunks.size() ? 1 : 0);
-      writer.U32(static_cast<std::uint32_t>(chunks[c].size()));
-      for (const auto* event : chunks[c]) {
-        writer.U32(event->owner);
-        writer.F64(event->time);
-        writer.U32(event->lane);
-        writer.U64(event->seq);
-        writer.U32(static_cast<std::uint32_t>(event->payload.size()));
-        writer.Bytes(event->payload);
-      }
-      SendFrame(p, writer.Take());
+    chunks.back().last = true;
+    for (EventChunk& chunk : chunks) {
+      chunk.window_id = window_id_;
+      channel_->Send(p, EncodeEventChunk(chunk));
+      ++frames_sent_;
     }
   }
+  // Gather every peer's batch, whatever order the frames arrive in;
+  // duplicate-safe via ChunkAssembler, since a duplicated datagram must not
+  // inject its events twice.
+  std::vector<ChunkAssembler> batches(processes);
+  for (const InterShardFrame& frame : std::exchange(pending_, {})) {
+    HandleFrame(frame, batches, mins);
+  }
+  for (std::size_t p = 0; p < processes; ++p) {
+    while (p != channel_->ProcessIndex() && !batches[p].Complete()) {
+      HandleFrame(ReceiveOrThrow("event-batch"), batches, mins);
+    }
+  }
+  // Every owned shard's head must now equal the merged entry; a mismatch
+  // means a peer's vector disagrees with the events it sent.
+  const std::vector<double> heads = queue_->ShardMinTimes();
+  for (std::size_t s = queue_->OwnedShardBegin(); s < queue_->OwnedShardEnd();
+       ++s) {
+    if (heads[s] != mins[s]) {
+      throw common::DecodeError(
+          "ShardRuntime: a peer's next-window vector disagrees with the events "
+          "it sent");
+    }
+  }
+  return mins;
 }
 
-InterShardFrame ShardRuntime::ReceiveOrThrow(std::uint64_t window_id,
-                                             const char* phase) {
+InterShardFrame ShardRuntime::ReceiveOrThrow(const char* phase) {
   const auto stall_timeout =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(options_.stall_timeout_s));
@@ -398,82 +421,60 @@ InterShardFrame ShardRuntime::ReceiveOrThrow(std::uint64_t window_id,
       continue;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      throw StallError(window_id, phase, frames_received_from_,
+      throw StallError(window_id_, phase, frames_received_from_,
                        channel_->Diagnostics());
     }
   }
 }
 
-void ShardRuntime::HandleFrame(std::uint64_t window_id,
-                               const InterShardFrame& frame,
-                               WindowExchange& exchange) {
-  common::ByteReader reader(frame.bytes);
-  const std::uint8_t type = reader.U8();
-  if (type != kFramePropose && type != kFrameEventChunk) {
+void ShardRuntime::HandleFrame(const InterShardFrame& frame,
+                               std::vector<ChunkAssembler>& batches,
+                               std::vector<double>& mins) {
+  if (common::ByteReader(frame.bytes).U8() != kFrameEventChunk) {
     leftover_.push_back(frame);
     return;
   }
-  const std::uint64_t wid = reader.U64();
-  if (wid < window_id) {
+  EventChunk chunk = DecodeEventChunk(frame.bytes);
+  if (chunk.window_id < window_id_) {
     return;  // stale duplicate; the window it belongs to already closed
   }
-  if (wid > window_id + 1 || (wid == window_id + 1 && type != kFramePropose)) {
-    throw std::logic_error(
+  if (chunk.window_id > window_id_ + 1) {
+    throw common::DecodeError(
         "ShardRuntime: peer is ahead by more than the lock-step protocol "
         "allows — window desynchronization");
   }
-  if (wid == window_id + 1) {
-    pending_.push_back(frame);  // next window's proposal arrived early
+  if (chunk.window_id == window_id_ + 1) {
+    // The peer finished this window's gather and sent its next batch while
+    // this process still waits on another peer or a retransmission.
+    pending_.push_back(frame);
     return;
   }
-  if (type == kFramePropose) {
-    const std::uint32_t count = reader.U32();
-    for (std::uint32_t e = 0; e < count; ++e) {
-      const std::uint32_t shard = reader.U32();
-      const double t_min = reader.F64();
-      if (shard >= queue_->ShardCount() ||
-          process_of_shard_[shard] != frame.from_process) {
-        throw std::logic_error(
-            "ShardRuntime: peer proposed for a shard it does not own");
-      }
-      exchange.merged_mins[shard] = t_min;
+  // Every check comes before the first event is injected.
+  if (chunk.index == 0 &&
+      (chunk.next_mins.size() != mins.size() ||
+       std::any_of(chunk.next_mins.begin(), chunk.next_mins.end(),
+                   [](double t) { return std::isnan(t); }))) {
+    throw common::DecodeError(
+        "ShardRuntime: next-window vector of the wrong length or with a NaN");
+  }
+  for (const ShardedEventQueue::RemoteEvent& event : chunk.events) {
+    if (event.owner >= queue_->OwnerCount() ||
+        !queue_->IsOwnedShard(queue_->ShardOf(event.owner)) ||
+        event.lane >= queue_->ShardCount() || !std::isfinite(event.time)) {
+      throw common::DecodeError(
+          "ShardRuntime: peer sent an event this process does not own, from "
+          "a lane that is not a shard, or at a time that is not finite");
     }
-    exchange.proposed[frame.from_process] = true;
-    return;
   }
-  // Event chunk for the current window.
-  const std::uint32_t chunk_index = reader.U32();
-  const bool is_last = reader.U8() != 0;
-  const std::uint32_t count = reader.U32();
-  if (!exchange.batches[frame.from_process].Mark(chunk_index, is_last)) {
+  if (!batches[frame.from_process].Mark(chunk.index, chunk.last)) {
     return;  // duplicated datagram; its events are already enqueued
   }
-  for (std::uint32_t e = 0; e < count; ++e) {
-    const auto owner = static_cast<ShardedEventQueue::OwnerId>(reader.U32());
-    const double time = reader.F64();
-    const std::uint32_t lane = reader.U32();
-    const std::uint64_t seq = reader.U64();
-    const std::span<const std::byte> payload = reader.Bytes(reader.U32());
-    queue_->InjectRemote(
-        owner, time, lane, seq,
-        decoder_(owner, std::vector<std::byte>(payload.begin(), payload.end())));
+  for (std::size_t s = 0; s < chunk.next_mins.size(); ++s) {
+    mins[s] = std::min(mins[s], chunk.next_mins[s]);
   }
-}
-
-void ShardRuntime::GatherProposals(std::uint64_t window_id,
-                                   WindowExchange& exchange) {
-  for (const InterShardFrame& frame : std::exchange(pending_, {})) {
-    HandleFrame(window_id, frame, exchange);
-  }
-  while (!exchange.AllProposed(channel_->ProcessIndex())) {
-    HandleFrame(window_id, ReceiveOrThrow(window_id, "propose"), exchange);
-  }
-}
-
-void ShardRuntime::GatherEventBatches(std::uint64_t window_id,
-                                      WindowExchange& exchange) {
-  while (!exchange.AllBatchesComplete(channel_->ProcessIndex())) {
-    HandleFrame(window_id, ReceiveOrThrow(window_id, "event-batch"), exchange);
+  for (ShardedEventQueue::RemoteEvent& event : chunk.events) {
+    queue_->InjectRemote(event.owner, event.time, event.lane, event.seq,
+                         decoder_(event.owner, std::move(event.payload)));
   }
 }
 

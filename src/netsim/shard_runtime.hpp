@@ -5,18 +5,17 @@
 // construction, then drains only its own shards).  ShardRuntime runs the
 // conservative-window loop in lock step across processes:
 //
-//   1. propose  — every process broadcasts the earliest pending event time
-//                 of each shard it owns; everyone assembles the same global
-//                 min vector, so everyone computes the same window horizons
-//                 (ShardedEventQueue::ConservativeWindowEnds, per-shard-pair
-//                 lookaheads) and the same termination decision.
-//   2. drain    — every process drains its owned shards for the window.
-//                 Cross-shard events bound for a peer's shard were stamped
-//                 by ScheduleRemote with the source lane's sequence.
-//   3. barrier  — every process sends every peer exactly one event batch
+//   1. drain    — every process drains its owned shards to the window
+//                 horizons (ShardedEventQueue::ConservativeWindowEnds,
+//                 per-shard-pair lookaheads).  Cross-shard events bound for
+//                 a peer's shard were stamped by ScheduleRemote with the
+//                 source lane's sequence.
+//   2. exchange — every process sends every peer exactly one event batch
 //                 (chunked if large, possibly empty): receiving all peers'
-//                 batches both delivers the remote events and *is* the
-//                 window barrier.  Stamps make injection order irrelevant.
+//                 batches delivers the remote events and *is* the window
+//                 barrier; chunk 0 carries the sender's share of every
+//                 shard's next minimum, so everyone computes the same next
+//                 horizons and termination decision.
 //
 // Because shard-local event sequences, lane sequence numbers and per-owner
 // handler state are all pure functions of the same construction and the
@@ -78,8 +77,8 @@ class StallError : public std::runtime_error {
 
   /// Window the runtime was gathering when the timeout fired.
   [[nodiscard]] std::uint64_t WindowId() const noexcept { return window_id_; }
-  /// Which gather blocked: "propose", "event-batch", or the phase a higher
-  /// layer passed to ShardRuntime::Receive ("result-fold").
+  /// Which gather blocked: "event-batch", or the phase a higher layer
+  /// passed to ShardRuntime::Receive ("result-fold").
   [[nodiscard]] const std::string& Phase() const noexcept { return phase_; }
   /// Protocol frames the blocked receive loop accepted from each process
   /// since construction; a dead peer's entry stops advancing.
@@ -98,6 +97,25 @@ class StallError : public std::runtime_error {
   std::vector<std::uint64_t> frames_received_from_;
   ChannelDiagnostics diagnostics_;
 };
+
+/// One chunk of a window's event batch from one process to another, the
+/// window protocol's only frame (DESIGN.md §12).
+struct EventChunk {
+  std::uint64_t window_id = 0;
+  std::uint32_t index = 0;
+  bool last = false;
+  std::vector<ShardedEventQueue::RemoteEvent> events;
+  /// The sender's next-window vector, one time per shard; chunk 0 only.
+  std::vector<double> next_mins;
+};
+
+/// Encodes a chunk; next_mins is written for chunk 0 only.
+[[nodiscard]] std::vector<std::byte> EncodeEventChunk(const EventChunk& chunk);
+
+/// Decodes a chunk's layout: throws common::DecodeError on a wrong type
+/// byte, a last flag other than 0 or 1, truncation or trailing bytes.  What
+/// the fields mean (owners, lanes, times, the vector) the runtime checks.
+[[nodiscard]] EventChunk DecodeEventChunk(std::span<const std::byte> bytes);
 
 class ShardRuntime {
  public:
@@ -123,18 +141,24 @@ class ShardRuntime {
   /// Assigns shard ownership: process p of channel.ProcessCount() owns
   /// BlockRange(queue.ShardCount(), ProcessCount(), p) and the queue's owned
   /// range is set accordingly.  Requires queue.ShardCount() >=
-  /// channel.ProcessCount(), lookaheads sized to the queue and a non-empty
-  /// decoder.  `queue` and `channel` must outlive the runtime.
+  /// channel.ProcessCount(), lookaheads sized to the queue, a non-empty
+  /// decoder and, with peers, a next-window vector that fits one frame of
+  /// the clamped max_frame_bytes (std::invalid_argument otherwise).
+  /// `queue` and `channel` must outlive the runtime, and no other runtime
+  /// may drive the same queue.
   ShardRuntime(ShardedEventQueue& queue, InterShardChannel& channel,
                LookaheadMatrix lookaheads, RemoteEventDecoder decoder,
                Options options = Options());
 
   /// Runs the lock-step window loop until every shard's pending events lie
   /// beyond `until_s`, then advances queue time to until_s.  Returns the
-  /// events executed locally.  Throws StallError if a peer stalls past
-  /// Options::stall_timeout_s with no liveness progress, and
-  /// std::logic_error on protocol desynchronization (a peer at a different
-  /// window) or lookahead violations.
+  /// events executed locally.  Requires until_s >= queue.Now(), not NaN
+  /// (std::invalid_argument before anything is sent), and, because later
+  /// calls reuse the minima of the previous call's last exchange, that
+  /// nothing schedules onto the queue between calls outside a window.
+  /// Throws StallError if a peer stalls past Options::stall_timeout_s with
+  /// no liveness progress, common::DecodeError on peer bytes that
+  /// contradict the protocol, and std::logic_error on lookahead violations.
   std::uint64_t RunUntil(double until_s, common::ThreadPool& pool);
 
   /// Windows executed by the last RunUntil calls (mirrors the queue's
@@ -157,8 +181,8 @@ class ShardRuntime {
     merger_ = std::move(merger);
   }
 
-  /// Frames this runtime shipped through the channel (proposals + event
-  /// chunks) — what envelope coalescing and max_frame_bytes trade against.
+  /// Event chunks this runtime shipped (at least one per peer per window)
+  /// — what envelope coalescing and max_frame_bytes trade against.
   [[nodiscard]] std::uint64_t FramesSent() const noexcept {
     return frames_sent_;
   }
@@ -172,30 +196,22 @@ class ShardRuntime {
   [[nodiscard]] InterShardFrame Receive(const char* phase);
 
  private:
-  struct WindowExchange;  // per-window gather state (defined in the .cpp)
-
-  void BroadcastProposal(std::uint64_t window_id,
-                         const std::vector<double>& local_mins);
   /// The coalescing pass of SetRemoteEventMerger (identity without one).
   [[nodiscard]] std::vector<ShardedEventQueue::RemoteEvent> CoalesceRemoteEvents(
       std::vector<ShardedEventQueue::RemoteEvent> events) const;
-  void SendEventBatches(std::uint64_t window_id,
-                        std::vector<ShardedEventQueue::RemoteEvent> events);
-  /// Channel send + frame accounting.
-  void SendFrame(std::size_t to_process, std::span<const std::byte> frame);
-  /// Blocks until every peer's frames of the given kind for `window_id`
-  /// arrived, dispatching and buffering out-of-order frames.
-  void GatherProposals(std::uint64_t window_id, WindowExchange& exchange);
-  void GatherEventBatches(std::uint64_t window_id, WindowExchange& exchange);
+  /// The window's one exchange: ships the window's remote events with this
+  /// process's next-window vector, gathers every peer's batch and returns
+  /// the merged vector.
+  [[nodiscard]] std::vector<double> ExchangeEventBatches();
 
   /// Receives one frame, throwing StallError after stall_timeout_s with no
   /// frame and no channel liveness progress (LivenessEpoch re-arms the
   /// deadline, so a peer that is slow but draining retransmissions is not
   /// declared dead).
-  [[nodiscard]] InterShardFrame ReceiveOrThrow(std::uint64_t window_id,
-                                               const char* phase);
-  void HandleFrame(std::uint64_t window_id, const InterShardFrame& frame,
-                   WindowExchange& exchange);
+  [[nodiscard]] InterShardFrame ReceiveOrThrow(const char* phase);
+  void HandleFrame(const InterShardFrame& frame,
+                   std::vector<ChunkAssembler>& batches,
+                   std::vector<double>& mins);
 
   ShardedEventQueue* queue_;
   InterShardChannel* channel_;
@@ -206,7 +222,9 @@ class ShardRuntime {
   std::uint64_t frames_sent_ = 0;
   std::vector<std::size_t> process_of_shard_;  ///< shard → owning process
   std::uint64_t window_id_ = 0;
-  std::vector<InterShardFrame> pending_;   ///< buffered out-of-order frames
+  /// The next window's per-shard minima; empty before the first RunUntil.
+  std::vector<double> next_mins_;
+  std::vector<InterShardFrame> pending_;   ///< next window's early chunks
   std::deque<InterShardFrame> leftover_;   ///< frames for higher layers
   std::vector<std::uint64_t> frames_received_from_;  ///< per-process count
 };

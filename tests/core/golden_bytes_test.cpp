@@ -192,10 +192,12 @@ TEST(GoldenBytes, CrossProcessEventPayload) {
             "01000000000000000040");
 }
 
-// Process 0's first proposal and first event chunk of a 2-process lock-step
-// drain: owners 0-1 on shard 0 (process 0), owners 2-3 on shard 1
-// (process 1), one cross-process event each way in window 0.
-TEST(GoldenBytes, WindowProposeAndEventChunk) {
+// Process 0's first event chunk of a 2-process lock-step drain: owners 0-1
+// on shard 0 (process 0), owners 2-3 on shard 1 (process 1), one
+// cross-process event each way in window 0.  Chunk 0 carries process 0's
+// next-window vector: shard 0 is empty (+inf), and the earliest event it
+// ships to shard 1 is at 1.25.
+TEST(GoldenBytes, WindowEventChunk) {
   const std::vector<Frames> sent =
       RunTwoProcesses([](netsim::InterShardChannel& channel) {
         netsim::ShardedEventQueue queue(/*owners=*/4, /*shards=*/2);
@@ -213,11 +215,10 @@ TEST(GoldenBytes, WindowProposeAndEventChunk) {
         common::ThreadPool pool(1);
         (void)runtime.RunUntil(3.0, pool);
       });
-  EXPECT_EQ(Hex(FirstOfType(sent[0], 1)),
-            "01" "0000000000000000" "01000000"
-            "00000000" "000000000000d03f");
   EXPECT_EQ(Hex(FirstOfType(sent[0], 2)),
-            "02" "0000000000000000" "00000000" "01" "01000000"
+            "02" "0000000000000000" "00000000" "01"
+            "02000000" "000000000000f07f" "000000000000f43f"
+            "01000000"
             "02000000" "000000000000f43f" "00000000" "0000000000000000"
             "02000000" "abcd");
 }

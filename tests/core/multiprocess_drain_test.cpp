@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -17,9 +18,11 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
 #include "core/multiprocess.hpp"
 #include "datasets/hps3.hpp"
@@ -92,13 +95,50 @@ void ExpectReportMatchesReference(const MultiprocessRunReport& report,
   EXPECT_EQ(report.churns, reference.simulation.ChurnCount());
 }
 
+/// Forwards to a backend and keeps the size of the largest window-protocol
+/// frame (type byte 2) it sent.  Result-fold frames are budgeted against
+/// the channel's MaxFrameBytes, not max_frame_bytes, so they are not
+/// counted.
+class WindowFrameSizeRecorder final : public netsim::InterShardChannel {
+ public:
+  WindowFrameSizeRecorder(netsim::InterShardChannel& inner,
+                          std::size_t& largest)
+      : inner_(&inner), largest_(&largest) {}
+
+  [[nodiscard]] std::size_t ProcessCount() const noexcept override {
+    return inner_->ProcessCount();
+  }
+  [[nodiscard]] std::size_t ProcessIndex() const noexcept override {
+    return inner_->ProcessIndex();
+  }
+  void Send(std::size_t to_process, std::span<const std::byte> frame) override {
+    if (static_cast<std::uint8_t>(frame.front()) == 2) {
+      *largest_ = std::max(*largest_, frame.size());
+    }
+    inner_->Send(to_process, frame);
+  }
+  [[nodiscard]] std::optional<netsim::InterShardFrame> Receive(
+      int timeout_ms) override {
+    return inner_->Receive(timeout_ms);
+  }
+  [[nodiscard]] const char* Name() const noexcept override {
+    return "window-frame-size-recorder";
+  }
+
+ private:
+  netsim::InterShardChannel* inner_;
+  std::size_t* largest_;
+};
+
 /// Runs all `processes` shares on threads over a loopback hub; returns the
-/// coordinator's folded report.
+/// coordinator's folded report.  With `largest_window_frame` (one slot per
+/// process), every process sends through a WindowFrameSizeRecorder.
 MultiprocessRunReport RunOverLoopback(
     const Dataset& dataset, const AsyncSimulationConfig& config,
     std::size_t processes, double until_s, std::size_t pool_threads,
     const netsim::ShardRuntimeOptions& runtime_options =
-        netsim::ShardRuntimeOptions()) {
+        netsim::ShardRuntimeOptions(),
+    std::vector<std::size_t>* largest_window_frame = nullptr) {
   netsim::LoopbackInterShardHub hub(processes);
   std::vector<MultiprocessRunReport> reports(processes);
   std::vector<std::exception_ptr> errors(processes);
@@ -107,10 +147,15 @@ MultiprocessRunReport RunOverLoopback(
   for (std::size_t p = 0; p < processes; ++p) {
     threads.emplace_back([&, p] {
       try {
-        netsim::LoopbackInterShardChannel channel(hub, p);
+        netsim::LoopbackInterShardChannel loopback(hub, p);
+        std::optional<WindowFrameSizeRecorder> recorder;
+        netsim::InterShardChannel* channel = &loopback;
+        if (largest_window_frame != nullptr) {
+          channel = &recorder.emplace(loopback, (*largest_window_frame)[p]);
+        }
         common::ThreadPool pool(pool_threads);
         reports[p] = RunMultiprocessAsyncSimulation(
-            dataset, config, channel, until_s, pool, runtime_options);
+            dataset, config, *channel, until_s, pool, runtime_options);
       } catch (...) {
         errors[p] = std::current_exception();
       }
@@ -200,8 +245,15 @@ TEST(MultiprocessDrain, CoalescedEnvelopesKeepParityWithFewerEventsAndFrames) {
   };
   const auto per_message =
       RunOverLoopback(dataset, dense(false), 2, 6.0, 1, mtu_frames);
-  const auto coalesced =
-      RunOverLoopback(dataset, dense(true), 2, 6.0, 1, mtu_frames);
+  std::vector<std::size_t> largest_window_frame(2, 0);
+  const auto coalesced = RunOverLoopback(dataset, dense(true), 2, 6.0, 1,
+                                         mtu_frames, &largest_window_frame);
+  // Chunk 0 carries the next-window vector (4 + 8 * 8 bytes here) inside
+  // the same budget: no window frame outgrows the MTU.
+  for (const std::size_t largest : largest_window_frame) {
+    EXPECT_GT(largest, 0u);
+    EXPECT_LE(largest, mtu_frames.max_frame_bytes);
+  }
 
   // Bit-identical protocol outcome (the single-process parallel drain is the
   // same trajectory as the per-message distributed run, already pinned
@@ -294,6 +346,82 @@ TEST(MultiprocessDrain, ResultFoldStallsAfterTheRuntimeStallTimeout) {
   peer.join();
   EXPECT_FALSE(peer_error) << "the peer's own run must succeed";
   EXPECT_LT(waited_s, 15.0) << "the fold ignored stall_timeout_s = 1";
+}
+
+/// Forwards to a backend but rewrites the node id of the first row in the
+/// first owned-rows frame (type 16) to `node`: a peer whose fold lies.
+class FoldRowRewritingChannel final : public netsim::InterShardChannel {
+ public:
+  FoldRowRewritingChannel(netsim::InterShardChannel& inner, std::uint32_t node)
+      : inner_(&inner), node_(node) {}
+
+  [[nodiscard]] std::size_t ProcessCount() const noexcept override {
+    return inner_->ProcessCount();
+  }
+  [[nodiscard]] std::size_t ProcessIndex() const noexcept override {
+    return inner_->ProcessIndex();
+  }
+  void Send(std::size_t to_process, std::span<const std::byte> frame) override {
+    if (rewritten_ || static_cast<std::uint8_t>(frame.front()) != 16) {
+      inner_->Send(to_process, frame);
+      return;
+    }
+    // type (1) | chunk (4) | last (1) | rows (4) | first row's node (4) ...
+    std::vector<std::byte> bytes(frame.begin(), frame.end());
+    common::ByteWriter node;
+    node.U32(node_);
+    const std::vector<std::byte> encoded = node.Take();
+    std::copy(encoded.begin(), encoded.end(), bytes.begin() + 10);
+    rewritten_ = true;
+    inner_->Send(to_process, bytes);
+  }
+  [[nodiscard]] std::optional<netsim::InterShardFrame> Receive(
+      int timeout_ms) override {
+    return inner_->Receive(timeout_ms);
+  }
+  [[nodiscard]] const char* Name() const noexcept override {
+    return "fold-row-rewriting";
+  }
+
+ private:
+  netsim::InterShardChannel* inner_;
+  std::uint32_t node_;
+  bool rewritten_ = false;
+};
+
+// A fold row naming a node outside the deployment is malformed peer input.
+TEST(MultiprocessDrain, ResultFoldRejectsAnOutOfRangeNode) {
+  const Dataset dataset = SmallRtt();
+  const AsyncSimulationConfig config = BaseConfig(dataset, 4);
+  netsim::ShardRuntimeOptions options;
+  options.stall_timeout_s = 5.0;
+  netsim::LoopbackInterShardHub hub(2);
+  std::exception_ptr peer_error;
+  std::thread peer([&] {
+    try {
+      netsim::LoopbackInterShardChannel loopback(hub, 1);
+      FoldRowRewritingChannel rewriting(
+          loopback, static_cast<std::uint32_t>(dataset.NodeCount()));
+      common::ThreadPool pool(1);
+      (void)RunMultiprocessAsyncSimulation(dataset, config, rewriting, 5.0,
+                                           pool, options);
+    } catch (...) {
+      peer_error = std::current_exception();
+    }
+  });
+  netsim::LoopbackInterShardChannel channel(hub, 0);
+  common::ThreadPool pool(1);
+  try {
+    (void)RunMultiprocessAsyncSimulation(dataset, config, channel, 5.0, pool,
+                                         options);
+    ADD_FAILURE() << "the coordinator accepted a row for node n";
+  } catch (const common::DecodeError& error) {
+    EXPECT_NE(std::string(error.what()).find("out-of-range node"),
+              std::string::npos)
+        << error.what();
+  }
+  peer.join();
+  EXPECT_FALSE(peer_error) << "the peer's own run must succeed";
 }
 
 /// Runs a genuinely forked 2-process run over real UDP datagrams and

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "core/wire.hpp"
 #include "netsim/event_queue.hpp"
 #include "netsim/reliable_channel.hpp"
+#include "netsim/shard_runtime.hpp"
 
 namespace dmfsgd {
 namespace {
@@ -64,6 +66,26 @@ std::vector<Bytes> ReliableSeeds() {
   return {netsim::EncodeReliableData(1, 0, 0, MessageSeeds()[0]),
           netsim::EncodeReliableData(9, 7, 0x5, BatchSeeds()[0]),
           netsim::EncodeReliableAck(4, 0x8000000000000001ULL)};
+}
+
+std::vector<Bytes> EventChunkSeeds() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  netsim::EventChunk first;  // chunk 0: two events and a 4-shard vector
+  first.window_id = 12;
+  first.events = {{5, 1.25, 0, 3, MessageSeeds()[1]},
+                  {6, 2.5, 1, 0x1234, MessageSeeds()[0]}};
+  first.next_mins = {0.75, kInf, 1.25, 2.5};
+  netsim::EventChunk barrier;  // an empty batch: chunk 0, last, no events
+  barrier.window_id = 3;
+  barrier.last = true;
+  barrier.next_mins = {kInf, 0.5, kInf, kInf};
+  netsim::EventChunk later;  // a later chunk carries no vector
+  later.window_id = 12;
+  later.index = 2;
+  later.last = true;
+  later.events = {{7, 3.0, 2, 9, BatchSeeds()[1]}};
+  return {netsim::EncodeEventChunk(first), netsim::EncodeEventChunk(barrier),
+          netsim::EncodeEventChunk(later)};
 }
 
 std::vector<Bytes> AllSeeds() {
@@ -259,6 +281,13 @@ TEST(FrameDecoders, DecodeReliableFrame) {
           }
           return netsim::EncodeReliableData(view.seq, view.cumulative_ack,
                                             view.sack_bitmap, view.payload);
+        });
+}
+
+TEST(FrameDecoders, DecodeEventChunk) {
+  Sweep("DecodeEventChunk", EventChunkSeeds(), kSweepSeed + 6,
+        [](const Bytes& in) {
+          return netsim::EncodeEventChunk(netsim::DecodeEventChunk(in));
         });
 }
 

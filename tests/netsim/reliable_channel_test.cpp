@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "netsim/fault_channel.hpp"
 #include "netsim/inter_shard_channel.hpp"
 
@@ -303,9 +304,9 @@ TEST(ChunkAssembler, ContradictingFinalChunksThrow) {
   ChunkAssembler assembler;
   EXPECT_TRUE(assembler.Mark(2, true));  // total established: 3 chunks
   // A second final at a different index contradicts the established total.
-  EXPECT_THROW((void)assembler.Mark(1, true), std::logic_error);
+  EXPECT_THROW((void)assembler.Mark(1, true), common::DecodeError);
   // As does any index at or beyond the final chunk.
-  EXPECT_THROW((void)assembler.Mark(3, false), std::logic_error);
+  EXPECT_THROW((void)assembler.Mark(3, false), common::DecodeError);
   EXPECT_TRUE(assembler.Mark(0, false));
   EXPECT_TRUE(assembler.Mark(1, false));
   EXPECT_TRUE(assembler.Complete());
@@ -328,8 +329,8 @@ TEST(ChunkAssembler, TopIndicesNeitherCrashNorComplete) {
   ChunkAssembler assembler;
   EXPECT_TRUE(assembler.Mark(kTop - 1, true));  // claims 2^32 - 1 chunks
   EXPECT_FALSE(assembler.Complete());
-  EXPECT_THROW((void)assembler.Mark(kTop, false), std::logic_error);
-  EXPECT_THROW((void)assembler.Mark(0, true), std::logic_error);
+  EXPECT_THROW((void)assembler.Mark(kTop, false), common::DecodeError);
+  EXPECT_THROW((void)assembler.Mark(0, true), common::DecodeError);
   EXPECT_TRUE(assembler.Mark(0, false));
   EXPECT_FALSE(assembler.Complete());
 }
@@ -337,7 +338,7 @@ TEST(ChunkAssembler, TopIndicesNeitherCrashNorComplete) {
 TEST(ChunkAssembler, FinalChunkBelowAReceivedIndexThrows) {
   ChunkAssembler assembler;
   EXPECT_TRUE(assembler.Mark(5, false));
-  EXPECT_THROW((void)assembler.Mark(2, true), std::logic_error);
+  EXPECT_THROW((void)assembler.Mark(2, true), common::DecodeError);
 }
 
 }  // namespace

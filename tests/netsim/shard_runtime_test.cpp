@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
 #include "netsim/inter_shard_channel.hpp"
 
@@ -107,9 +110,11 @@ struct ProcessResult {
 
 /// Runs `processes` runtimes over a loopback hub, one thread each, and
 /// returns each process's per-owner logs (meaningful for owned owners only).
+/// Each process first runs to every horizon in `steps`, one call each.
 std::vector<ProcessResult> RunDistributed(std::size_t owners, std::size_t shards,
                                           std::size_t processes, double until_s,
-                                          std::size_t pool_threads) {
+                                          std::size_t pool_threads,
+                                          const std::vector<double>& steps = {}) {
   LoopbackInterShardHub hub(processes);
   std::vector<ProcessResult> results(processes);
   std::vector<std::exception_ptr> errors(processes);
@@ -127,7 +132,10 @@ std::vector<ProcessResult> RunDistributed(std::size_t owners, std::size_t shards
             });
         net.SeedChains();
         common::ThreadPool pool(pool_threads);
-        results[p].executed = runtime.RunUntil(until_s, pool);
+        for (const double step : steps) {
+          results[p].executed += runtime.RunUntil(step, pool);
+        }
+        results[p].executed += runtime.RunUntil(until_s, pool);
         results[p].windows = runtime.WindowsExecuted();
         results[p].logs = std::move(net.logs);
         results[p].owned_shards = {net.queue.OwnedShardBegin(),
@@ -148,14 +156,19 @@ std::vector<ProcessResult> RunDistributed(std::size_t owners, std::size_t shards
   return results;
 }
 
-/// Single-process reference with the identical schedule.
+/// Single-process reference with the identical schedule and steps.
 ProcessResult RunReference(std::size_t owners, std::size_t shards,
-                           double until_s) {
+                           double until_s,
+                           const std::vector<double>& steps = {}) {
   TestNet net(owners, shards);
   net.SeedChains();
   common::ThreadPool pool(2);
   ProcessResult result;
-  result.executed =
+  for (const double step : steps) {
+    result.executed +=
+        net.queue.RunUntilParallel(step, pool, LookaheadMatrix(shards, kHopDelay));
+  }
+  result.executed +=
       net.queue.RunUntilParallel(until_s, pool, LookaheadMatrix(shards, kHopDelay));
   result.windows = net.queue.WindowsExecuted();
   result.logs = std::move(net.logs);
@@ -246,9 +259,9 @@ TEST(ShardRuntime, ValidatesOptions) {
 }
 
 TEST(ShardRuntime, ThrowsStallErrorWithDiagnosticsWhenAPeerStalls) {
-  // Two registered processes, only one running: the propose gather must give
-  // up after the stall timeout instead of wedging the suite — and the error
-  // must carry enough context to debug the dead peer.
+  // Two registered processes, only one running: the event-batch gather must
+  // give up after the stall timeout instead of wedging the suite — and the
+  // error must carry enough context to debug the dead peer.
   LoopbackInterShardHub hub(2);
   TestNet net(4, 2);
   LoopbackInterShardChannel channel(hub, 0);
@@ -267,13 +280,199 @@ TEST(ShardRuntime, ThrowsStallErrorWithDiagnosticsWhenAPeerStalls) {
     (void)runtime.RunUntil(5.0, pool);
     FAIL() << "a silent peer must trip the stall timeout";
   } catch (const StallError& stall) {
-    EXPECT_EQ(stall.Phase(), "propose") << "the very first gather stalls";
+    EXPECT_EQ(stall.Phase(), "event-batch") << "the very first gather stalls";
     ASSERT_EQ(stall.FramesReceivedFrom().size(), 2u);
     EXPECT_EQ(stall.FramesReceivedFrom()[1], 0u) << "peer 1 never spoke";
     const std::string what = stall.what();
     EXPECT_NE(what.find("stalled"), std::string::npos) << what;
     EXPECT_NE(what.find("never heard"), std::string::npos) << what;
   }
+}
+
+// Later RunUntil calls start from the minima of the previous call's last
+// exchange (no exchange of their own): two processes stepped through the
+// same horizons, one of them repeated, match the single-process drain
+// stepped alike.
+TEST(ShardRuntime, SteppedCallsMatchTheSteppedSingleProcessDrain) {
+  const std::size_t owners = 8;
+  const std::size_t shards = 4;
+  const std::vector<double> steps = {3.0, 3.0, 7.5, 12.0};
+  const ProcessResult reference = RunReference(owners, shards, 20.0, steps);
+  const auto distributed = RunDistributed(owners, shards, 2, 20.0, 1, steps);
+  std::uint64_t executed = 0;
+  ShardedEventQueue mapper(owners, shards);
+  for (const ProcessResult& process : distributed) {
+    EXPECT_EQ(process.windows, reference.windows);
+    executed += process.executed;
+    for (OwnerId owner = 0; owner < owners; ++owner) {
+      const std::size_t shard = mapper.ShardOf(owner);
+      if (shard >= process.owned_shards.first &&
+          shard < process.owned_shards.second) {
+        EXPECT_EQ(process.logs.at(owner), reference.logs.at(owner))
+            << "owner " << owner << " event sequence diverged";
+      }
+    }
+  }
+  EXPECT_EQ(executed, reference.executed);
+}
+
+TEST(ShardRuntime, RejectsNaNAndPastHorizons) {
+  auto decoder = [](OwnerId, std::vector<std::byte>) {
+    return ShardedEventQueue::Callback([] {});
+  };
+  common::ThreadPool pool(1);
+  {
+    LoopbackInterShardHub hub(1);
+    LoopbackInterShardChannel channel(hub, 0);
+    TestNet net(4, 2);
+    ShardRuntime runtime(net.queue, channel, LookaheadMatrix(2, kHopDelay),
+                         decoder);
+    net.SeedChains();
+    EXPECT_THROW((void)runtime.RunUntil(std::nan(""), pool),
+                 std::invalid_argument);
+    (void)runtime.RunUntil(5.0, pool);
+    EXPECT_THROW((void)runtime.RunUntil(4.0, pool), std::invalid_argument);
+    EXPECT_NO_THROW((void)runtime.RunUntil(5.0, pool));
+  }
+  // With a peer, the horizon is checked before anything is sent.
+  LoopbackInterShardHub hub(2);
+  LoopbackInterShardChannel channel(hub, 0);
+  TestNet net(4, 2);
+  ShardRuntimeOptions options;
+  options.receive_poll_ms = 10;
+  options.stall_timeout_s = 0.3;
+  ShardRuntime runtime(net.queue, channel, LookaheadMatrix(2, kHopDelay),
+                       decoder, options);
+  net.SeedChains();
+  EXPECT_THROW((void)runtime.RunUntil(std::nan(""), pool),
+               std::invalid_argument);
+  EXPECT_THROW((void)runtime.RunUntil(-1.0, pool), std::invalid_argument);
+  EXPECT_EQ(runtime.FramesSent(), 0u);
+  EXPECT_FALSE(hub.Take(1, 0).has_value());
+}
+
+TEST(ShardRuntime, RejectsAVectorThatDoesNotFitOneFrame) {
+  auto decoder = [](OwnerId, std::vector<std::byte>) {
+    return ShardedEventQueue::Callback([] {});
+  };
+  ShardRuntimeOptions options;
+  options.max_frame_bytes = 256;  // 64 bytes of headroom + 4 + 8 per shard
+  LoopbackInterShardHub pair(2);
+  LoopbackInterShardChannel channel(pair, 0);
+  ShardedEventQueue fits(23, 23);
+  EXPECT_NO_THROW(ShardRuntime(fits, channel, LookaheadMatrix(23, 1.0),
+                               decoder, options));
+  ShardedEventQueue too_many(24, 24);
+  EXPECT_THROW(ShardRuntime(too_many, channel, LookaheadMatrix(24, 1.0),
+                            decoder, options),
+               std::invalid_argument);
+  // Alone, the runtime never sends the vector.
+  LoopbackInterShardHub solo(1);
+  LoopbackInterShardChannel alone(solo, 0);
+  EXPECT_NO_THROW(ShardRuntime(too_many, alone, LookaheadMatrix(24, 1.0),
+                               decoder, options));
+}
+
+// ----------------------------------------------------------------------
+// Hostile peer bytes: a hand-driven endpoint plays process 1 of a 2-process
+// drain over 4 owners and 2 shards (owners 0-1 on process 0's shard 0).
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::vector<std::byte> HopPayload(std::uint32_t hop) {
+  std::vector<std::byte> payload(sizeof(hop));
+  std::memcpy(payload.data(), &hop, sizeof(hop));
+  return payload;
+}
+
+ShardedEventQueue::RemoteEvent Event(OwnerId owner, double time,
+                                     std::uint32_t lane, std::uint64_t seq) {
+  return {owner, time, lane, seq, HopPayload(1)};
+}
+
+std::vector<std::byte> Chunk(std::uint64_t window_id, std::uint32_t index,
+                             bool last,
+                             std::vector<ShardedEventQueue::RemoteEvent> events,
+                             std::vector<double> next_mins = {kInf, kInf}) {
+  EventChunk chunk;
+  chunk.window_id = window_id;
+  chunk.index = index;
+  chunk.last = last;
+  chunk.events = std::move(events);
+  if (index == 0) {
+    chunk.next_mins = std::move(next_mins);
+  }
+  return EncodeEventChunk(chunk);
+}
+
+/// Posts `frames` from the hand-driven process 1, then runs process 0, which
+/// reads them in its first gather; expects common::DecodeError and returns
+/// how many event payloads process 0 decoded before it threw.
+std::size_t DecodedBeforeRejecting(
+    const std::vector<std::vector<std::byte>>& frames, const char* what) {
+  LoopbackInterShardHub hub(2);
+  LoopbackInterShardChannel peer(hub, 1);
+  for (const std::vector<std::byte>& frame : frames) {
+    peer.Send(0, frame);
+  }
+  LoopbackInterShardChannel channel(hub, 0);
+  TestNet net(4, 2);
+  std::size_t decoded = 0;
+  ShardRuntimeOptions options;
+  options.receive_poll_ms = 10;
+  options.stall_timeout_s = 1.0;
+  ShardRuntime runtime(
+      net.queue, channel, LookaheadMatrix(2, kHopDelay),
+      [&](OwnerId owner, std::vector<std::byte> payload) {
+        ++decoded;
+        return net.Decode(owner, std::move(payload));
+      },
+      options);
+  net.SeedChains();
+  common::ThreadPool pool(1);
+  EXPECT_THROW((void)runtime.RunUntil(5.0, pool), common::DecodeError) << what;
+  return decoded;
+}
+
+TEST(ShardRuntime, PeerBytesThatContradictTheProtocolThrowDecodeError) {
+  const double nan = std::nan("");
+  const auto good = Event(1, 1.5, 1, 0);  // owner 1 is process 0's
+  struct Case {
+    const char* what;
+    std::vector<std::vector<std::byte>> frames;
+  };
+  std::vector<std::byte> trailing = Chunk(0, 0, true, {good});
+  trailing.push_back(std::byte{0});
+  const std::vector<Case> cases = {
+      {"a chunk two windows ahead", {Chunk(2, 0, true, {})}},
+      {"a chunk beyond the final chunk",
+       {Chunk(0, 1, true, {}), Chunk(0, 5, false, {})}},
+      {"a final chunk below a chunk already received",
+       {Chunk(0, 3, false, {}), Chunk(0, 1, true, {})}},
+      {"an owner out of range", {Chunk(0, 0, true, {good, Event(4, 1.5, 1, 1)})}},
+      {"an owner of another process",
+       {Chunk(0, 0, true, {good, Event(2, 1.5, 1, 1)})}},
+      {"a lane that is not a shard",
+       {Chunk(0, 0, true, {good, Event(1, 1.5, 2, 1)})}},
+      {"a NaN time", {Chunk(0, 0, true, {good, Event(0, nan, 1, 1)})}},
+      {"an infinite time", {Chunk(0, 0, true, {good, Event(0, kInf, 1, 1)})}},
+      {"trailing bytes", {trailing}},
+      {"a vector of the wrong length", {Chunk(0, 0, true, {good}, {kInf})}},
+      {"a vector with a NaN", {Chunk(0, 0, true, {good}, {nan, kInf})}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(DecodedBeforeRejecting(c.frames, c.what), 0u)
+        << c.what << ": an event was decoded before the frame was rejected";
+  }
+  // A well-formed batch whose vector disagrees with its events: the vector
+  // claims nothing for shard 0, but the event lands there at 1.5, ahead of
+  // process 0's own next event.
+  EXPECT_EQ(DecodedBeforeRejecting({Chunk(0, 0, true, {good})},
+                                   "a vector that omits a shipped event"),
+            1u);
+  EXPECT_EQ(DecodedBeforeRejecting({Chunk(0, 0, true, {}, {0.5, kInf})},
+                                   "a vector ahead of every event"),
+            0u);
 }
 
 }  // namespace
