@@ -130,6 +130,21 @@ for cited in $(grep -rhoE '`[a-z0-9]+_[a-z0-9_]+_test`' \
   fi
 done
 
+# Every identifier the docs backtick — qualified (`a::B`, checked by its last
+# component) or PascalCase, with or without `()` — must occur as a whole
+# word in the code, so deleting or renaming a type, function or test cannot
+# strand the prose that names it.  The code's identifiers are collected once.
+doc_files=(DESIGN.md README.md .claude/skills/verify/SKILL.md)
+while IFS= read -r name; do
+  docs_failures+=("the docs name \`$name\`, which nothing under src, bench, examples, perfbench or tests spells")
+done < <(awk 'NR == FNR { known[$0] = 1; next }
+              { n = split($0, parts, "::"); if (!(parts[n] in known)) print }' \
+           <(grep -rhoE '[A-Za-z_~][A-Za-z0-9_]*' \
+               src bench examples perfbench tests | sort -u) \
+           <(grep -hoE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)*(\(\))?`' \
+               "${doc_files[@]}" 2>/dev/null | tr -d '`' | sed 's/()$//' |
+             grep -E '::|^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$' | sort -u))
+
 if [[ ${#docs_failures[@]} -ne 0 ]]; then
   for failure in "${docs_failures[@]}"; do
     echo "docs check: $failure" >&2

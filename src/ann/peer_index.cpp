@@ -1,38 +1,29 @@
 #include "ann/peer_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+
+#include "common/rng.hpp"
 
 namespace dmfsgd::ann {
 
 namespace {
 
 const PeerIndexOptions& RequireOptions(const PeerIndexOptions& options) {
-  if (options.degree == 0) {
-    throw std::invalid_argument("PeerIndex: degree must be > 0");
+  if (options.ef_search == 0) {
+    throw std::invalid_argument("PeerIndex: ef_search must be > 0");
   }
-  if (options.ef_construction == 0 || options.ef_search == 0) {
-    throw std::invalid_argument("PeerIndex: beam widths must be > 0");
-  }
-  if (options.entry_points == 0) {
-    throw std::invalid_argument("PeerIndex: entry_points must be > 0");
-  }
-  // Written so NaN fails: a NaN threshold would silently never trigger.
-  if (!(options.drift_epsilon >= 0.0)) {
-    throw std::invalid_argument("PeerIndex: drift_epsilon must be >= 0");
-  }
-  if (!(options.rebuild_fraction >= 0.0 && options.rebuild_fraction <= 1.0)) {
-    throw std::invalid_argument("PeerIndex: rebuild_fraction must be in [0, 1]");
-  }
-  if (options.ivf_cells > 0) {
-    if (options.ivf_nprobe == 0) {
-      throw std::invalid_argument("PeerIndex: ivf_nprobe must be > 0");
-    }
-    if (options.ivf_sample == 0) {
-      throw std::invalid_argument("PeerIndex: ivf_sample must be > 0");
-    }
+  if (options.ivf_cells > 0 && options.ivf_nprobe == 0) {
+    throw std::invalid_argument("PeerIndex: ivf_nprobe must be > 0");
   }
   return options;
+}
+
+std::vector<std::size_t> AllNodes(std::size_t node_count) {
+  std::vector<std::size_t> ids(node_count);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
 }
 
 }  // namespace
@@ -68,37 +59,17 @@ void PeerIndex::ReleaseScratch(std::unique_ptr<SearchScratch> scratch) const {
 
 PeerIndex::PeerIndex(const core::CoordinateStore& store,
                      const PeerIndexOptions& options)
-    : store_(&store),
-      options_(RequireOptions(options)),
-      rank_(store.rank()),
-      rng_(options.seed) {
-  const std::size_t n = store.NodeCount();
-  slot_of_.assign(n, kNoSlot);
-  id_of_.reserve(n);
-  snap_v_.reserve(n * rank_);
-  adj_.reserve(n * options_.degree);
-  adj_len_.reserve(n);
-  SearchScratch scratch;
-  for (std::size_t id = 0; id < n; ++id) {
-    const Slot slot = AppendSlot(id);
-    LinkSlot(slot, slot, scratch);
-  }
-  BuildCoarse();
-}
+    : PeerIndex(store, AllNodes(store.NodeCount()), options) {}
 
 PeerIndex::PeerIndex(const core::CoordinateStore& store,
                      std::span<const std::size_t> members,
                      const PeerIndexOptions& options)
-    : store_(&store),
-      options_(RequireOptions(options)),
-      rank_(store.rank()),
-      rng_(options.seed) {
+    : store_(&store), options_(RequireOptions(options)), rank_(store.rank()) {
   slot_of_.assign(store.NodeCount(), kNoSlot);
   id_of_.reserve(members.size());
   snap_v_.reserve(members.size() * rank_);
-  adj_.reserve(members.size() * options_.degree);
+  adj_.reserve(members.size() * kDegree);
   adj_len_.reserve(members.size());
-  SearchScratch scratch;
   for (const std::size_t id : members) {
     if (id >= store.NodeCount()) {
       throw std::out_of_range("PeerIndex: member id out of range");
@@ -106,10 +77,9 @@ PeerIndex::PeerIndex(const core::CoordinateStore& store,
     if (slot_of_[id] != kNoSlot) {
       throw std::invalid_argument("PeerIndex: duplicate member id");
     }
-    const Slot slot = AppendSlot(id);
-    LinkSlot(slot, slot, scratch);
+    AppendSlot(id);
   }
-  BuildCoarse();
+  LinkAll();
 }
 
 double PeerIndex::SnapDistanceSquared(Slot a, Slot b) const noexcept {
@@ -134,15 +104,13 @@ double PeerIndex::DistanceSquaredToSnapshot(std::span<const double> row,
   return sum;
 }
 
-PeerIndex::Slot PeerIndex::AppendSlot(std::size_t id) {
-  const Slot slot = static_cast<Slot>(id_of_.size());
+void PeerIndex::AppendSlot(std::size_t id) {
+  slot_of_[id] = static_cast<Slot>(id_of_.size());
   id_of_.push_back(id);
-  slot_of_[id] = slot;
   const auto v = store_->V(id);
   snap_v_.insert(snap_v_.end(), v.begin(), v.end());
-  adj_.resize(adj_.size() + options_.degree, kNoSlot);
+  adj_.resize(adj_.size() + kDegree, kNoSlot);
   adj_len_.push_back(0);
-  return slot;
 }
 
 void PeerIndex::SelectNeighbors(std::span<const RankedSlot> candidates,
@@ -155,7 +123,7 @@ void PeerIndex::SelectNeighbors(std::span<const RankedSlot> candidates,
   chosen.clear();
   pruned.clear();
   for (const RankedSlot& candidate : candidates) {
-    if (chosen.size() >= options_.degree) {
+    if (chosen.size() >= kDegree) {
       break;
     }
     bool keep = true;
@@ -172,7 +140,7 @@ void PeerIndex::SelectNeighbors(std::span<const RankedSlot> candidates,
     }
   }
   for (const Slot s : pruned) {
-    if (chosen.size() >= options_.degree) {
+    if (chosen.size() >= kDegree) {
       break;
     }
     chosen.push_back(s);
@@ -180,13 +148,13 @@ void PeerIndex::SelectNeighbors(std::span<const RankedSlot> candidates,
 }
 
 void PeerIndex::LinkBack(Slot to, Slot from, SearchScratch& scratch) {
-  Slot* edges = adj_.data() + static_cast<std::size_t>(to) * options_.degree;
+  Slot* edges = adj_.data() + static_cast<std::size_t>(to) * kDegree;
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
     if (edges[e] == from) {
       return;
     }
   }
-  if (adj_len_[to] < options_.degree) {
+  if (adj_len_[to] < kDegree) {
     edges[adj_len_[to]++] = from;
     return;
   }
@@ -282,38 +250,41 @@ void PeerIndex::BeamSearch(std::span<const Slot> entries, std::size_t ef,
   std::sort(out.begin(), out.end(), Better);
 }
 
-void PeerIndex::LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch) {
-  if (linked == 0) {
-    adj_len_[slot] = 0;
-    return;
-  }
-  // Entry points come from the index Rng: construction order + seed fully
-  // determine the adjacency (duplicates are fine, the visited set dedups).
+void PeerIndex::LinkAll() {
+  // Entry points come from an Rng seeded here, so member order and the
+  // snapshots fully determine the adjacency (duplicate entries are fine,
+  // the visited set dedups) and the index keeps no Rng state.  Slot 0 has
+  // nothing before it to link to; it gains edges as later slots link back.
+  common::Rng rng(kLinkSeed);
+  std::fill(adj_len_.begin(), adj_len_.end(), 0);
+  SearchScratch scratch;
   std::vector<Slot>& entries = scratch.entries;
-  entries.clear();
-  for (std::size_t t = 0; t < options_.entry_points; ++t) {
-    entries.push_back(
-        static_cast<Slot>(rng_.UniformInt(static_cast<std::uint64_t>(linked))));
+  for (Slot slot = 1; slot < id_of_.size(); ++slot) {
+    entries.clear();
+    for (std::size_t t = 0; t < kEntryPoints; ++t) {
+      entries.push_back(static_cast<Slot>(rng.UniformInt(std::uint64_t{slot})));
+    }
+    const std::span<const double> row(Snapshot(slot), rank_);
+    BeamSearch(
+        entries, kEfConstruction, slot,
+        [&](Slot s) { return DistanceSquaredToSnapshot(row, s); }, scratch);
+    SetEdges(slot, scratch.out, scratch);
   }
-  const std::span<const double> row(Snapshot(slot), rank_);
-  BeamSearch(
-      entries, options_.ef_construction, slot,
-      [&](Slot s) { return DistanceSquaredToSnapshot(row, s); }, scratch);
-  SetEdges(slot, scratch.out, scratch);
+  BuildCoarse();
 }
 
 void PeerIndex::RepairSlot(Slot slot, SearchScratch& scratch) {
   // A beam as narrow as the degree walks from the member's own out-edges
   // to its refreshed row.  Every member it scores is a candidate, and the
-  // ef_construction nearest go to the prune, as deep a list as an insert's
-  // beam hands it: the prune's long, diverse edges come from that depth,
-  // and a pool only as deep as the beam loses recall over a long ingest
-  // (DESIGN.md §16).
+  // kEfConstruction nearest go to the prune, as deep a list as the link
+  // pass's beam hands it: the prune's long, diverse edges come from that
+  // depth, and a pool only as deep as the beam loses recall over a long
+  // ingest (DESIGN.md §16).
   std::vector<RankedSlot>& scored = scratch.scored;
   scored.clear();
   const std::span<const double> row(Snapshot(slot), rank_);
   BeamSearch(
-      Edges(slot), options_.degree, slot,
+      Edges(slot), kDegree, slot,
       [&](Slot s) {
         const double key = DistanceSquaredToSnapshot(row, s);
         if (s != slot) {
@@ -322,7 +293,7 @@ void PeerIndex::RepairSlot(Slot slot, SearchScratch& scratch) {
         return key;
       },
       scratch);
-  const std::size_t keep = std::min(options_.ef_construction, scored.size());
+  const std::size_t keep = std::min(kEfConstruction, scored.size());
   const auto kept_end = scored.begin() + static_cast<std::ptrdiff_t>(keep);
   std::nth_element(scored.begin(), kept_end, scored.end(), Better);
   scored.erase(kept_end, scored.end());
@@ -336,7 +307,7 @@ void PeerIndex::SetEdges(Slot slot, std::span<const RankedSlot> candidates,
   SelectNeighbors(candidates, chosen, scratch.pruned);
   adj_len_[slot] = static_cast<std::uint32_t>(chosen.size());
   std::copy(chosen.begin(), chosen.end(),
-            adj_.data() + static_cast<std::size_t>(slot) * options_.degree);
+            adj_.data() + static_cast<std::size_t>(slot) * kDegree);
   for (const Slot s : chosen) {
     LinkBack(s, slot, scratch);
   }
@@ -351,9 +322,9 @@ void PeerIndex::BuildCoarse() {
   }
   // Deterministic by construction: the training sample is evenly spaced
   // over the slots, centroids are seeded from evenly spaced sample rows,
-  // and every tie breaks toward the lower cell / smaller slot.  No rng_
-  // draws, so enabling the coarse layer never shifts the adjacency stream.
-  const std::size_t sample_count = std::min(options_.ivf_sample, size);
+  // and every tie breaks toward the lower cell / smaller slot.  No Rng
+  // draws, so enabling the coarse layer never shifts the adjacency.
+  const std::size_t sample_count = std::min(kIvfSample, size);
   const std::size_t cells = std::min(options_.ivf_cells, sample_count);
   std::vector<Slot> sample(sample_count);
   for (std::size_t t = 0; t < sample_count; ++t) {
@@ -390,7 +361,7 @@ void PeerIndex::BuildCoarse() {
 
   std::vector<double> sums(cells * rank_);
   std::vector<std::size_t> counts(cells);
-  for (std::size_t it = 0; it < options_.ivf_iterations; ++it) {
+  for (std::size_t it = 0; it < kIvfIterations; ++it) {
     assign_all();
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
@@ -467,7 +438,7 @@ std::vector<std::size_t> PeerIndex::CellEntries() const {
 
 eval::KnnResult PeerIndex::GraphSearch(std::span<const double> query_u,
                                        std::size_t k, eval::KnnOrdering ordering,
-                                       std::size_t ef, std::size_t exclude_id,
+                                       std::size_t ef, Slot exclude,
                                        SearchScratch& scratch) const {
   const bool smallest = ordering == eval::KnnOrdering::kSmallestFirst;
   const auto key_of = [&](Slot s) {
@@ -506,16 +477,12 @@ eval::KnnResult PeerIndex::GraphSearch(std::span<const double> query_u,
   } else {
     // Flat mode: fixed evenly-spaced entry slots keep const searches
     // stateless and repeatable.
-    const std::size_t entry_count = std::min(options_.entry_points, size);
+    const std::size_t entry_count = std::min(kEntryPoints, size);
     entries.reserve(entry_count);
     for (std::size_t t = 0; t < entry_count; ++t) {
       entries.push_back(static_cast<Slot>(t * size / entry_count));
     }
   }
-  const Slot exclude =
-      exclude_id < slot_of_.size() && slot_of_[exclude_id] != kNoSlot
-          ? slot_of_[exclude_id]
-          : kNoSlot;
   BeamSearch(entries, ef, exclude, key_of, scratch);
   const std::vector<RankedSlot>& found = scratch.out;
   const std::size_t count = std::min(k, found.size());
@@ -529,30 +496,16 @@ eval::KnnResult PeerIndex::GraphSearch(std::span<const double> query_u,
   return result;
 }
 
-eval::KnnResult PeerIndex::Search(std::span<const double> query_u, std::size_t k,
-                                  eval::KnnOrdering ordering,
-                                  std::size_t ef) const {
-  return SearchFrom(store_->NodeCount(), k, ordering, ef, query_u);
-}
-
 eval::KnnResult PeerIndex::SearchFrom(std::size_t query, std::size_t k,
                                       eval::KnnOrdering ordering,
                                       std::size_t ef) const {
   if (query >= store_->NodeCount()) {
     throw std::out_of_range("PeerIndex::SearchFrom: query id out of range");
   }
-  return SearchFrom(query, k, ordering, ef, store_->U(query));
-}
-
-eval::KnnResult PeerIndex::SearchFrom(std::size_t exclude_id, std::size_t k,
-                                      eval::KnnOrdering ordering, std::size_t ef,
-                                      std::span<const double> query_u) const {
   if (k == 0) {
-    throw std::invalid_argument("PeerIndex::Search: k must be > 0");
+    throw std::invalid_argument("PeerIndex::SearchFrom: k must be > 0");
   }
-  if (query_u.size() != rank_) {
-    throw std::invalid_argument("PeerIndex::Search: query row rank mismatch");
-  }
+  const std::span<const double> query_u = store_->U(query);
   std::size_t beam = ef == 0 ? options_.ef_search : ef;
   beam = std::max(beam, k);
   const bool probe_everything =
@@ -562,94 +515,10 @@ eval::KnnResult PeerIndex::SearchFrom(std::size_t exclude_id, std::size_t k,
     // would probe every cell): the oracle itself over the members in slot
     // order — the bit-identity the parity tests rely on.
     search_.score_evals.fetch_add(id_of_.size(), std::memory_order_relaxed);
-    return eval::BruteForceKnnRow(*store_, query_u, id_of_, k, ordering,
-                                  exclude_id);
+    return eval::BruteForceKnnRow(*store_, query_u, id_of_, k, ordering, query);
   }
   const ScratchLease lease(*this);
-  return GraphSearch(query_u, k, ordering, beam, exclude_id, *lease);
-}
-
-void PeerIndex::Add(std::size_t id) {
-  if (id >= store_->NodeCount()) {
-    throw std::out_of_range("PeerIndex::Add: id out of range");
-  }
-  if (slot_of_[id] != kNoSlot) {
-    throw std::invalid_argument("PeerIndex::Add: already a member");
-  }
-  const Slot slot = AppendSlot(id);
-  const ScratchLease lease(*this);
-  LinkSlot(slot, slot, *lease);
-  // The coarse layer is left alone: the new member is reachable through
-  // back-links from its neighbors, and the next rebuild refreshes the
-  // cells.
-}
-
-void PeerIndex::Remove(std::size_t id) {
-  if (!Contains(id)) {
-    throw std::invalid_argument("PeerIndex::Remove: not a member");
-  }
-  const Slot slot = slot_of_[id];
-  const Slot last = static_cast<Slot>(id_of_.size() - 1);
-
-  // One pass over every edge list: drop references to the departing slot,
-  // then (second pass, after the swap) rename `last` to its new home.
-  for (Slot s = 0; s <= last; ++s) {
-    Slot* edges = adj_.data() + static_cast<std::size_t>(s) * options_.degree;
-    std::uint32_t kept = 0;
-    for (std::uint32_t e = 0; e < adj_len_[s]; ++e) {
-      if (edges[e] != slot) {
-        edges[kept++] = edges[e];
-      }
-    }
-    adj_len_[s] = kept;
-  }
-
-  if (slot != last) {
-    id_of_[slot] = id_of_[last];
-    slot_of_[id_of_[slot]] = slot;
-    std::copy(Snapshot(last), Snapshot(last) + rank_,
-              snap_v_.data() + static_cast<std::size_t>(slot) * rank_);
-    const Slot* from = adj_.data() + static_cast<std::size_t>(last) * options_.degree;
-    Slot* to = adj_.data() + static_cast<std::size_t>(slot) * options_.degree;
-    std::copy(from, from + adj_len_[last], to);
-    adj_len_[slot] = adj_len_[last];
-    for (Slot s = 0; s < last; ++s) {
-      Slot* edges = adj_.data() + static_cast<std::size_t>(s) * options_.degree;
-      for (std::uint32_t e = 0; e < adj_len_[s]; ++e) {
-        if (edges[e] == last) {
-          edges[e] = slot;
-        }
-      }
-    }
-  }
-
-  // Patch the coarse entries through the swap: the departed member's cells
-  // fall back to an evenly-spaced slot; `last` follows its rename.
-  for (Slot& entry : cell_entry_) {
-    if (entry == slot) {
-      entry = kNoSlot;
-    } else if (entry == last) {
-      entry = slot;
-    }
-  }
-
-  slot_of_[id] = kNoSlot;
-  id_of_.pop_back();
-  snap_v_.resize(snap_v_.size() - rank_);
-  adj_.resize(adj_.size() - options_.degree);
-  adj_len_.pop_back();
-
-  if (id_of_.empty()) {
-    centroids_.clear();
-    cell_entry_.clear();
-  } else {
-    const std::size_t cells = cell_entry_.size();
-    for (std::size_t c = 0; c < cells; ++c) {
-      if (cell_entry_[c] == kNoSlot) {
-        cell_entry_[c] = static_cast<Slot>(c * id_of_.size() / cells);
-      }
-    }
-  }
+  return GraphSearch(query_u, k, ordering, beam, slot_of_[query], *lease);
 }
 
 bool PeerIndex::Update(std::size_t id) {
@@ -659,7 +528,7 @@ bool PeerIndex::Update(std::size_t id) {
   const Slot slot = slot_of_[id];
   const std::span<const double> snapshot(Snapshot(slot), rank_);
   const double drift2 = store_->VRowDriftSquared(id, snapshot);
-  if (drift2 <= options_.drift_epsilon * options_.drift_epsilon) {
+  if (drift2 <= kDriftEpsilon * kDriftEpsilon) {
     return false;
   }
   // Refresh the snapshot and replace the member's out-edges; stale
@@ -669,13 +538,7 @@ bool PeerIndex::Update(std::size_t id) {
   store_->CopyVRow(id, {snap_v_.data() + static_cast<std::size_t>(slot) * rank_,
                         rank_});
   const ScratchLease lease(*this);
-  // A member with no out-edges has nowhere to repair from and is
-  // re-inserted like a new member.
-  if (adj_len_[slot] > 0) {
-    RepairSlot(slot, *lease);
-  } else {
-    LinkSlot(slot, id_of_.size(), *lease);
-  }
+  RepairSlot(slot, *lease);
   return true;
 }
 
@@ -684,7 +547,7 @@ PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids
   if (id_of_.empty()) {
     return stats;
   }
-  const double eps2 = options_.drift_epsilon * options_.drift_epsilon;
+  constexpr double eps2 = kDriftEpsilon * kDriftEpsilon;
   std::size_t drifted = 0;
   for (const core::NodeId id : ids) {
     if (!Contains(id)) {
@@ -698,7 +561,7 @@ PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids
     }
   }
   if (static_cast<double>(drifted) >
-      options_.rebuild_fraction * static_cast<double>(id_of_.size())) {
+      kRebuildFraction * static_cast<double>(id_of_.size())) {
     RebuildAll();
     stats.rebuilt = true;
     return stats;
@@ -712,23 +575,16 @@ PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids
 }
 
 void PeerIndex::RebuildAll() {
-  // Refresh every snapshot, drop every edge, re-seed the Rng, then replay
-  // the construction inserts in slot order — a pure function of (member
-  // order, live rows, options.seed), so a rebuild is idempotent and a
+  // Refresh every snapshot, then run the construction's link pass — a pure
+  // function of (member order, live rows), so a rebuild is idempotent and a
   // rebuild of a fresh index reproduces the constructed adjacency.  The
   // coarse layer rebuilds from the same refreshed snapshots.
-  rng_ = common::Rng(options_.seed);
   for (Slot slot = 0; slot < id_of_.size(); ++slot) {
     store_->CopyVRow(id_of_[slot],
                      {snap_v_.data() + static_cast<std::size_t>(slot) * rank_,
                       rank_});
   }
-  std::fill(adj_len_.begin(), adj_len_.end(), 0);
-  SearchScratch scratch;
-  for (Slot slot = 0; slot < id_of_.size(); ++slot) {
-    LinkSlot(slot, slot, scratch);
-  }
-  BuildCoarse();
+  LinkAll();
 }
 
 }  // namespace dmfsgd::ann

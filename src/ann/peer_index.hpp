@@ -5,7 +5,7 @@
 // query under the predicted quantity x̂ = u_query · v_member.  PeerIndex
 // answers it with a graph-based dynamic index in the spirit of DEG/HNSW:
 //
-//  * structure: every member holds up to `degree` out-edges to members
+//  * structure: every member holds up to kDegree out-edges to members
 //    whose *snapshot* v rows are Euclidean-near its own, chosen by greedy
 //    beam search plus the relative-neighborhood prune (a candidate is
 //    skipped while some already-chosen neighbor is closer to it than the
@@ -30,17 +30,20 @@
 //    it is rebuilt from live rows on the RebuildAll escalation path and
 //    drifts harmlessly in between.
 //  * drift: Update(id) measures the member's v-row drift against its
-//    snapshot and epsilon-skips below `drift_epsilon`; otherwise it
-//    refreshes the snapshot and re-links the member's out-edges (stale
-//    in-edges are tolerated; they are routing hints, not answers).  The
-//    re-link is a *repair*: a beam as narrow as the degree walks from the
-//    member's current out-edges to its new row — no random entry points,
-//    no insert-wide beam — and the `ef_construction` nearest members it
-//    scored go to the prune and back-links of an insert.  Only a member
-//    with no out-edges is *re-inserted*.
-//    ApplyUpdates() drains an engine dirty set and escalates to
-//    RebuildAll() when the drifted fraction makes per-member re-linking
-//    more expensive than rebuilding.
+//    snapshot and epsilon-skips below kDriftEpsilon; otherwise it refreshes
+//    the snapshot and re-links the member's out-edges (stale in-edges are
+//    tolerated; they are routing hints, not answers).  The re-link is a
+//    *repair*: a beam as narrow as the degree walks from the member's
+//    current out-edges to its new row — no random entry points, no wide
+//    beam — and the kEfConstruction nearest members it scored go to the
+//    same prune and back-links as the link pass.  ApplyUpdates() drains an
+//    engine dirty set and escalates to RebuildAll() when the drifted
+//    fraction makes per-member re-linking more expensive than rebuilding.
+//
+// Membership is fixed at construction: churn resets a node in place, so
+// the served index always holds the same members (DESIGN.md §16).  Every
+// member keeps at least one out-edge once the index has two members, which
+// is what lets a repair always start from the member's own edges.
 //
 // Exact mode: a search with ef >= Size() — or, with the coarse layer on,
 // ivf_nprobe >= the cell count — bypasses the graph and runs
@@ -48,27 +51,27 @@
 // query is bit-identical to the oracle by construction — the property the
 // peer-selection parity and IVF exact-mode tests pin.
 //
-// Determinism: insertions — construction, Add, RebuildAll and the
-// re-insert of a member with no out-edges — draw entry points from one
-// internal Rng seeded by options.seed; a repair draws nothing (it is a
-// pure function of the adjacency and the snapshots); the coarse layer is
-// built from a deterministic evenly-spaced subsample (no Rng draws, so
-// enabling it never shifts the adjacency stream); all ranking uses the
-// strict total order (key, slot); searches seed from the coarse medoids
-// (or fixed evenly-spaced slots) — the same (seed, member order, operation
-// sequence) always yields the same adjacency and the same query results,
-// at any number of query threads.
+// Determinism: construction and RebuildAll run one link pass over the
+// members in slot order, drawing beam entry points from a local Rng seeded
+// with kLinkSeed, so the adjacency is a pure function of (member order,
+// snapshots) and the index holds no Rng state.  A repair draws nothing (it
+// is a pure function of the adjacency and the snapshots); the coarse layer
+// is built from a deterministic evenly-spaced subsample; all ranking uses
+// the strict total order (key, slot); searches seed from the coarse
+// medoids (or fixed evenly-spaced slots) — the same (member order, rows,
+// operation sequence) always yields the same adjacency and the same query
+// results, at any number of query threads.
 //
 // Concurrency (DESIGN.md §18): queries never mutate the store or the
-// graph.  Each Search/SearchFrom leases a SearchScratch (visited epochs,
-// beam heaps) from an internal free-list pool and folds its evaluation
-// count into one atomic on release, so any number of threads may run
-// const searches concurrently — results are bit-identical to a serial run
+// graph.  Each SearchFrom leases a SearchScratch (visited epochs, beam
+// heaps) from an internal free-list pool and folds its evaluation count
+// into one atomic on release, so any number of threads may run const
+// searches concurrently — results are bit-identical to a serial run
 // because the walk is a pure function of (graph, entries, key function).
-// Mutators (Add/Remove/Update/ApplyUpdates/RebuildAll) are NOT safe
-// against concurrent searches.  Copying is a read: an index may be copied
-// while it serves searches, which is how svc::CoordinateService refreshes
-// a private replica off its reader lock and publishes it by pointer swap.
+// Mutators (Update/ApplyUpdates/RebuildAll) are NOT safe against
+// concurrent searches.  Copying is a read: an index may be copied while it
+// serves searches, which is how svc::CoordinateService refreshes a private
+// replica off its reader lock and publishes it by pointer swap.
 #pragma once
 
 #include <atomic>
@@ -79,26 +82,42 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/coordinate_store.hpp"
 #include "core/messages.hpp"
 #include "eval/brute_force_knn.hpp"
 
 namespace dmfsgd::ann {
 
+// The index's fixed parameters.  One value serves every deployment, so
+// they are constants rather than options.
+
+/// Max out-edges per member.
+inline constexpr std::size_t kDegree = 16;
+/// Beam width of the construction link pass; candidate pool of a repair.
+inline constexpr std::size_t kEfConstruction = 96;
+/// Beam seeds per link, and per search with the coarse layer off.
+inline constexpr std::size_t kEntryPoints = 4;
+/// L2 drift of the v row below which Update() skips re-linking — small SGD
+/// steps move a row far less than the inter-member spacing.
+inline constexpr double kDriftEpsilon = 1e-3;
+/// ApplyUpdates() rebuilds instead of re-linking when more than this
+/// fraction of the members drifted past kDriftEpsilon.
+inline constexpr double kRebuildFraction = 0.35;
+/// Seeds the link pass's entry-point draws (construction and RebuildAll).
+inline constexpr std::uint64_t kLinkSeed = 97;
+/// K-means training subsample cap of the coarse layer (evenly spaced over
+/// the slots, so the coarse build is deterministic and
+/// O(sample · cells · rank), not O(Size · cells · rank) at the million-node
+/// tier).
+inline constexpr std::size_t kIvfSample = 32768;
+/// Lloyd refinement rounds of the coarse layer's k-means.
+inline constexpr std::size_t kIvfIterations = 3;
+
+/// What a deployment tunes: the query beam and the coarse layer.  Throws
+/// std::invalid_argument at construction when ef_search is 0, or when the
+/// coarse layer is on and ivf_nprobe is 0.
 struct PeerIndexOptions {
-  std::size_t degree = 16;            ///< max out-edges per member
-  /// Beam width for inserts; candidate pool for repairs.
-  std::size_t ef_construction = 96;
-  std::size_t ef_search = 96;         ///< default query beam width
-  std::size_t entry_points = 4;       ///< beam seeds per search (coarse layer off)
-  /// L2 drift of the v row below which Update() skips re-linking — small
-  /// SGD steps move a row far less than the inter-member spacing.
-  double drift_epsilon = 1e-3;
-  /// ApplyUpdates() rebuilds instead of re-linking when more than this
-  /// fraction of the members drifted past epsilon.
-  double rebuild_fraction = 0.35;
-  std::uint64_t seed = 97;
+  std::size_t ef_search = 96;  ///< default query beam width
 
   // -- IVF coarse quantizer (DESIGN.md §18); 0 cells = off -------------------
 
@@ -109,19 +128,14 @@ struct PeerIndexOptions {
   /// Cells probed per query; >= the cell count is the exact mode (the
   /// whole search delegates to the brute-force oracle, bit-identical).
   std::size_t ivf_nprobe = 8;
-  /// K-means training subsample cap (evenly spaced over the slots, so the
-  /// coarse build is deterministic and O(sample · cells · rank), not
-  /// O(Size · cells · rank) at the million-node tier).
-  std::size_t ivf_sample = 32768;
-  /// Lloyd refinement rounds; 0 keeps the evenly-spaced seeds as pivots.
-  std::size_t ivf_iterations = 3;
 };
 
 class PeerIndex {
  public:
-  /// Indexes every node of the store.  The store must outlive the index
-  /// and must not shrink below the indexed ids (it never reallocates rows,
-  /// so spans stay valid).  Throws std::invalid_argument on bad options.
+  /// Indexes every node of the store, in id order.  The store must outlive
+  /// the index and must not shrink below the indexed ids (it never
+  /// reallocates rows, so spans stay valid).  Throws std::invalid_argument
+  /// on bad options.
   PeerIndex(const core::CoordinateStore& store, const PeerIndexOptions& options);
 
   /// Indexes an explicit member subset (e.g. one node's candidate peer
@@ -131,12 +145,13 @@ class PeerIndex {
             std::span<const std::size_t> members,
             const PeerIndexOptions& options);
 
-  /// Copies the graph, the snapshots, the Rng state, the coarse layer and
-  /// the evaluation count, over the same store: the copy answers every
-  /// search and replays every mutation exactly as the source would.  The
-  /// copy gets a scratch pool and pool lock of its own, so copying only
-  /// reads the source and may run concurrently with its searches.
-  /// Assignment reuses the target's buffers (no allocation once sized).
+  /// Copies the graph, the snapshots, the coarse layer and the evaluation
+  /// count, over the same store: the copy answers every search and replays
+  /// every mutation exactly as the source would, because a mutation reads
+  /// nothing else of the index.  The copy gets a scratch pool and pool lock
+  /// of its own, so copying only reads the source and may run concurrently
+  /// with its searches.  Assignment reuses the target's buffers (no
+  /// allocation once sized).
   PeerIndex(const PeerIndex&) = default;
   PeerIndex& operator=(const PeerIndex&) = default;
 
@@ -159,34 +174,21 @@ class PeerIndex {
   /// determinism tests pin this).
   [[nodiscard]] std::vector<std::size_t> CellEntries() const;
 
-  /// k best members by u_query · v_member under `ordering`, read from the
-  /// live store.  `ef` widens the beam (0 = options.ef_search; clamped to
-  /// >= k); ef >= Size() is the exact mode.  Safe to call from any number
-  /// of threads concurrently (not concurrently with mutators).  Throws on
-  /// rank mismatch or k == 0.
-  [[nodiscard]] eval::KnnResult Search(std::span<const double> query_u,
-                                       std::size_t k, eval::KnnOrdering ordering,
-                                       std::size_t ef = 0) const;
-
-  /// Search with node `query`'s live u row; `query` itself (member or not)
-  /// is excluded from the results.
+  /// The k best members for node `query` by u_query · v_member under
+  /// `ordering`, read from the live store; `query` itself (member or not)
+  /// is excluded from the results.  `ef` widens the beam
+  /// (0 = options.ef_search; clamped to >= k); ef >= Size() is the exact
+  /// mode.  Safe to call from any number of threads concurrently (not
+  /// concurrently with mutators).  Throws on an out-of-range query or
+  /// k == 0.
   [[nodiscard]] eval::KnnResult SearchFrom(std::size_t query, std::size_t k,
                                            eval::KnnOrdering ordering,
                                            std::size_t ef = 0) const;
 
-  /// Adds a member (a node joining the query plane).  Throws if already
-  /// present or out of range.
-  void Add(std::size_t id);
-
-  /// Removes a member and every edge referencing it.  O(Size · degree) —
-  /// bulk departures should RebuildAll() instead.  Throws if absent.
-  void Remove(std::size_t id);
-
-  /// Re-links `id` if its live v row drifted more than drift_epsilon from
+  /// Re-links `id` if its live v row drifted more than kDriftEpsilon from
   /// the indexed snapshot; returns whether a re-link happened.  The
   /// re-link repairs the out-edges with a narrow beam from the current ones
-  /// (no Rng draw); a member with no out-edges is re-inserted.  Throws if
-  /// absent.
+  /// (no Rng draw).  Throws if absent.
   bool Update(std::size_t id);
 
   struct UpdateStats {
@@ -197,14 +199,15 @@ class PeerIndex {
 
   /// Drains an engine dirty set (DeploymentEngine::TakeDirtyNodes):
   /// non-members are ignored, members are drift-checked, and the whole
-  /// batch escalates to RebuildAll() when more than rebuild_fraction of
+  /// batch escalates to RebuildAll() when more than kRebuildFraction of
   /// the membership drifted past epsilon.
   UpdateStats ApplyUpdates(std::span<const core::NodeId> ids);
 
   /// Rebuilds every edge — and the coarse layer — from the live store
-  /// (bulk churn / drift).  Keeps membership and slot order; a rebuild of
-  /// an already-fresh index is a no-op on the adjacency (idempotence —
-  /// pinned by tests).
+  /// (bulk churn / drift): the construction's link pass over refreshed
+  /// snapshots.  Keeps membership and slot order; a rebuild of an
+  /// already-fresh index is a no-op on the adjacency (idempotence — pinned
+  /// by tests).
   void RebuildAll();
 
   /// Cumulative u·v-shaped evaluations performed by searches — member
@@ -272,27 +275,28 @@ class PeerIndex {
   [[nodiscard]] double DistanceSquaredToSnapshot(std::span<const double> row,
                                                  Slot slot) const noexcept;
   [[nodiscard]] std::span<const Slot> Edges(Slot slot) const noexcept {
-    return {adj_.data() + static_cast<std::size_t>(slot) * options_.degree,
+    return {adj_.data() + static_cast<std::size_t>(slot) * kDegree,
             adj_len_[slot]};
   }
 
   /// Appends a slot for `id` (snapshot copied from the live store) without
   /// linking it.
-  Slot AppendSlot(std::size_t id);
-  /// Chooses and wires `slot`'s out-edges by beam search over the already
-  /// linked graph, seeding from `linked` random slots (rng_ draws).
-  void LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch);
-  /// Re-chooses `slot`'s out-edges after its snapshot moved: a `degree`-wide
+  void AppendSlot(std::size_t id);
+  /// The link pass of construction and RebuildAll: drops every edge, then
+  /// wires each slot's out-edges in slot order by a kEfConstruction-wide
+  /// beam over the slots before it, and builds the coarse layer.
+  void LinkAll();
+  /// Re-chooses `slot`'s out-edges after its snapshot moved: a kDegree-wide
   /// beam from its current out-edges toward the new snapshot, pruning the
-  /// ef_construction nearest members the beam scored.  A pure function of
-  /// the adjacency and the snapshots; draws nothing from rng_.
+  /// kEfConstruction nearest members the beam scored.  A pure function of
+  /// the adjacency and the snapshots; draws nothing.
   void RepairSlot(Slot slot, SearchScratch& scratch);
   /// Prunes `candidates` (best-first) into `slot`'s out-edges and adds the
   /// back-link from each chosen edge.
   void SetEdges(Slot slot, std::span<const RankedSlot> candidates,
                 SearchScratch& scratch);
   /// Relative-neighborhood prune over `candidates` (sorted best-first by
-  /// distance to the subject's snapshot); keeps up to degree, backfills
+  /// distance to the subject's snapshot); keeps up to kDegree, backfills
   /// with pruned candidates (buffered in `pruned`) to keep the graph dense.
   void SelectNeighbors(std::span<const RankedSlot> candidates,
                        std::vector<Slot>& chosen,
@@ -302,7 +306,7 @@ class PeerIndex {
 
   /// (Re)builds the IVF coarse layer from the current snapshots: seeded
   /// k-means over an evenly-spaced subsample, one medoid entry per cell.
-  /// Deterministic; draws nothing from rng_.
+  /// Deterministic; draws nothing.
   void BuildCoarse();
 
   /// Greedy best-first beam search; key_of(slot) returns the ranking key.
@@ -314,16 +318,8 @@ class PeerIndex {
   [[nodiscard]] eval::KnnResult GraphSearch(std::span<const double> query_u,
                                             std::size_t k,
                                             eval::KnnOrdering ordering,
-                                            std::size_t ef,
-                                            std::size_t exclude_id,
+                                            std::size_t ef, Slot exclude,
                                             SearchScratch& scratch) const;
-
-  /// The shared search body: explicit query row + id to exclude (pass
-  /// store.NodeCount() for "none").
-  [[nodiscard]] eval::KnnResult SearchFrom(std::size_t exclude_id, std::size_t k,
-                                           eval::KnnOrdering ordering,
-                                           std::size_t ef,
-                                           std::span<const double> query_u) const;
 
   [[nodiscard]] std::unique_ptr<SearchScratch> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<SearchScratch> scratch) const;
@@ -331,12 +327,11 @@ class PeerIndex {
   const core::CoordinateStore* store_;
   PeerIndexOptions options_;
   std::size_t rank_;
-  common::Rng rng_;
 
   std::vector<Slot> slot_of_;        // dense over node ids; kNoSlot = absent
   std::vector<std::size_t> id_of_;   // per slot
   std::vector<double> snap_v_;       // per slot: the indexed v row
-  std::vector<Slot> adj_;            // per slot: `degree` edge slots
+  std::vector<Slot> adj_;            // per slot: kDegree edge slots
   std::vector<std::uint32_t> adj_len_;
 
   // IVF coarse layer (empty = off): k-means centers over snapshot v rows

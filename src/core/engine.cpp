@@ -39,9 +39,6 @@ const SimulationConfig& RequireConfig(const Dataset& dataset,
   if (!(config.churn_rate >= 0.0 && config.churn_rate < 1.0)) {
     throw std::invalid_argument("DeploymentEngine: churn_rate must be in [0, 1)");
   }
-  if (!(config.exploration >= 0.0 && config.exploration <= 1.0)) {
-    throw std::invalid_argument("DeploymentEngine: exploration must be in [0, 1]");
-  }
   return config;
 }
 
@@ -232,7 +229,7 @@ std::size_t DeploymentEngine::PickSlotWith(NodeId i, common::Rng& rng) {
     case ProbeStrategy::kRoundRobin:
       return round_robin_cursor_[i]++ % k;
     case ProbeStrategy::kLossDriven: {
-      if (rng.Bernoulli(config_.exploration)) {
+      if (rng.Bernoulli(kLossDrivenRandomPick)) {
         return rng.UniformInt(static_cast<std::uint64_t>(k));
       }
       const auto& losses = neighbor_loss_[i];

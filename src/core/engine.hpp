@@ -81,6 +81,10 @@ enum class ProbeStrategy {
   kLossDriven,     ///< mostly probe the neighbor with the highest local loss
 };
 
+/// The loss-driven strategy's chance of probing a uniformly random neighbor
+/// instead of the one with the highest local loss.
+inline constexpr double kLossDrivenRandomPick = 0.3;
+
 /// Human-readable strategy name.
 [[nodiscard]] const char* ProbeStrategyName(ProbeStrategy strategy) noexcept;
 
@@ -127,8 +131,6 @@ struct SimulationConfig : ProtocolConfig {
   /// P2P membership dynamics a deployed system faces.  The async driver
   /// applies it per probe firing, its per-node scheduling unit.
   double churn_rate = 0.0;
-  /// Exploration probability of the loss-driven strategy.
-  double exploration = 0.3;
 };
 
 class DeploymentEngine {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -18,9 +19,22 @@ namespace {
 constexpr std::uint8_t kFrameNodeRows = 16;
 constexpr std::uint8_t kFrameRunStats = 17;
 
+/// First and one-past-last node of process `process`'s shard block.
+std::pair<NodeId, NodeId> OwnedNodes(const netsim::ShardedEventQueue& events,
+                                     std::size_t processes,
+                                     std::size_t process) {
+  const auto [begin, end] =
+      common::BlockRange(events.ShardCount(), processes, process);
+  return {events.OwnersOfShard(begin).first,
+          events.OwnersOfShard(end - 1).second};
+}
+
 /// Per-peer gather state of the coordinator's result fold.
 struct PeerFold {
+  NodeId begin = 0;  ///< the peer's owned node block
+  NodeId end = 0;
   netsim::ChunkAssembler rows;
+  std::size_t rows_received = 0;
   bool stats_received = false;
 
   [[nodiscard]] bool Complete() const {
@@ -43,37 +57,36 @@ void SendOwnedRows(netsim::InterShardChannel& channel,
     const std::size_t first = report.owned_begin + c * rows_per_chunk;
     const std::size_t last =
         std::min<std::size_t>(first + rows_per_chunk, report.owned_end);
-    common::ByteWriter writer;
-    writer.U8(kFrameNodeRows);
-    writer.U32(static_cast<std::uint32_t>(c));
-    writer.U8(c + 1 == chunk_count ? 1 : 0);
-    writer.U32(static_cast<std::uint32_t>(last - first));
+    FoldRows rows;
+    rows.index = static_cast<std::uint32_t>(c);
+    rows.last = c + 1 == chunk_count;
     for (std::size_t i = first; i < last; ++i) {
-      writer.U32(static_cast<std::uint32_t>(i));
-      for (std::size_t d = 0; d < report.rank; ++d) {
-        writer.F64(report.u[i * report.rank + d]);
-      }
-      for (std::size_t d = 0; d < report.rank; ++d) {
-        writer.F64(report.v[i * report.rank + d]);
-      }
+      rows.nodes.push_back(static_cast<std::uint32_t>(i));
     }
-    channel.Send(0, writer.Take());
+    const auto from = static_cast<std::ptrdiff_t>(first * report.rank);
+    const auto to = static_cast<std::ptrdiff_t>(last * report.rank);
+    rows.u.assign(report.u.begin() + from, report.u.begin() + to);
+    rows.v.assign(report.v.begin() + from, report.v.begin() + to);
+    channel.Send(0, EncodeFoldRows(rows));
   }
-  common::ByteWriter stats;
-  stats.U8(kFrameRunStats);
-  stats.U64(report.events_executed);
-  stats.U64(report.measurements);
-  stats.U64(report.dropped_legs);
-  stats.U64(report.churns);
-  channel.Send(0, stats.Take());
+  channel.Send(0, EncodeFoldStats({report.events_executed, report.measurements,
+                                   report.dropped_legs, report.churns}));
 }
 
 /// The coordinator's half of the fold: every peer's rows and counters,
 /// received through the runtime so the stall timeout and liveness rules of
-/// the window loop apply here too.
+/// the window loop apply here too.  A peer's rows must cover exactly its
+/// owned node block, each node once; anything else is hostile peer bytes
+/// and throws common::DecodeError before the offending frame writes a row.
 void GatherPeerResults(netsim::ShardRuntime& runtime,
+                       const netsim::ShardedEventQueue& events,
                        MultiprocessRunReport& report) {
   std::vector<PeerFold> folds(report.process_count);
+  for (std::size_t p = 1; p < folds.size(); ++p) {
+    std::tie(folds[p].begin, folds[p].end) =
+        OwnedNodes(events, report.process_count, p);
+  }
+  std::vector<std::uint8_t> received(report.node_count, 0);
   auto all_complete = [&] {
     for (std::size_t p = 1; p < folds.size(); ++p) {
       if (!folds[p].Complete()) {
@@ -84,18 +97,18 @@ void GatherPeerResults(netsim::ShardRuntime& runtime,
   };
   while (!all_complete()) {
     const netsim::InterShardFrame frame = runtime.Receive("result-fold");
-    common::ByteReader reader(frame.bytes);
-    const std::uint8_t type = reader.U8();
+    const std::uint8_t type = common::ByteReader(frame.bytes).U8();
     PeerFold& fold = folds.at(frame.from_process);
     if (type == kFrameRunStats) {
+      const FoldStats stats = DecodeFoldStats(frame.bytes);
       if (fold.stats_received) {
         continue;  // duplicated datagram
       }
       fold.stats_received = true;
-      report.events_executed += reader.U64();
-      report.measurements += reader.U64();
-      report.dropped_legs += reader.U64();
-      report.churns += reader.U64();
+      report.events_executed += stats.events_executed;
+      report.measurements += stats.measurements;
+      report.dropped_legs += stats.dropped_legs;
+      report.churns += stats.churns;
       continue;
     }
     if (type != kFrameNodeRows) {
@@ -104,29 +117,113 @@ void GatherPeerResults(netsim::ShardRuntime& runtime,
       // duplicates the window protocol itself tolerates.  Drop them.
       continue;
     }
-    const std::uint32_t chunk = reader.U32();
-    const bool is_last = reader.U8() != 0;
-    const std::uint32_t rows = reader.U32();
-    if (!fold.rows.Mark(chunk, is_last)) {
+    const FoldRows rows = DecodeFoldRows(frame.bytes, report.rank);
+    if (!fold.rows.Mark(rows.index, rows.last)) {
       continue;  // duplicated datagram
     }
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      const std::uint32_t node = reader.U32();
-      if (node >= report.node_count) {
+    for (const std::uint32_t node : rows.nodes) {
+      if (node < fold.begin || node >= fold.end) {
         throw common::DecodeError(
-            "RunMultiprocessAsyncSimulation: peer sent an out-of-range node");
+            "RunMultiprocessAsyncSimulation: peer sent an out-of-range node "
+            "(outside its owned block)");
       }
-      for (std::size_t d = 0; d < report.rank; ++d) {
-        report.u[node * report.rank + d] = reader.F64();
+      if (received[node] != 0) {
+        throw common::DecodeError(
+            "RunMultiprocessAsyncSimulation: peer sent a node's row twice");
       }
-      for (std::size_t d = 0; d < report.rank; ++d) {
-        report.v[node * report.rank + d] = reader.F64();
-      }
+      received[node] = 1;
+    }
+    const std::size_t rank = report.rank;
+    for (std::size_t r = 0; r < rows.nodes.size(); ++r) {
+      std::copy_n(rows.u.data() + r * rank, rank,
+                  report.u.data() + rows.nodes[r] * rank);
+      std::copy_n(rows.v.data() + r * rank, rank,
+                  report.v.data() + rows.nodes[r] * rank);
+    }
+    fold.rows_received += rows.nodes.size();
+    if (fold.rows.Complete() && fold.rows_received != fold.end - fold.begin) {
+      throw common::DecodeError(
+          "RunMultiprocessAsyncSimulation: peer's rows do not cover its owned "
+          "block");
     }
   }
 }
 
 }  // namespace
+
+std::vector<std::byte> EncodeFoldRows(const FoldRows& rows) {
+  const std::size_t rank =
+      rows.nodes.empty() ? 0 : rows.u.size() / rows.nodes.size();
+  common::ByteWriter writer;
+  writer.U8(kFrameNodeRows);
+  writer.U32(rows.index);
+  writer.U8(rows.last ? 1 : 0);
+  writer.U32(static_cast<std::uint32_t>(rows.nodes.size()));
+  for (std::size_t r = 0; r < rows.nodes.size(); ++r) {
+    writer.U32(rows.nodes[r]);
+    for (std::size_t d = 0; d < rank; ++d) {
+      writer.F64(rows.u[r * rank + d]);
+    }
+    for (std::size_t d = 0; d < rank; ++d) {
+      writer.F64(rows.v[r * rank + d]);
+    }
+  }
+  return writer.Take();
+}
+
+FoldRows DecodeFoldRows(std::span<const std::byte> bytes, std::size_t rank) {
+  common::ByteReader reader(bytes);
+  if (reader.U8() != kFrameNodeRows) {
+    throw common::DecodeError("DecodeFoldRows: not a rows frame");
+  }
+  FoldRows rows;
+  rows.index = reader.U32();
+  const std::uint8_t last = reader.U8();
+  if (last > 1) {
+    throw common::DecodeError("DecodeFoldRows: last flag is not 0 or 1");
+  }
+  rows.last = last == 1;
+  const std::uint32_t count = reader.U32();
+  for (std::uint32_t r = 0; r < count; ++r) {
+    rows.nodes.push_back(reader.U32());
+    for (std::size_t d = 0; d < rank; ++d) {
+      rows.u.push_back(reader.F64());
+    }
+    for (std::size_t d = 0; d < rank; ++d) {
+      rows.v.push_back(reader.F64());
+    }
+  }
+  if (!reader.AtEnd()) {
+    throw common::DecodeError("DecodeFoldRows: trailing bytes");
+  }
+  return rows;
+}
+
+std::vector<std::byte> EncodeFoldStats(const FoldStats& stats) {
+  common::ByteWriter writer;
+  writer.U8(kFrameRunStats);
+  writer.U64(stats.events_executed);
+  writer.U64(stats.measurements);
+  writer.U64(stats.dropped_legs);
+  writer.U64(stats.churns);
+  return writer.Take();
+}
+
+FoldStats DecodeFoldStats(std::span<const std::byte> bytes) {
+  common::ByteReader reader(bytes);
+  if (reader.U8() != kFrameRunStats) {
+    throw common::DecodeError("DecodeFoldStats: not a counters frame");
+  }
+  FoldStats stats;
+  stats.events_executed = reader.U64();
+  stats.measurements = reader.U64();
+  stats.dropped_legs = reader.U64();
+  stats.churns = reader.U64();
+  if (!reader.AtEnd()) {
+    throw common::DecodeError("DecodeFoldStats: trailing bytes");
+  }
+  return stats;
+}
 
 MultiprocessRunReport RunMultiprocessAsyncSimulation(
     const datasets::Dataset& dataset, const AsyncSimulationConfig& config,
@@ -165,8 +262,8 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
   report.coordinator = channel.ProcessIndex() == 0;
   report.node_count = simulation.NodeCount();
   report.rank = simulation.config().rank;
-  report.owned_begin = events.OwnersOfShard(events.OwnedShardBegin()).first;
-  report.owned_end = events.OwnersOfShard(events.OwnedShardEnd() - 1).second;
+  std::tie(report.owned_begin, report.owned_end) =
+      OwnedNodes(events, channel.ProcessCount(), channel.ProcessIndex());
   const auto u = simulation.engine().store().UData();
   const auto v = simulation.engine().store().VData();
   report.u.assign(u.begin(), u.end());
@@ -208,7 +305,7 @@ MultiprocessRunReport RunMultiprocessAsyncSimulation(
     snapshot_transport();
     return report;
   }
-  GatherPeerResults(runtime, report);
+  GatherPeerResults(runtime, events, report);
   // Push out the delayed acks for the peers' final frames, then linger
   // briefly to re-ack any retransmission whose ack the network dropped —
   // otherwise a peer's Flush retransmits into the void until its timeout.

@@ -16,7 +16,9 @@
 // assembles the full final factors plus exact global counters.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/async_simulation.hpp"
@@ -62,18 +64,54 @@ struct MultiprocessRunReport {
   std::uint64_t duplicates_suppressed = 0;
 };
 
+/// One chunk of a peer's owned coordinate rows in the result fold.
+struct FoldRows {
+  std::uint32_t index = 0;  ///< chunk number; `last` marks the final one
+  bool last = false;
+  std::vector<std::uint32_t> nodes;
+  std::vector<double> u;  ///< row-major, the same stride (rank) per node
+  std::vector<double> v;
+};
+
+/// A peer's counters in the result fold, which the coordinator sums.
+struct FoldStats {
+  std::uint64_t events_executed = 0;
+  std::uint64_t measurements = 0;
+  std::uint64_t dropped_legs = 0;
+  std::uint64_t churns = 0;
+};
+
+/// Encodes a rows chunk (frame type 16): type, chunk index, last flag, row
+/// count, then per row its node id, u row and v row.
+[[nodiscard]] std::vector<std::byte> EncodeFoldRows(const FoldRows& rows);
+
+/// Decodes a rows chunk of `rank`-wide rows: throws common::DecodeError on
+/// a wrong type byte, a last flag other than 0 or 1, truncation or trailing
+/// bytes.  Which nodes a peer may send the coordinator checks.
+[[nodiscard]] FoldRows DecodeFoldRows(std::span<const std::byte> bytes,
+                                      std::size_t rank);
+
+/// Encodes a counters frame (frame type 17): type, then the four counters.
+[[nodiscard]] std::vector<std::byte> EncodeFoldStats(const FoldStats& stats);
+
+/// Decodes a counters frame: throws common::DecodeError on a wrong type
+/// byte, truncation or trailing bytes.
+[[nodiscard]] FoldStats DecodeFoldStats(std::span<const std::byte> bytes);
+
 /// Runs this process's share of a distributed async simulation to
 /// `until_s` and performs the End fold over `channel`.  Blocking; every
 /// process of the channel must call it with the same dataset, config and
 /// until_s.  Requires config.shard_count >= channel.ProcessCount(), so each
 /// process owns at least one shard.  `pool` parallelizes the local drain.
-/// `runtime_options` tunes the window protocol and the result fold
-/// (poll/stall timing, the event-frame byte budget); every process must
-/// pass the same values.  With
+/// `runtime_options` tunes the window protocol and the result fold (the
+/// stall timeout, the event-frame byte budget); every process must pass
+/// the same values.  With
 /// config.base.coalesce_delivery on, same-destination same-time
 /// cross-process replies ship as one batch frame per group (DESIGN.md §13):
 /// results stay bit-identical to the per-message run, while events_executed
-/// and frames_sent drop.
+/// and frames_sent drop.  The coordinator throws common::DecodeError on
+/// malformed fold frames and when a peer's rows leave its owned node block,
+/// repeat a node or do not cover the block.
 [[nodiscard]] MultiprocessRunReport RunMultiprocessAsyncSimulation(
     const datasets::Dataset& dataset, const AsyncSimulationConfig& config,
     netsim::InterShardChannel& channel, double until_s, common::ThreadPool& pool,

@@ -11,6 +11,21 @@
 //   [evolving] — supported, but shapes may still change as the system
 //                grows; expect mechanical call-site fixes on upgrade.
 //   (internal layers carry no grade because they are not re-exported.)
+//
+// Removed from the [stable] surface, because no program called or set them
+// (each removed setting is now a documented constant with its old default):
+//   ann::PeerIndex::Add, ::Remove     membership is fixed at construction
+//   ann::PeerIndex::Search(row, ...)  SearchFrom(node, ...) is the one query
+//   ann::PeerIndexOptions::degree, ef_construction, entry_points,
+//     drift_epsilon, rebuild_fraction, seed, ivf_sample, ivf_iterations
+//                                     now ann::kDegree, kEfConstruction,
+//                                     kEntryPoints, kDriftEpsilon,
+//                                     kRebuildFraction, kLinkSeed,
+//                                     kIvfSample, kIvfIterations
+//   core::SimulationConfig::exploration
+//                                     now core::kLossDrivenRandomPick
+//   svc::ServiceConfig::message_loss, ::churn_rate
+//                                     a served deployment runs with neither
 #pragma once
 
 // -- shared protocol configuration ------------------------------------------
@@ -63,6 +78,7 @@
 
 // -- the query plane --------------------------------------------------------
 // ann::PeerIndex, PeerIndexOptions [stable]  drift-tolerant k-NN peer index
+//                                            over a fixed member set
 // eval::KnnResult, KnnOrdering,
 //   RegressionOrderingFor          [stable]
 // eval::BruteForceKnn*             [stable]  the exact oracle

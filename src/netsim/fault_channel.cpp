@@ -34,20 +34,20 @@ FaultInjectingInterShardChannel::FaultInjectingInterShardChannel(
     InterShardChannel& inner, FaultChannelOptions options)
     : inner_(&inner), options_(options) {
   RequireSpec(options_.outbound);
-  RequireSpec(options_.inbound);
-  // One decorrelated stream per direction so each (peer, ordinal) pair maps
-  // to the same fault decision regardless of interleaving with other peers.
+  // One decorrelated stream per destination so each (peer, ordinal) pair
+  // maps to the same fault decision regardless of interleaving with other
+  // peers.
   common::Rng root(options_.seed);
   out_streams_.reserve(inner_->ProcessCount());
-  in_streams_.reserve(inner_->ProcessCount());
   for (std::size_t p = 0; p < inner_->ProcessCount(); ++p) {
     out_streams_.push_back(root.Split());
-    in_streams_.push_back(root.Split());
+    (void)root.Split();  // unused; skipping it would change every seed's faults
   }
 }
 
 FaultInjectingInterShardChannel::Fault FaultInjectingInterShardChannel::Draw(
-    common::Rng& rng, const FaultSpec& spec) {
+    common::Rng& rng) const {
+  const FaultSpec& spec = options_.outbound;
   // One draw per frame keeps the stream aligned with the frame ordinal: the
   // same frame number always sees the same uniform value for a given seed.
   const double roll = rng.Uniform();
@@ -87,7 +87,7 @@ void FaultInjectingInterShardChannel::Send(std::size_t to_process,
     held_.clear();  // a dead process's in-flight frames die with it
     return;
   }
-  const Fault fault = Draw(out_streams_[to_process], options_.outbound);
+  const Fault fault = Draw(out_streams_[to_process]);
   // A newer frame toward a held frame's peer overtakes it: release the hold
   // right after this send so the pair arrives swapped.
   switch (fault) {
@@ -158,66 +158,23 @@ std::optional<InterShardFrame> FaultInjectingInterShardChannel::Receive(
     if (!killed_) {
       FlushHeld(now);
     }
-    if (!inbound_ready_.empty()) {
-      InterShardFrame frame = std::move(inbound_ready_.front());
-      inbound_ready_.pop_front();
-      return frame;
-    }
     // Poll in short slices so held outbound frames keep flushing while the
     // caller blocks; a dead endpoint still consumes (and discards) traffic.
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - now);
     if (remaining.count() < 0) {
-      break;
+      return std::nullopt;
     }
     const int slice =
         static_cast<int>(std::min<std::int64_t>(remaining.count(), 2));
     auto frame = inner_->Receive(slice);
-    if (!frame.has_value()) {
-      if (Clock::now() >= deadline) {
-        break;
-      }
-      continue;
+    if (frame.has_value() && !killed_) {
+      return frame;
     }
-    if (killed_) {
-      continue;  // blackhole: the dead process hears nothing
-    }
-    const Fault fault = Draw(in_streams_[frame->from_process], options_.inbound);
-    switch (fault) {
-      case Fault::kDrop:
-        ++frames_dropped_;
-        continue;
-      case Fault::kDuplicate:
-        ++frames_duplicated_;
-        inbound_ready_.push_back(*frame);
-        return frame;
-      case Fault::kReorder:
-        // Inbound reorder: step aside and let the next arrival pass first.
-        // The held frame queues behind whatever frame ends this loop (or is
-        // returned outright at the deadline, so reorder never loses it).
-        ++frames_reordered_;
-        if (inbound_held_.has_value()) {
-          inbound_ready_.push_back(std::move(*inbound_held_));
-        }
-        inbound_held_ = std::move(*frame);
-        continue;
-      case Fault::kNone:
-        if (inbound_held_.has_value()) {
-          inbound_ready_.push_back(std::move(*inbound_held_));
-          inbound_held_.reset();
-        }
-        return frame;
+    if (!frame.has_value() && Clock::now() >= deadline) {
+      return std::nullopt;
     }
   }
-  // Deadline reached.  A reorder-held frame has nothing left to swap with —
-  // release it rather than lose it (time-based flush for the no-reliable
-  // stacking, mirroring FlushHeld on the outbound side).
-  if (!killed_ && inbound_held_.has_value()) {
-    InterShardFrame frame = std::move(*inbound_held_);
-    inbound_held_.reset();
-    return frame;
-  }
-  return std::nullopt;
 }
 
 }  // namespace dmfsgd::netsim

@@ -1,17 +1,20 @@
 // Deterministic fault injection for inter-shard transport (DESIGN.md §15).
 //
 // FaultInjectingInterShardChannel wraps any InterShardChannel and perturbs
-// frames on their way through: drop, duplicate, and reorder (hold one frame
-// and release it after the next one toward the same peer).  Every
-// decision is a function of (seed, direction, frame ordinal) drawn from a
-// per-direction seeded common::Rng stream — never of wall-clock time — so
-// the same seed injects the same fault pattern on every run, which is what
-// lets the lossy parity tests assert bit-identical results.
+// the frames it sends: drop, duplicate, and reorder (hold one frame and
+// release it after the next one toward the same peer).  Every decision is
+// a function of (seed, destination, frame ordinal) drawn from a
+// per-destination seeded common::Rng stream — never of wall-clock time —
+// so the same seed injects the same fault pattern on every run, which is
+// what lets the lossy parity tests assert bit-identical results.  Received
+// frames pass through untouched: every link has a sender, so outbound
+// faults on each endpoint already reach every direction of traffic.
 //
 // The injector sits UNDER the reliability layer in the intended stack
 //
 //     ShardRuntime → ReliableInterShardChannel
 //                  → FaultInjectingInterShardChannel → Loopback/Udp
+//                    (faults on Send; Receive passes through)
 //
 // so injected duplicates are suppressed and injected drops repaired one
 // layer up.  It also runs without the reliable layer (tests, demos); to keep
@@ -36,7 +39,7 @@
 
 namespace dmfsgd::netsim {
 
-/// Fault rates for one direction of traffic.  Rates are independent
+/// Fault rates for the frames an endpoint sends.  Rates are independent
 /// per-frame probabilities in [0, 1]; a frame suffers at most one fault,
 /// checked in the order drop, duplicate, reorder.
 struct FaultSpec {
@@ -47,11 +50,10 @@ struct FaultSpec {
 
 struct FaultChannelOptions {
   FaultSpec outbound;  ///< faults applied to frames this endpoint sends
-  FaultSpec inbound;   ///< faults applied to frames this endpoint receives
   /// After this endpoint has sent this many frames, it goes dark: sends are
   /// swallowed and receives return nothing.  0 disables the kill switch.
   std::uint64_t kill_after_frames = 0;
-  std::uint64_t seed = 0xfa017u;  ///< root of the per-direction fault streams
+  std::uint64_t seed = 0xfa017u;  ///< root of the per-destination fault streams
 };
 
 /// Seeded, deterministic fault-injection decorator.  `inner` must outlive
@@ -108,18 +110,15 @@ class FaultInjectingInterShardChannel final : public InterShardChannel {
     Clock::time_point release;
   };
 
-  /// Draws the fault (if any) for the next frame in `direction`'s stream.
-  [[nodiscard]] Fault Draw(common::Rng& rng, const FaultSpec& spec);
+  /// Draws the fault (if any) for the next frame in a destination's stream.
+  [[nodiscard]] Fault Draw(common::Rng& rng) const;
   /// Ships held outbound frames whose release time passed.
   void FlushHeld(Clock::time_point now);
 
   InterShardChannel* inner_;
   FaultChannelOptions options_;
   std::vector<common::Rng> out_streams_;  ///< one per destination process
-  std::vector<common::Rng> in_streams_;   ///< one per source process
   std::deque<HeldFrame> held_;            ///< outbound frames in the hold box
-  std::deque<InterShardFrame> inbound_ready_;  ///< duplicated inbound copies
-  std::optional<InterShardFrame> inbound_held_;  ///< inbound reorder hold
   std::uint64_t frames_sent_ = 0;
   bool killed_ = false;
   std::uint64_t frames_dropped_ = 0;

@@ -12,26 +12,6 @@ double PingProbe::Measure(double true_rtt_ms, common::Rng& rng) const {
   return true_rtt_ms * rng.LogNormal(0.0, options_.noise_sigma);
 }
 
-int PathloadClassProbe::Measure(double true_abw_mbps, double rate_mbps,
-                                common::Rng& rng) const {
-  if (true_abw_mbps <= 0.0 || rate_mbps <= 0.0) {
-    throw std::invalid_argument("PathloadClassProbe::Measure: values must be > 0");
-  }
-  // Relative headroom of the path over the probing rate.
-  const double margin = (true_abw_mbps - rate_mbps) / rate_mbps;
-  // Logistic misdetection model: far from the rate the verdict is certain,
-  // inside the ambiguity band it degrades toward a coin flip.
-  const double width = std::max(options_.ambiguity_width, 1e-9);
-  const double p_good = 1.0 / (1.0 + std::exp(-4.0 * margin / width));
-  bool good = rng.Bernoulli(p_good);
-  // Underestimation: queueing noise can masquerade as congestion, flipping
-  // marginal "good" verdicts to "bad" (never the other way around).
-  if (good && margin < width && rng.Bernoulli(options_.underestimation_bias)) {
-    good = false;
-  }
-  return good ? 1 : -1;
-}
-
 double PathchirpProbe::Measure(double true_abw_mbps, common::Rng& rng) const {
   if (true_abw_mbps <= 0.0) {
     throw std::invalid_argument("PathchirpProbe::Measure: ABW must be > 0");

@@ -3,17 +3,15 @@
 // Stand-ins for the real probing tools the paper relies on (DESIGN.md §3):
 //
 //  * PingProbe        — ICMP round-trip: cheap, sender-inferred, returns the
-//                       RTT *quantity* with small multiplicative noise.
-//  * PathloadClassProbe — the paper's cheap ABW *class* measurement: send a
-//                       UDP train at constant rate τ and report only whether
-//                       congestion was observed ("bad") or not ("good").
-//                       Misclassification probability rises for paths whose
-//                       true ABW is close to τ (the paper's Type-1 error
-//                       mechanism) and the tool may under-estimate (Type-2).
+//                       RTT *quantity* with small multiplicative noise (the
+//                       Harvard generator's measurement).
 //  * PathchirpProbe   — coarse ABW *quantity* estimate with an
-//                       underestimation bias and lognormal noise; cheaper but
-//                       less accurate than pathload, matching the HP-S3
-//                       collection methodology.
+//                       underestimation bias and lognormal noise, matching
+//                       the HP-S3 collection methodology.
+//
+// The paper's cheap ABW *class* measurement (a constant-rate train at τ
+// that reports only congestion or not) is modelled by the engine's error
+// injection (core/error_injection.hpp), not by a probe here.
 //
 // All probes consume entropy from a caller-provided Rng, so experiments stay
 // reproducible and nodes can carry independent streams.
@@ -37,32 +35,6 @@ class PingProbe {
 
   /// Observed RTT in ms; requires true_rtt_ms > 0.
   [[nodiscard]] double Measure(double true_rtt_ms, common::Rng& rng) const;
-
- private:
-  Options options_;
-};
-
-/// Simulates a pathload-style constant-rate UDP train returning only the
-/// binary congestion verdict.
-class PathloadClassProbe {
- public:
-  struct Options {
-    /// Width of the ambiguous band around the probing rate, as a fraction of
-    /// the rate: within [τ(1-w), τ(1+w)] the verdict degrades to a coin flip
-    /// that sharpens away from τ (logistic response).
-    double ambiguity_width = 0.1;
-    /// Probability scale of spurious congestion detection (underestimation):
-    /// with this probability a "good" path near the band is reported "bad".
-    double underestimation_bias = 0.05;
-  };
-
-  PathloadClassProbe() : PathloadClassProbe(Options()) {}
-  explicit PathloadClassProbe(const Options& options) : options_(options) {}
-
-  /// +1 ("good": abw >= rate, no congestion) or -1 ("bad").
-  /// Requires true_abw_mbps > 0 and rate_mbps > 0.
-  [[nodiscard]] int Measure(double true_abw_mbps, double rate_mbps,
-                            common::Rng& rng) const;
 
  private:
   Options options_;

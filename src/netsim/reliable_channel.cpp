@@ -79,21 +79,10 @@ ReliableFrameView DecodeReliableFrame(std::span<const std::byte> bytes) {
 
 ReliableInterShardChannel::ReliableInterShardChannel(
     InterShardChannel& inner, ReliableChannelOptions options)
-    : inner_(&inner), options_(options), jitter_(options.seed) {
-  if (options_.initial_rto_ms <= 0 || options_.max_rto_ms <= 0 ||
-      options_.ack_delay_ms <= 0) {
+    : inner_(&inner), options_(options), jitter_(kRtoJitterSeed) {
+  if (options_.initial_rto_ms <= 0 || options_.ack_delay_ms <= 0) {
     throw std::invalid_argument(
         "ReliableInterShardChannel: timer intervals must be positive");
-  }
-  // Written so NaN fails: a NaN backoff or jitter reaches RtoFor's integer
-  // conversion, which is undefined for NaN.
-  if (!(options_.backoff >= 1.0)) {
-    throw std::invalid_argument(
-        "ReliableInterShardChannel: backoff must be >= 1");
-  }
-  if (!(options_.jitter_frac >= 0.0 && options_.jitter_frac < 1.0)) {
-    throw std::invalid_argument(
-        "ReliableInterShardChannel: jitter_frac must be in [0, 1)");
   }
   if (inner_->MaxFrameBytes() <= kReliableDataHeaderBytes) {
     throw std::invalid_argument(
@@ -137,12 +126,12 @@ void ReliableInterShardChannel::ApplyAck(PeerState& peer,
 ReliableInterShardChannel::Clock::duration ReliableInterShardChannel::RtoFor(
     int attempts) {
   double rto_ms = static_cast<double>(options_.initial_rto_ms);
-  for (int a = 0; a < attempts && rto_ms < options_.max_rto_ms; ++a) {
-    rto_ms *= options_.backoff;
+  for (int a = 0; a < attempts && rto_ms < kMaxRtoMs; ++a) {
+    rto_ms *= kRtoGrowth;
   }
-  rto_ms = std::min(rto_ms, static_cast<double>(options_.max_rto_ms));
-  // Deterministic jitter (seeded stream): ±jitter_frac, never below 1 ms.
-  rto_ms *= 1.0 + options_.jitter_frac * (2.0 * jitter_.Uniform() - 1.0);
+  rto_ms = std::min(rto_ms, static_cast<double>(kMaxRtoMs));
+  // Deterministic jitter (seeded stream): ±kRtoJitter, never below 1 ms.
+  rto_ms *= 1.0 + kRtoJitter * (2.0 * jitter_.Uniform() - 1.0);
   return std::chrono::milliseconds(
       std::max<std::int64_t>(1, static_cast<std::int64_t>(rto_ms)));
 }

@@ -16,9 +16,9 @@
 //     receiver has nothing to send, a standalone ack flushes after
 //     ack_delay_ms.
 //   * timeout-driven retransmission    unacked frames resend after an RTO
-//     that backs off exponentially (initial_rto_ms · backoff^attempts,
-//     capped at max_rto_ms) with deterministic seeded jitter so two peers
-//     retransmitting at each other do not phase-lock.
+//     that backs off exponentially (initial_rto_ms · kRtoGrowth^attempts,
+//     capped at kMaxRtoMs) with deterministic seeded jitter (±kRtoJitter)
+//     so two peers retransmitting at each other do not phase-lock.
 //
 // The window protocol already tolerates reordering and duplication, so the
 // layer deliberately does NOT resequence: a frame is delivered the moment it
@@ -52,20 +52,24 @@
 
 namespace dmfsgd::netsim {
 
+/// The RTO schedule's fixed shape: each failed attempt multiplies the RTO
+/// by kRtoGrowth up to kMaxRtoMs, and every RTO is scaled by a uniform
+/// factor in [1 - kRtoJitter, 1 + kRtoJitter) drawn from a stream seeded
+/// with kRtoJitterSeed.  The runtime's ShardRuntimeOptions::stall_timeout_s
+/// must comfortably exceed kMaxRtoMs — stall detection only declares a peer
+/// dead after a full timeout with no ack progress, so the two compose:
+/// retransmission keeps a live-but-lossy peer's acks advancing, and the
+/// stall timer fires only for a genuinely dead one.
+inline constexpr int kMaxRtoMs = 2000;
+inline constexpr double kRtoGrowth = 2.0;
+inline constexpr double kRtoJitter = 0.25;
+inline constexpr std::uint64_t kRtoJitterSeed = 0x715cu;
+
 /// Tuning knobs of the reliability layer.  Defaults suit loopback and LAN
-/// links; a WAN deployment raises initial_rto_ms toward its RTT.  The
-/// runtime's ShardRuntimeOptions::stall_timeout_s must comfortably exceed
-/// max_rto_ms — stall detection only declares a peer dead after a full
-/// timeout with no ack progress, so the two compose: retransmission keeps a
-/// live-but-lossy peer's acks advancing, and the stall timer fires only for
-/// a genuinely dead one.
+/// links; a WAN deployment raises initial_rto_ms toward its RTT.
 struct ReliableChannelOptions {
   int initial_rto_ms = 40;    ///< first retransmit timeout per frame
-  int max_rto_ms = 2000;      ///< exponential backoff cap
-  double backoff = 2.0;       ///< RTO multiplier per failed attempt
-  double jitter_frac = 0.25;  ///< uniform ±fraction applied to every RTO
   int ack_delay_ms = 20;      ///< standalone-ack flush delay when idle
-  std::uint64_t seed = 0x715cu;  ///< jitter stream seed (deterministic)
 };
 
 /// Header layout shared by the encoder, the decoder, and the codec tests.

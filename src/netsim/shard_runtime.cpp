@@ -140,13 +140,14 @@ ShardRuntime::ShardRuntime(ShardedEventQueue& queue, InterShardChannel& channel,
       lookaheads_(std::move(lookaheads)),
       decoder_(std::move(decoder)),
       options_(options) {
-  if (options_.receive_poll_ms <= 0) {
+  // Written so NaN fails.  Past kMaxStallTimeoutS (+inf included) the
+  // stall deadline's duration_cast and Flush's int milliseconds overflow:
+  // the deadline lands in the past and a stall fires at the first poll.
+  if (!(options_.stall_timeout_s > 0.0 &&
+        options_.stall_timeout_s <= kMaxStallTimeoutS)) {
     throw std::invalid_argument(
-        "ShardRuntime: receive_poll_ms must be positive");
-  }
-  if (!(options_.stall_timeout_s > 0.0)) {
-    throw std::invalid_argument(
-        "ShardRuntime: stall_timeout_s must be positive");
+        "ShardRuntime: stall_timeout_s must be positive and at most "
+        "2147483.647 s (INT_MAX ms)");
   }
   // Clamp against the *channel's* budget: a reliability decorator reserves
   // header bytes out of every frame, so the constant overshoots there.
@@ -405,7 +406,7 @@ InterShardFrame ShardRuntime::ReceiveOrThrow(const char* phase) {
   auto deadline = std::chrono::steady_clock::now() + stall_timeout;
   std::uint64_t liveness = channel_->LivenessEpoch();
   for (;;) {
-    auto frame = channel_->Receive(options_.receive_poll_ms);
+    auto frame = channel_->Receive(kReceivePollMs);
     if (frame.has_value()) {
       ++frames_received_from_[frame->from_process];
       return std::move(*frame);

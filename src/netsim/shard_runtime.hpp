@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -43,16 +44,25 @@ class ThreadPool;
 
 namespace dmfsgd::netsim {
 
-/// Validated at ShardRuntime construction: receive_poll_ms and
-/// stall_timeout_s must be positive (std::invalid_argument otherwise).
+/// Per-Receive wait of the runtime's gathers: how often a blocked gather
+/// re-checks the channel's liveness and its stall deadline.
+inline constexpr int kReceivePollMs = 50;
+
+/// The longest stall timeout, about 24.8 days: its millisecond count still
+/// fits the int timeout the runtime hands the channel's Flush.
+inline constexpr double kMaxStallTimeoutS =
+    static_cast<double>(std::numeric_limits<int>::max()) / 1000.0;
+
+/// Validated at ShardRuntime construction (std::invalid_argument
+/// otherwise): stall_timeout_s must be positive and at most
+/// kMaxStallTimeoutS, so neither +inf nor NaN.
 struct ShardRuntimeOptions {
-  int receive_poll_ms = 50;  ///< per-Receive wait while gathering
   /// Give up (throw StallError) after this long with neither a frame nor
   /// liveness progress from the channel.  When the channel is a
-  /// ReliableInterShardChannel, set this comfortably above its max_rto_ms:
+  /// ReliableInterShardChannel, set this comfortably above its kMaxRtoMs:
   /// retransmission keeps a live-but-lossy peer's acks advancing (which
   /// re-arms this timeout via LivenessEpoch), so the stall timer fires only
-  /// for a peer that is genuinely gone — not one mid-backoff.
+  /// for a peer that is genuinely gone — not one waiting out a long RTO.
   double stall_timeout_s = 60.0;
   /// Byte budget per event-batch frame.  The default fills whole datagrams;
   /// a multi-host deployment tunes this toward the path MTU (~1400) to
@@ -191,7 +201,7 @@ class ShardRuntime {
   /// RunUntil (the coordinator's result fold): returns first the frames the
   /// window loop received but did not own (a fold frame racing ahead of a
   /// slow peer's last barrier), then reads the channel under this runtime's
-  /// receive_poll_ms and stall_timeout_s.  Throws StallError tagged with
+  /// kReceivePollMs and stall_timeout_s.  Throws StallError tagged with
   /// `phase` when no frame and no liveness progress arrive in time.
   [[nodiscard]] InterShardFrame Receive(const char* phase);
 

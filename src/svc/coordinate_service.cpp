@@ -14,8 +14,6 @@ core::SimulationConfig SimulationConfigFor(const ServiceConfig& config) {
   static_cast<core::ProtocolConfig&>(sim) = config;  // the shared knobs
   sim.mode = config.mode;
   sim.neighbor_count = config.neighbor_count;
-  sim.message_loss = config.message_loss;
-  sim.churn_rate = config.churn_rate;
   return sim;
 }
 

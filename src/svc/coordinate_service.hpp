@@ -9,9 +9,9 @@
 //
 //  * **ingest plane** — a push API: every measurement (pushed pair, active
 //    probe, trace replay window, warm-up round) funnels into the engine's
-//    exchange machinery through the round driver's channel stack, so all
-//    protocol semantics (loss, churn, one SGD step per measurement) apply
-//    to served deployments unchanged.
+//    exchange machinery through the round driver's channel stack, so the
+//    protocol semantics (one SGD step per measurement, the engine's
+//    per-node RNG streams) apply to served deployments unchanged.
 //  * **query plane** — live bilinear scores (DESIGN.md §16): point-to-point
 //    score/quantity, multiclass level readout, and k-nearest-peer queries
 //    through a resident ann::PeerIndex that is kept warm by draining the
@@ -78,8 +78,6 @@ namespace dmfsgd::svc {
 struct ServiceConfig : core::ProtocolConfig {
   core::PredictionMode mode = core::PredictionMode::kClassification;
   std::size_t neighbor_count = 10;  ///< k — membership set per node
-  double message_loss = 0.0;        ///< per-leg drop probability in [0, 1)
-  double churn_rate = 0.0;          ///< per-round membership churn
 
   // -- query plane ----------------------------------------------------------
 

@@ -134,9 +134,8 @@ TEST(PeerIndexDrift, ApplyUpdatesEscalatesToRebuildOnBulkDrift) {
     store.RandomizeRow(i, rng);
   }
   PeerIndexOptions options;
-  options.seed = 3;
   PeerIndex index(store, options);
-  // Re-randomize well past rebuild_fraction of the membership.
+  // Re-randomize well past kRebuildFraction of the membership.
   std::vector<core::NodeId> dirty;
   for (std::size_t i = 0; i < 100; ++i) {
     store.RandomizeRow(i, rng);
@@ -144,8 +143,8 @@ TEST(PeerIndexDrift, ApplyUpdatesEscalatesToRebuildOnBulkDrift) {
   }
   const auto stats = index.ApplyUpdates(dirty);
   EXPECT_TRUE(stats.rebuilt);
-  // A rebuild re-seeds from options.seed, so the escalated index equals a
-  // fresh index over the post-drift store.
+  // A rebuild runs the construction's link pass, so the escalated index
+  // equals a fresh index over the post-drift store.
   const PeerIndex fresh(store, options);
   for (const std::size_t id : index.Members()) {
     EXPECT_EQ(index.NeighborsOf(id), fresh.NeighborsOf(id));
@@ -224,9 +223,8 @@ TEST(PeerIndexDrift, FarJumpsRelinkIntoTheirNewNeighbourhood) {
 // svc::CoordinateService refreshes a copy of its published index and swaps
 // it in, so a copy — constructed, or assigned over an unrelated index —
 // must replay every mutation exactly as its source: repairs after small
-// and large drift, a RebuildAll escalation, and an insertion (which draws
-// from the copied Rng stream), with the coarse layer off and on; and
-// copying must not disturb the source.
+// and large drift and a RebuildAll escalation, with the coarse layer off
+// and on; and copying must not disturb the source.
 TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
   for (const std::size_t cells : {0u, 12u}) {
     SCOPED_TRACE(cells);
@@ -238,8 +236,6 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
     PeerIndexOptions options;
     options.ivf_cells = cells;
     options.ivf_nprobe = 3;
-    options.ef_construction = 4;  // narrow link beams: the Rng stream matters
-    options.entry_points = 1;
     PeerIndex source(store, options);
     const std::vector<std::size_t> queries{0, 77, 150, 299};
     std::vector<eval::KnnResult> answers;
@@ -250,7 +246,6 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
 
     const PeerIndex constructed(source);
     PeerIndexOptions other = options;
-    other.seed = options.seed + 1;
     other.ivf_cells = cells == 0 ? 5 : 0;
     PeerIndex assigned(store, std::vector<std::size_t>{1, 2, 3, 4, 5, 6}, other);
     assigned = constructed;
@@ -275,7 +270,7 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
     };
     // Batches of `count` rows from `first`: nudged by up to `step` per
     // coordinate (small drift, one SGD step's worth) or re-randomized
-    // (step = 0: a jump).  Relinks, a bulk drift past rebuild_fraction,
+    // (step = 0: a jump).  Relinks, a bulk drift past kRebuildFraction,
     // then relinks again.
     struct Batch {
       std::size_t first;
@@ -307,15 +302,6 @@ TEST(PeerIndexDrift, CopiesReplayUpdatesExactlyAsTheirSource) {
       expect_replicas_match();
       EXPECT_TRUE(expected.rebuilt || expected.relinked > 0);
       rebuilt |= expected.rebuilt;
-      if (batch.first == 10) {
-        // Before the rebuild re-seeds it, the copied Rng stream picks a
-        // re-added member's entry points.
-        for (PeerIndex* index : {&source, &copy, &assigned}) {
-          index->Remove(42);
-          index->Add(42);
-        }
-        expect_replicas_match();
-      }
     }
     EXPECT_TRUE(rebuilt);
     EXPECT_EQ(source.CellCount(), cells);

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -101,8 +100,8 @@ TEST(PeerIndexIvf, CoarseBuildIsDeterministicAndRngFree) {
   EXPECT_EQ(a.CellEntries(), b.CellEntries());
   EXPECT_EQ(Adjacency(a), Adjacency(b));
 
-  // The coarse build draws nothing from the index Rng, so switching it on
-  // must not shift the adjacency stream relative to a flat index.
+  // The coarse build draws nothing from the link pass's Rng, so switching
+  // it on must not shift the adjacency relative to a flat index.
   const PeerIndex plain(store, flat);
   EXPECT_EQ(Adjacency(a), Adjacency(plain));
 
@@ -128,46 +127,12 @@ TEST(PeerIndexIvf, RebuildAllRefreshesTheCoarseLayerIdempotently) {
   EXPECT_EQ(Adjacency(index), adjacency_before);
 }
 
-TEST(PeerIndexIvf, RemoveKeepsEveryCellEntryAliveAndQueriesCorrect) {
-  const CoordinateStore store = RandomStore(256, 6, 107);
-  PeerIndexOptions options;
-  options.ivf_cells = 8;
-  options.ivf_nprobe = 3;
-  PeerIndex index(store, options);
-  // Remove the cell medoids themselves — the hardest case for entry
-  // patching — plus a few bystanders.
-  auto medoids = index.CellEntries();
-  std::sort(medoids.begin(), medoids.end());
-  medoids.erase(std::unique(medoids.begin(), medoids.end()), medoids.end());
-  for (const std::size_t id : {std::size_t{10}, std::size_t{200}}) {
-    if (std::find(medoids.begin(), medoids.end(), id) == medoids.end()) {
-      medoids.push_back(id);
-    }
-  }
-  for (const std::size_t id : medoids) {
-    index.Remove(id);
-  }
-  ASSERT_EQ(index.Size(), 256u - medoids.size());
-  for (const std::size_t entry : index.CellEntries()) {
-    EXPECT_TRUE(index.Contains(entry));
-  }
-  const auto result = index.SearchFrom(0, 5, KnnOrdering::kSmallestFirst);
-  ASSERT_EQ(result.Size(), 5u);
-  for (const std::size_t id : result.ids) {
-    EXPECT_TRUE(index.Contains(id));
-  }
-}
-
 TEST(PeerIndexIvf, RejectsDegenerateIvfOptions) {
   const CoordinateStore store = RandomStore(32, 4, 117);
   PeerIndexOptions no_probe;
   no_probe.ivf_cells = 4;
   no_probe.ivf_nprobe = 0;
   EXPECT_THROW(PeerIndex(store, no_probe), std::invalid_argument);
-  PeerIndexOptions no_sample;
-  no_sample.ivf_cells = 4;
-  no_sample.ivf_sample = 0;
-  EXPECT_THROW(PeerIndex(store, no_sample), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // PeerIndex structural properties (DESIGN.md §16): exact-mode oracle
-// parity, determinism, membership maintenance, recall on a static store.
-// Drift/staleness behaviour lives in peer_index_drift_test.cpp.
+// parity, determinism, subset membership, recall on a static store, and
+// the out-edge invariant repairs rely on.  Drift/staleness behaviour lives
+// in peer_index_drift_test.cpp.
 #include "ann/peer_index.hpp"
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <algorithm>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -50,7 +52,6 @@ TEST(PeerIndex, ExactModeIsBitIdenticalToTheOracle) {
 TEST(PeerIndex, SameSeedSameAdjacencyAndQueryResults) {
   const CoordinateStore store = RandomStore(300, 10, 21);
   PeerIndexOptions options;
-  options.seed = 1234;
   const PeerIndex a(store, options);
   const PeerIndex b(store, options);
   EXPECT_EQ(Adjacency(a), Adjacency(b));
@@ -116,41 +117,9 @@ TEST(PeerIndex, SearchFromExcludesTheQueryEvenViaTheGraph) {
   }
 }
 
-TEST(PeerIndex, AddAndRemoveMaintainMembership) {
-  const CoordinateStore store = RandomStore(80, 6, 61);
-  std::vector<std::size_t> members;
-  for (std::size_t id = 0; id < 40; ++id) {
-    members.push_back(id);
-  }
-  PeerIndex index(store, members, PeerIndexOptions{});
-  index.Add(77);
-  EXPECT_TRUE(index.Contains(77));
-  EXPECT_EQ(index.Size(), 41u);
-  index.Remove(13);
-  EXPECT_FALSE(index.Contains(13));
-  EXPECT_EQ(index.Size(), 40u);
-  // The removed member never comes back from a search; the added one can.
-  const auto result =
-      index.SearchFrom(13, index.Size(), KnnOrdering::kSmallestFirst,
-                       index.Size());
-  for (const std::size_t id : result.ids) {
-    EXPECT_NE(id, 13u);
-  }
-  // No edge list may reference the departed member.
-  for (const std::size_t id : index.Members()) {
-    for (const std::size_t nb : index.NeighborsOf(id)) {
-      EXPECT_NE(nb, 13u);
-      EXPECT_TRUE(index.Contains(nb));
-    }
-  }
-  EXPECT_THROW(index.Add(77), std::invalid_argument);
-  EXPECT_THROW(index.Remove(13), std::invalid_argument);
-}
-
 TEST(PeerIndex, RebuildIsIdempotentAndMatchesConstruction) {
   const CoordinateStore store = RandomStore(250, 10, 71);
   PeerIndexOptions options;
-  options.seed = 7;
   PeerIndex index(store, options);
   const auto constructed = Adjacency(index);
   index.RebuildAll();
@@ -187,7 +156,7 @@ TEST(PeerIndex, ScoreEvaluationsCountExactScans) {
 TEST(PeerIndex, RejectsBadOptionsAndMembers) {
   const CoordinateStore store = RandomStore(10, 4, 101);
   PeerIndexOptions bad;
-  bad.degree = 0;
+  bad.ef_search = 0;
   EXPECT_THROW(PeerIndex(store, bad), std::invalid_argument);
   const std::vector<std::size_t> dup{1, 2, 1};
   EXPECT_THROW(PeerIndex(store, dup, PeerIndexOptions{}), std::invalid_argument);
@@ -198,15 +167,63 @@ TEST(PeerIndex, RejectsBadOptionsAndMembers) {
                std::invalid_argument);
 }
 
-TEST(PeerIndex, RejectsNanThresholds) {
-  // A NaN threshold passes a plain `x < 0` check and then never triggers.
-  const CoordinateStore store = RandomStore(10, 4, 103);
-  PeerIndexOptions nan_epsilon;
-  nan_epsilon.drift_epsilon = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(PeerIndex(store, nan_epsilon), std::invalid_argument);
-  PeerIndexOptions nan_fraction;
-  nan_fraction.rebuild_fraction = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(PeerIndex(store, nan_fraction), std::invalid_argument);
+void ExpectEveryMemberHasAnOutEdge(const PeerIndex& index, const char* step) {
+  for (const std::size_t id : index.Members()) {
+    EXPECT_FALSE(index.NeighborsOf(id).empty()) << step << ": member " << id;
+  }
+}
+
+// A repair walks from the member's own out-edges, so every member of an
+// index with two or more members must keep at least one through
+// construction, repairs after small drift and after jumps, and rebuilds;
+// an edgeless member exists only in a one-member index, where a repair
+// finds nothing and leaves it edgeless.
+TEST(PeerIndex, EveryMemberKeepsAnOutEdge) {
+  for (const std::size_t n : {2u, 3u, 300u}) {
+    for (const std::size_t cells : {0u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "n = " << n << ", cells = " << cells);
+      CoordinateStore store = RandomStore(n, 8, 131 + n);
+      PeerIndexOptions options;
+      options.ivf_cells = cells;
+      PeerIndex index(store, options);
+      ExpectEveryMemberHasAnOutEdge(index, "construction");
+
+      common::Rng rng(137 + n + cells);
+      std::vector<core::NodeId> dirty;
+      for (std::size_t i = 0; i < std::max<std::size_t>(1, n / 10); ++i) {
+        dirty.push_back(static_cast<core::NodeId>(i));
+      }
+      for (const core::NodeId id : dirty) {
+        for (double& value : store.V(id)) {
+          value += rng.Uniform(-0.01, 0.01);
+        }
+      }
+      (void)index.ApplyUpdates(dirty);
+      ExpectEveryMemberHasAnOutEdge(index, "small drift");
+      for (const core::NodeId id : dirty) {
+        store.RandomizeRow(id, rng);
+      }
+      (void)index.ApplyUpdates(dirty);
+      ExpectEveryMemberHasAnOutEdge(index, "re-randomized rows");
+      index.RebuildAll();
+      ExpectEveryMemberHasAnOutEdge(index, "rebuild");
+    }
+  }
+
+  CoordinateStore store = RandomStore(16, 8, 139);
+  PeerIndex single(store, std::vector<std::size_t>{5}, PeerIndexOptions{});
+  EXPECT_TRUE(single.NeighborsOf(5).empty());
+  for (double& value : store.V(5)) {
+    value += 0.5;
+  }
+  const std::vector<core::NodeId> dirty{5};
+  EXPECT_NO_THROW((void)single.ApplyUpdates(dirty));
+  EXPECT_TRUE(single.NeighborsOf(5).empty());
+  for (double& value : store.V(5)) {
+    value -= 0.25;
+  }
+  EXPECT_TRUE(single.Update(5));  // the repair itself, on the edgeless member
+  EXPECT_TRUE(single.NeighborsOf(5).empty());
 }
 
 }  // namespace

@@ -170,7 +170,6 @@ TEST(LossyMultiprocess, KilledPeerSurfacesAsStallErrorWithDiagnostics) {
   const Dataset dataset = SmallRtt();
   const AsyncSimulationConfig config = BaseConfig(dataset, 4);
   netsim::ShardRuntimeOptions options;
-  options.receive_poll_ms = 20;
   options.stall_timeout_s = 1.5;
   netsim::FaultSpec lossless;
   try {

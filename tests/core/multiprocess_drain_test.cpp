@@ -15,11 +15,13 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -348,12 +350,15 @@ TEST(MultiprocessDrain, ResultFoldStallsAfterTheRuntimeStallTimeout) {
   EXPECT_LT(waited_s, 15.0) << "the fold ignored stall_timeout_s = 1";
 }
 
-/// Forwards to a backend but rewrites the node id of the first row in the
-/// first owned-rows frame (type 16) to `node`: a peer whose fold lies.
-class FoldRowRewritingChannel final : public netsim::InterShardChannel {
+/// Forwards to a backend but rewrites the first result-fold frame of
+/// `type` (16 owned rows, 17 counters) it sends: a peer whose fold lies.
+class FoldFrameRewritingChannel final : public netsim::InterShardChannel {
  public:
-  FoldRowRewritingChannel(netsim::InterShardChannel& inner, std::uint32_t node)
-      : inner_(&inner), node_(node) {}
+  using Rewrite = std::function<void(std::vector<std::byte>&)>;
+
+  FoldFrameRewritingChannel(netsim::InterShardChannel& inner, std::uint8_t type,
+                            Rewrite rewrite)
+      : inner_(&inner), type_(type), rewrite_(std::move(rewrite)) {}
 
   [[nodiscard]] std::size_t ProcessCount() const noexcept override {
     return inner_->ProcessCount();
@@ -362,16 +367,12 @@ class FoldRowRewritingChannel final : public netsim::InterShardChannel {
     return inner_->ProcessIndex();
   }
   void Send(std::size_t to_process, std::span<const std::byte> frame) override {
-    if (rewritten_ || static_cast<std::uint8_t>(frame.front()) != 16) {
+    if (rewritten_ || static_cast<std::uint8_t>(frame.front()) != type_) {
       inner_->Send(to_process, frame);
       return;
     }
-    // type (1) | chunk (4) | last (1) | rows (4) | first row's node (4) ...
     std::vector<std::byte> bytes(frame.begin(), frame.end());
-    common::ByteWriter node;
-    node.U32(node_);
-    const std::vector<std::byte> encoded = node.Take();
-    std::copy(encoded.begin(), encoded.end(), bytes.begin() + 10);
+    rewrite_(bytes);
     rewritten_ = true;
     inner_->Send(to_process, bytes);
   }
@@ -380,17 +381,35 @@ class FoldRowRewritingChannel final : public netsim::InterShardChannel {
     return inner_->Receive(timeout_ms);
   }
   [[nodiscard]] const char* Name() const noexcept override {
-    return "fold-row-rewriting";
+    return "fold-frame-rewriting";
   }
 
  private:
   netsim::InterShardChannel* inner_;
-  std::uint32_t node_;
+  std::uint8_t type_;
+  Rewrite rewrite_;
   bool rewritten_ = false;
 };
 
-// A fold row naming a node outside the deployment is malformed peer input.
-TEST(MultiprocessDrain, ResultFoldRejectsAnOutOfRangeNode) {
+// Offsets in a rows frame: type (1) | chunk (4) | last (1) | rows (4) |
+// per row: node (4), u and v (8 · rank each).
+constexpr std::size_t kRowCountAt = 6;
+constexpr std::size_t kFirstNodeAt = 10;
+
+void WriteU32(std::vector<std::byte>& bytes, std::size_t at,
+              std::uint32_t value) {
+  common::ByteWriter writer;
+  writer.U32(value);
+  const std::vector<std::byte> encoded = writer.Take();
+  std::copy(encoded.begin(), encoded.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+/// Runs a 2-process, 4-shard loopback drain whose peer rewrites its first
+/// fold frame of `type`, and returns what the coordinator threw:
+/// "DecodeError: <what>", "other: <what>", or "none".
+std::string CoordinatorErrorForRewrittenFold(
+    std::uint8_t type, const FoldFrameRewritingChannel::Rewrite& rewrite) {
   const Dataset dataset = SmallRtt();
   const AsyncSimulationConfig config = BaseConfig(dataset, 4);
   netsim::ShardRuntimeOptions options;
@@ -400,8 +419,7 @@ TEST(MultiprocessDrain, ResultFoldRejectsAnOutOfRangeNode) {
   std::thread peer([&] {
     try {
       netsim::LoopbackInterShardChannel loopback(hub, 1);
-      FoldRowRewritingChannel rewriting(
-          loopback, static_cast<std::uint32_t>(dataset.NodeCount()));
+      FoldFrameRewritingChannel rewriting(loopback, type, rewrite);
       common::ThreadPool pool(1);
       (void)RunMultiprocessAsyncSimulation(dataset, config, rewriting, 5.0,
                                            pool, options);
@@ -411,17 +429,76 @@ TEST(MultiprocessDrain, ResultFoldRejectsAnOutOfRangeNode) {
   });
   netsim::LoopbackInterShardChannel channel(hub, 0);
   common::ThreadPool pool(1);
+  std::string error = "none";
   try {
     (void)RunMultiprocessAsyncSimulation(dataset, config, channel, 5.0, pool,
                                          options);
-    ADD_FAILURE() << "the coordinator accepted a row for node n";
-  } catch (const common::DecodeError& error) {
-    EXPECT_NE(std::string(error.what()).find("out-of-range node"),
-              std::string::npos)
-        << error.what();
+  } catch (const common::DecodeError& decode) {
+    error = std::string("DecodeError: ") + decode.what();
+  } catch (const std::exception& other) {
+    error = std::string("other: ") + other.what();
   }
   peer.join();
   EXPECT_FALSE(peer_error) << "the peer's own run must succeed";
+  return error;
+}
+
+void ExpectDecodeError(const std::string& error, const char* detail) {
+  EXPECT_EQ(error.rfind("DecodeError: ", 0), 0u) << error;
+  EXPECT_NE(error.find(detail), std::string::npos) << error;
+}
+
+// A fold row naming a node outside the deployment is malformed peer input.
+TEST(MultiprocessDrain, ResultFoldRejectsAnOutOfRangeNode) {
+  const auto node = static_cast<std::uint32_t>(SmallRtt().NodeCount());
+  ExpectDecodeError(
+      CoordinatorErrorForRewrittenFold(
+          16, [&](std::vector<std::byte>& bytes) {
+            WriteU32(bytes, kFirstNodeAt, node);
+          }),
+      "out-of-range node");
+}
+
+// A row for a node the sender does not own (here one of the coordinator's
+// own) must not overwrite that node's row.
+TEST(MultiprocessDrain, ResultFoldRejectsARowOutsideTheSendersBlock) {
+  ExpectDecodeError(CoordinatorErrorForRewrittenFold(
+                        16,
+                        [](std::vector<std::byte>& bytes) {
+                          WriteU32(bytes, kFirstNodeAt, 0);
+                        }),
+                    "out-of-range node");
+}
+
+// Trailing bytes are a malformed frame, for both fold frame types.
+TEST(MultiprocessDrain, ResultFoldRejectsTrailingBytes) {
+  for (const std::uint8_t type : {std::uint8_t{16}, std::uint8_t{17}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    ExpectDecodeError(CoordinatorErrorForRewrittenFold(
+                          type,
+                          [](std::vector<std::byte>& bytes) {
+                            bytes.push_back(std::byte{0});
+                          }),
+                      "trailing bytes");
+  }
+}
+
+// A peer whose rows skip part of its block would leave construction-time
+// replicas in the report: its last row is cut and the count decremented,
+// so the frame itself is well formed.
+TEST(MultiprocessDrain, ResultFoldRejectsRowsThatDoNotCoverTheBlock) {
+  const std::size_t rank = BaseConfig(SmallRtt(), 4).base.rank;
+  ExpectDecodeError(
+      CoordinatorErrorForRewrittenFold(
+          16,
+          [&](std::vector<std::byte>& bytes) {
+            common::ByteReader reader(
+                std::span<const std::byte>(bytes).subspan(kRowCountAt));
+            const std::uint32_t rows = reader.U32();
+            WriteU32(bytes, kRowCountAt, rows - 1);
+            bytes.resize(bytes.size() - (4 + 2 * 8 * rank));
+          }),
+      "do not cover");
 }
 
 /// Runs a genuinely forked 2-process run over real UDP datagrams and

@@ -96,9 +96,6 @@ TEST(Simulation, RejectsNanProbabilities) {
   config = DefaultConfig(dataset);
   config.churn_rate = nan;
   EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
-  config = DefaultConfig(dataset);
-  config.exploration = nan;
-  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
 }
 
 TEST(Simulation, NeighborSetsHaveRequestedSize) {

@@ -64,15 +64,6 @@ TEST(ProbeStrategies, RoundRobinCoversAllNeighborsEvenly) {
             config.neighbor_count * dataset.NodeCount());
 }
 
-TEST(ProbeStrategies, RejectsBadExploration) {
-  const Dataset dataset = SmallRtt();
-  SimulationConfig config = DefaultConfig(dataset);
-  config.exploration = 1.5;
-  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
-  config.exploration = -0.1;
-  EXPECT_THROW(DmfsgdSimulation(dataset, config), std::invalid_argument);
-}
-
 TEST(Churn, RejectsBadRate) {
   const Dataset dataset = SmallRtt();
   SimulationConfig config = DefaultConfig(dataset);

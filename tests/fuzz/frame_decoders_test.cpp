@@ -21,6 +21,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "core/delivery.hpp"
+#include "core/multiprocess.hpp"
 #include "core/wire.hpp"
 #include "netsim/event_queue.hpp"
 #include "netsim/reliable_channel.hpp"
@@ -86,6 +87,31 @@ std::vector<Bytes> EventChunkSeeds() {
   later.events = {{7, 3.0, 2, 9, BatchSeeds()[1]}};
   return {netsim::EncodeEventChunk(first), netsim::EncodeEventChunk(barrier),
           netsim::EncodeEventChunk(later)};
+}
+
+constexpr std::size_t kFoldRank = 3;
+
+std::vector<Bytes> FoldRowsSeeds() {
+  core::FoldRows two;  // two rank-3 rows, not the last chunk
+  two.index = 0;
+  two.nodes = {40, 41};
+  two.u = {1.0, -0.5, 0.25, 2.0, 3.5, -1.25};
+  two.v = {0.125, 8.0, -4.0, 0.0, 1.5, -2.5};
+  core::FoldRows one;  // a later, last chunk
+  one.index = 3;
+  one.last = true;
+  one.nodes = {79};
+  one.u = {-0.75, 0.5, 6.0};
+  one.v = {1.0, 1.0, -1.0};
+  core::FoldRows empty;  // a process that owns no node
+  empty.last = true;
+  return {core::EncodeFoldRows(two), core::EncodeFoldRows(one),
+          core::EncodeFoldRows(empty)};
+}
+
+std::vector<Bytes> FoldStatsSeeds() {
+  return {core::EncodeFoldStats({95, 32, 0, 0}),
+          core::EncodeFoldStats({0xffffffffffULL, 1, 2, 3})};
 }
 
 std::vector<Bytes> AllSeeds() {
@@ -288,6 +314,19 @@ TEST(FrameDecoders, DecodeEventChunk) {
   Sweep("DecodeEventChunk", EventChunkSeeds(), kSweepSeed + 6,
         [](const Bytes& in) {
           return netsim::EncodeEventChunk(netsim::DecodeEventChunk(in));
+        });
+}
+
+TEST(FrameDecoders, DecodeFoldRows) {
+  Sweep("DecodeFoldRows", FoldRowsSeeds(), kSweepSeed + 7, [](const Bytes& in) {
+    return core::EncodeFoldRows(core::DecodeFoldRows(in, kFoldRank));
+  });
+}
+
+TEST(FrameDecoders, DecodeFoldStats) {
+  Sweep("DecodeFoldStats", FoldStatsSeeds(), kSweepSeed + 8,
+        [](const Bytes& in) {
+          return core::EncodeFoldStats(core::DecodeFoldStats(in));
         });
 }
 

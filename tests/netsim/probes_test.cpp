@@ -27,59 +27,6 @@ TEST(PingProbe, RejectsNonPositiveRtt) {
   EXPECT_THROW((void)ping.Measure(-1.0, rng), std::invalid_argument);
 }
 
-TEST(PathloadClassProbe, CertainVerdictsFarFromRate) {
-  common::Rng rng(7);
-  const PathloadClassProbe probe({.ambiguity_width = 0.1,
-                                  .underestimation_bias = 0.0});
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(probe.Measure(100.0, 10.0, rng), 1);   // huge headroom
-    EXPECT_EQ(probe.Measure(10.0, 100.0, rng), -1);  // hopeless
-  }
-}
-
-TEST(PathloadClassProbe, AmbiguousNearRate) {
-  common::Rng rng(9);
-  const PathloadClassProbe probe({.ambiguity_width = 0.2,
-                                  .underestimation_bias = 0.0});
-  int good = 0;
-  constexpr int kDraws = 10000;
-  for (int i = 0; i < kDraws; ++i) {
-    if (probe.Measure(50.0, 50.0, rng) == 1) {
-      ++good;
-    }
-  }
-  // Exactly at the rate the verdict is a coin flip.
-  EXPECT_NEAR(static_cast<double>(good) / kDraws, 0.5, 0.03);
-}
-
-TEST(PathloadClassProbe, UnderestimationFlipsOnlyGoodToBad) {
-  common::Rng rng(11);
-  const PathloadClassProbe unbiased({.ambiguity_width = 0.1,
-                                     .underestimation_bias = 0.0});
-  const PathloadClassProbe biased({.ambiguity_width = 0.1,
-                                   .underestimation_bias = 0.5});
-  // Slightly-good path: margin inside the band.
-  int good_unbiased = 0;
-  int good_biased = 0;
-  constexpr int kDraws = 20000;
-  for (int i = 0; i < kDraws; ++i) {
-    if (unbiased.Measure(52.0, 50.0, rng) == 1) {
-      ++good_unbiased;
-    }
-    if (biased.Measure(52.0, 50.0, rng) == 1) {
-      ++good_biased;
-    }
-  }
-  EXPECT_LT(good_biased, good_unbiased);
-}
-
-TEST(PathloadClassProbe, RejectsNonPositiveInputs) {
-  common::Rng rng(13);
-  const PathloadClassProbe probe;
-  EXPECT_THROW((void)probe.Measure(0.0, 10.0, rng), std::invalid_argument);
-  EXPECT_THROW((void)probe.Measure(10.0, 0.0, rng), std::invalid_argument);
-}
-
 TEST(PathchirpProbe, UnderestimatesOnAverage) {
   common::Rng rng(17);
   const PathchirpProbe probe({.underestimation_factor = 0.9, .noise_sigma = 0.1});
@@ -100,33 +47,6 @@ TEST(PathchirpProbe, AlwaysPositive) {
   }
   EXPECT_THROW((void)probe.Measure(0.0, rng), std::invalid_argument);
 }
-
-// Property sweep: the pathload verdict must be monotone in the true ABW —
-// more headroom can only increase the good-probability.
-class PathloadMonotoneTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(PathloadMonotoneTest, GoodRateIncreasesWithHeadroom) {
-  const double rate = GetParam();
-  const PathloadClassProbe probe({.ambiguity_width = 0.15,
-                                  .underestimation_bias = 0.05});
-  double previous_fraction = -1.0;
-  for (const double multiplier : {0.5, 0.8, 1.0, 1.25, 2.0}) {
-    common::Rng rng(23);
-    int good = 0;
-    constexpr int kDraws = 4000;
-    for (int i = 0; i < kDraws; ++i) {
-      if (probe.Measure(rate * multiplier, rate, rng) == 1) {
-        ++good;
-      }
-    }
-    const double fraction = static_cast<double>(good) / kDraws;
-    EXPECT_GE(fraction, previous_fraction - 0.02);
-    previous_fraction = fraction;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Rates, PathloadMonotoneTest,
-                         ::testing::Values(1.0, 10.0, 43.0, 100.0));
 
 }  // namespace
 }  // namespace dmfsgd::netsim

@@ -246,16 +246,17 @@ TEST(ShardRuntime, ValidatesOptions) {
   auto decoder = [](OwnerId, std::vector<std::byte>) {
     return ShardedEventQueue::Callback([] {});
   };
-  ShardRuntimeOptions bad;
-  bad.receive_poll_ms = 0;
-  EXPECT_THROW(
-      ShardRuntime(queue, channel, LookaheadMatrix(2, 1.0), decoder, bad),
-      std::invalid_argument);
-  bad = ShardRuntimeOptions();
-  bad.stall_timeout_s = 0.0;
-  EXPECT_THROW(
-      ShardRuntime(queue, channel, LookaheadMatrix(2, 1.0), decoder, bad),
-      std::invalid_argument);
+  // Past kMaxStallTimeoutS (+inf included) the stall deadline and the
+  // terminal Flush's milliseconds overflow, and the first empty poll stalls.
+  for (const double stall_timeout_s :
+       {0.0, std::numeric_limits<double>::infinity(), 3e6}) {
+    ShardRuntimeOptions bad;
+    bad.stall_timeout_s = stall_timeout_s;
+    EXPECT_THROW(
+        ShardRuntime(queue, channel, LookaheadMatrix(2, 1.0), decoder, bad),
+        std::invalid_argument)
+        << stall_timeout_s;
+  }
 }
 
 TEST(ShardRuntime, ThrowsStallErrorWithDiagnosticsWhenAPeerStalls) {
@@ -266,7 +267,6 @@ TEST(ShardRuntime, ThrowsStallErrorWithDiagnosticsWhenAPeerStalls) {
   TestNet net(4, 2);
   LoopbackInterShardChannel channel(hub, 0);
   ShardRuntimeOptions options;
-  options.receive_poll_ms = 20;
   options.stall_timeout_s = 0.3;
   ShardRuntime runtime(
       net.queue, channel, LookaheadMatrix(2, kHopDelay),
@@ -339,7 +339,6 @@ TEST(ShardRuntime, RejectsNaNAndPastHorizons) {
   LoopbackInterShardChannel channel(hub, 0);
   TestNet net(4, 2);
   ShardRuntimeOptions options;
-  options.receive_poll_ms = 10;
   options.stall_timeout_s = 0.3;
   ShardRuntime runtime(net.queue, channel, LookaheadMatrix(2, kHopDelay),
                        decoder, options);
@@ -419,7 +418,6 @@ std::size_t DecodedBeforeRejecting(
   TestNet net(4, 2);
   std::size_t decoded = 0;
   ShardRuntimeOptions options;
-  options.receive_poll_ms = 10;
   options.stall_timeout_s = 1.0;
   ShardRuntime runtime(
       net.queue, channel, LookaheadMatrix(2, kHopDelay),
