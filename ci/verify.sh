@@ -130,17 +130,25 @@ for cited in $(grep -rhoE '`[a-z0-9]+_[a-z0-9_]+_test`' \
   fi
 done
 
-# Every identifier the docs backtick — qualified (`a::B`, checked by its last
-# component) or PascalCase, with or without `()` — must occur as a whole
-# word in the code, so deleting or renaming a type, function or test cannot
-# strand the prose that names it.  The code's identifiers are collected once.
+# Every identifier the docs backtick — qualified (`ann::PeerIndex`, checked
+# by its last component) or PascalCase, with or without `()` — must occur as
+# a whole word in the code, so deleting or renaming a type, function or test
+# cannot strand the prose that names it.  The code's identifiers are
+# collected once, from the C++ and Python sources with their comments
+# stripped: a comment that still spells a deleted name (a removal note, say)
+# must not keep the prose that names it alive.  String and character
+# literals are kept whole, so a "//" inside one starts no comment.
+code_without_comments() {
+  find src bench examples perfbench tests \( -name '*.cpp' -o -name '*.hpp' \) \
+    -exec perl -0777 -pe 's{("(?:[^"\\\n]|\\.)*"|\x27(?:[^\x27\\\n]|\\.)*\x27)|//[^\n]*|/\*.*?\*/}{defined $1 ? $1 : " "}gse' {} +
+  find src bench examples perfbench tests -name '*.py' -exec perl -pe 's/#.*//' {} +
+}
 doc_files=(DESIGN.md README.md .claude/skills/verify/SKILL.md)
 while IFS= read -r name; do
-  docs_failures+=("the docs name \`$name\`, which nothing under src, bench, examples, perfbench or tests spells")
+  docs_failures+=("the docs name \`$name\`, which no code under src, bench, examples, perfbench or tests spells")
 done < <(awk 'NR == FNR { known[$0] = 1; next }
               { n = split($0, parts, "::"); if (!(parts[n] in known)) print }' \
-           <(grep -rhoE '[A-Za-z_~][A-Za-z0-9_]*' \
-               src bench examples perfbench tests | sort -u) \
+           <(code_without_comments | grep -oE '[A-Za-z_~][A-Za-z0-9_]*' | sort -u) \
            <(grep -hoE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)*(\(\))?`' \
                "${doc_files[@]}" 2>/dev/null | tr -d '`' | sed 's/()$//' |
              grep -E '::|^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$' | sort -u))

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "linalg/kernels.hpp"
 
 namespace dmfsgd::ann {
 
@@ -24,6 +25,21 @@ std::vector<std::size_t> AllNodes(std::size_t node_count) {
   std::vector<std::size_t> ids(node_count);
   std::iota(ids.begin(), ids.end(), std::size_t{0});
   return ids;
+}
+
+/// Writes `entry` at position `at` of a list sorted by `better`, first
+/// shifting back one place every entry before `at` that `entry` beats;
+/// returns where it landed.  Whatever `at` held is overwritten: the caller
+/// appends a slot or gives up its worst entry.
+template <typename Entry, typename Better>
+std::size_t ShiftIntoPlace(std::vector<Entry>& list, std::size_t at,
+                           const Entry& entry, Better better) noexcept {
+  while (at > 0 && better(entry, list[at - 1])) {
+    list[at] = list[at - 1];
+    --at;
+  }
+  list[at] = entry;
+  return at;
 }
 
 }  // namespace
@@ -83,25 +99,12 @@ PeerIndex::PeerIndex(const core::CoordinateStore& store,
 }
 
 double PeerIndex::SnapDistanceSquared(Slot a, Slot b) const noexcept {
-  const double* pa = Snapshot(a);
-  const double* pb = Snapshot(b);
-  double sum = 0.0;
-  for (std::size_t d = 0; d < rank_; ++d) {
-    const double diff = pa[d] - pb[d];
-    sum += diff * diff;
-  }
-  return sum;
+  return linalg::DistanceSquaredRaw(Snapshot(a), Snapshot(b), rank_);
 }
 
 double PeerIndex::DistanceSquaredToSnapshot(std::span<const double> row,
                                             Slot slot) const noexcept {
-  const double* p = Snapshot(slot);
-  double sum = 0.0;
-  for (std::size_t d = 0; d < rank_; ++d) {
-    const double diff = row[d] - p[d];
-    sum += diff * diff;
-  }
-  return sum;
+  return linalg::DistanceSquaredRaw(row.data(), Snapshot(slot), rank_);
 }
 
 void PeerIndex::AppendSlot(std::size_t id) {
@@ -160,14 +163,21 @@ void PeerIndex::LinkBack(Slot to, Slot from, SearchScratch& scratch) {
   }
   // Full list: re-prune the union of the existing edges and the newcomer
   // relative to `to`'s snapshot; the newcomer survives only if it beats the
-  // diversity of what is already there.
+  // diversity of what is already there.  The stored list is mostly in
+  // distance order already (the prune keeps its candidates' order), so
+  // inserting each candidate into place is nearly free, and since slots are
+  // distinct the order is the one a sort would give.
   std::vector<RankedSlot>& candidates = scratch.relink;
   candidates.clear();
+  const auto insert = [&](Slot s) {
+    candidates.emplace_back();
+    ShiftIntoPlace(candidates, candidates.size() - 1,
+                   RankedSlot{SnapDistanceSquared(to, s), s}, Better);
+  };
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
-    candidates.push_back(RankedSlot{SnapDistanceSquared(to, edges[e]), edges[e]});
+    insert(edges[e]);
   }
-  candidates.push_back(RankedSlot{SnapDistanceSquared(to, from), from});
-  std::sort(candidates.begin(), candidates.end(), Better);
+  insert(from);
   std::vector<Slot>& chosen = scratch.rechosen;
   SelectNeighbors(candidates, chosen, scratch.pruned);
   adj_len_[to] = static_cast<std::uint32_t>(chosen.size());
@@ -178,8 +188,8 @@ template <typename KeyFn>
 void PeerIndex::BeamSearch(std::span<const Slot> entries, std::size_t ef,
                            Slot exclude, const KeyFn& key_of,
                            SearchScratch& scratch) const {
-  std::vector<RankedSlot>& out = scratch.out;
-  out.clear();
+  std::vector<RankedSlot>& pool = scratch.out;
+  pool.clear();
   if (id_of_.empty() || ef == 0) {
     return;
   }
@@ -193,61 +203,85 @@ void PeerIndex::BeamSearch(std::span<const Slot> entries, std::size_t ef,
   std::vector<std::uint32_t>& visited = scratch.visited;
   const std::uint32_t epoch = scratch.epoch;
 
-  // `out` doubles as the worst-on-top result heap; `scratch.frontier` is
-  // the best-first frontier.  Both orders key on (key, slot), so the walk
-  // is a pure function of (graph, entries, key function) — which is why
-  // query results are bit-identical at any number of query threads.
-  const auto worst_on_top = [](const RankedSlot& a, const RankedSlot& b) {
-    return Better(a, b);
-  };
-  const auto best_on_top = [](const RankedSlot& a, const RankedSlot& b) {
-    return Better(b, a);
-  };
-  std::vector<RankedSlot>& frontier = scratch.frontier;
-  frontier.clear();
-
+  // `pool` is one best-first candidate list under the (key, slot) order:
+  // the results found so far, each flagged once expanded.  It walks the
+  // same path a best-first frontier heap plus a worst-on-top result heap
+  // of `ef` would, so the walk is a pure function of (graph, entries, key
+  // function), which is why query results are bit-identical at any number
+  // of query threads.  The rules that keep it on that path:
+  //  * every seed is pooled, even past `ef`, so the pool holds
+  //    max(ef, distinct seeds) entries once full;
+  //  * `exclude` is scored and expanded but never pooled: it waits in
+  //    `pending` and is expanded when it beats the best unexpanded entry;
+  //  * the walk stops when the next candidate does not beat the pool's
+  //    worst entry of a full pool, so that worst entry is never expanded.
+  RankedSlot pending;
+  bool has_pending = false;
   for (const Slot s : entries) {
     if (visited[s] == epoch) {
       continue;
     }
     visited[s] = epoch;
     const RankedSlot entry{key_of(s), s};
-    frontier.push_back(entry);
-    std::push_heap(frontier.begin(), frontier.end(), best_on_top);
-    if (s != exclude) {
-      out.push_back(entry);
-      std::push_heap(out.begin(), out.end(), worst_on_top);
+    if (s == exclude) {
+      pending = entry;
+      has_pending = true;
+    } else {
+      pool.emplace_back();
+      ShiftIntoPlace(pool, pool.size() - 1, entry, Better);
     }
   }
 
-  while (!frontier.empty()) {
-    std::pop_heap(frontier.begin(), frontier.end(), best_on_top);
-    const RankedSlot current = frontier.back();
-    frontier.pop_back();
-    if (out.size() >= ef && !Better(current, out.front())) {
+  std::size_t cursor = 0;  // every pool entry before it is expanded
+  RankedSlot batch[kDegree];
+  for (;;) {
+    while (cursor < pool.size() && pool[cursor].expanded) {
+      ++cursor;
+    }
+    const bool from_pool =
+        cursor < pool.size() && !(has_pending && Better(pending, pool[cursor]));
+    if (!from_pool && !has_pending) {
       break;
     }
+    const RankedSlot current = from_pool ? pool[cursor] : pending;
+    if (pool.size() >= ef && !Better(current, pool.back())) {
+      break;
+    }
+    if (from_pool) {
+      pool[cursor].expanded = true;
+    } else {
+      has_pending = false;
+    }
+    // Gather the unvisited neighbours without a branch (an edge list holds
+    // no slot twice), score them, then insert in edge order: the same keys
+    // in the same order as scoring each just before its insert.
+    std::size_t scored = 0;
     for (const Slot nb : Edges(current.slot)) {
-      if (visited[nb] == epoch) {
+      batch[scored].slot = nb;
+      scored += visited[nb] != epoch ? 1 : 0;
+      visited[nb] = epoch;
+    }
+    for (std::size_t b = 0; b < scored; ++b) {
+      batch[b].key = key_of(batch[b].slot);
+    }
+    for (std::size_t b = 0; b < scored; ++b) {
+      const RankedSlot& next = batch[b];
+      const bool full = pool.size() >= ef;
+      if (full && !Better(next, pool.back())) {
         continue;
       }
-      visited[nb] = epoch;
-      const RankedSlot next{key_of(nb), nb};
-      if (out.size() < ef || Better(next, out.front())) {
-        frontier.push_back(next);
-        std::push_heap(frontier.begin(), frontier.end(), best_on_top);
-        if (nb != exclude) {
-          out.push_back(next);
-          std::push_heap(out.begin(), out.end(), worst_on_top);
-          if (out.size() > ef) {
-            std::pop_heap(out.begin(), out.end(), worst_on_top);
-            out.pop_back();
-          }
-        }
+      if (next.slot == exclude) {
+        pending = next;
+        has_pending = true;
+        continue;
       }
+      if (!full) {
+        pool.emplace_back();
+      }
+      cursor = std::min(cursor,
+                        ShiftIntoPlace(pool, pool.size() - 1, next, Better));
     }
   }
-  std::sort(out.begin(), out.end(), Better);
 }
 
 void PeerIndex::LinkAll() {
@@ -344,12 +378,8 @@ void PeerIndex::BuildCoarse() {
       std::size_t best_cell = 0;
       double best = 0.0;
       for (std::size_t c = 0; c < cells; ++c) {
-        const double* center = centroids_.data() + c * rank_;
-        double dist = 0.0;
-        for (std::size_t d = 0; d < rank_; ++d) {
-          const double diff = row[d] - center[d];
-          dist += diff * diff;
-        }
+        const double dist = linalg::DistanceSquaredRaw(
+            row, centroids_.data() + c * rank_, rank_);
         if (c == 0 || dist < best) {
           best = dist;
           best_cell = c;
@@ -394,13 +424,8 @@ void PeerIndex::BuildCoarse() {
   std::vector<double> best_dist(cells, 0.0);
   for (std::size_t t = 0; t < sample_count; ++t) {
     const std::size_t c = assignment[t];
-    const double* row = Snapshot(sample[t]);
-    const double* center = centroids_.data() + c * rank_;
-    double dist = 0.0;
-    for (std::size_t d = 0; d < rank_; ++d) {
-      const double diff = row[d] - center[d];
-      dist += diff * diff;
-    }
+    const double dist = linalg::DistanceSquaredRaw(
+        Snapshot(sample[t]), centroids_.data() + c * rank_, rank_);
     if (cell_entry_[c] == kNoSlot || dist < best_dist[c] ||
         (dist == best_dist[c] && sample[t] < cell_entry_[c])) {
       cell_entry_[c] = sample[t];

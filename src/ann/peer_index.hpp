@@ -63,11 +63,12 @@
 // results, at any number of query threads.
 //
 // Concurrency (DESIGN.md §18): queries never mutate the store or the
-// graph.  Each SearchFrom leases a SearchScratch (visited epochs, beam
-// heaps) from an internal free-list pool and folds its evaluation count
-// into one atomic on release, so any number of threads may run const
-// searches concurrently — results are bit-identical to a serial run
-// because the walk is a pure function of (graph, entries, key function).
+// graph.  Each SearchFrom leases a SearchScratch (visited epochs, the
+// beam's sorted candidate list) from an internal free-list pool and folds
+// its evaluation count into one atomic on release, so any number of
+// threads may run const searches concurrently — results are bit-identical
+// to a serial run because the walk is a pure function of (graph, entries,
+// key function).
 // Mutators (Update/ApplyUpdates/RebuildAll) are NOT safe against
 // concurrent searches.  Copying is a read: an index may be copied while it
 // serves searches, which is how svc::CoordinateService refreshes a private
@@ -226,6 +227,7 @@ class PeerIndex {
   struct RankedSlot {
     double key = 0.0;
     Slot slot = 0;
+    bool expanded = false;  ///< BeamSearch's pool only; sits in the padding
   };
   static bool Better(const RankedSlot& a, const RankedSlot& b) noexcept {
     return a.key < b.key || (a.key == b.key && a.slot < b.slot);
@@ -236,8 +238,7 @@ class PeerIndex {
   struct SearchScratch {
     std::vector<std::uint32_t> visited;  ///< epoch-marked visited set
     std::uint32_t epoch = 0;
-    std::vector<RankedSlot> frontier;    ///< best-first beam frontier
-    std::vector<RankedSlot> out;         ///< worst-on-top result heap
+    std::vector<RankedSlot> out;         ///< the beam's best-first candidates
     std::vector<RankedSlot> cells;       ///< coarse-cell ranking buffer
     std::vector<Slot> entries;           ///< beam seed slots
     std::uint64_t score_evals = 0;       ///< folded into the index atomic
@@ -310,7 +311,8 @@ class PeerIndex {
   void BuildCoarse();
 
   /// Greedy best-first beam search; key_of(slot) returns the ranking key.
-  /// Fills scratch.out best-first with up to `ef` slots (minus `exclude`).
+  /// Fills scratch.out best-first with up to max(ef, distinct seeds) slots
+  /// (never `exclude`), calling key_of once per slot it reaches.
   template <typename KeyFn>
   void BeamSearch(std::span<const Slot> entries, std::size_t ef, Slot exclude,
                   const KeyFn& key_of, SearchScratch& scratch) const;

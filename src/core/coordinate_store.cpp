@@ -54,13 +54,7 @@ double CoordinateStore::VRowDriftSquared(std::size_t i,
     throw std::invalid_argument(
         "CoordinateStore::VRowDriftSquared: rank mismatch");
   }
-  const auto row = V(i);
-  double sum = 0.0;
-  for (std::size_t d = 0; d < rank_; ++d) {
-    const double diff = row[d] - snapshot[d];
-    sum += diff * diff;
-  }
-  return sum;
+  return linalg::DistanceSquaredRaw(V(i).data(), snapshot.data(), rank_);
 }
 
 double CoordinateStore::Predict(std::size_t i, std::size_t j) const {

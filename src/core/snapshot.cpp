@@ -1,5 +1,6 @@
 #include "core/snapshot.hpp"
 
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -52,28 +53,42 @@ CoordinateSnapshot TakeSnapshot(const DmfsgdSimulation& simulation) {
   return TakeSnapshot(simulation.engine());
 }
 
+void AppendCoordinateRow(std::string& out, const CoordinateStore& store,
+                         std::size_t i) {
+  const char* separator = "";
+  for (const std::span<const double> part : {store.U(i), store.V(i)}) {
+    for (const double value : part) {
+      out += separator;
+      common::AppendDouble(out, value);
+      separator = ",";
+    }
+  }
+}
+
 void SaveSnapshot(const CoordinateSnapshot& snapshot,
                   const std::filesystem::path& path) {
   if (snapshot.rank() == 0) {
     throw std::invalid_argument("SaveSnapshot: malformed snapshot");
   }
-  const std::vector<std::string> header = {"dmfsgd-snapshot",
-                                           std::to_string(snapshot.rank()),
-                                           std::to_string(snapshot.NodeCount())};
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(snapshot.NodeCount());
+  // One buffer for the whole image, formatted row by row: the CSV dialect
+  // ReadCsv parses, written without a string per field.
+  std::string text = "dmfsgd-snapshot," + std::to_string(snapshot.rank()) +
+                     "," + std::to_string(snapshot.NodeCount()) + "\n";
   for (std::size_t i = 0; i < snapshot.NodeCount(); ++i) {
-    std::vector<std::string> row;
-    row.reserve(2 * snapshot.rank());
-    for (const double value : snapshot.store.U(i)) {
-      row.push_back(common::FormatDouble(value));
-    }
-    for (const double value : snapshot.store.V(i)) {
-      row.push_back(common::FormatDouble(value));
-    }
-    rows.push_back(std::move(row));
+    AppendCoordinateRow(text, snapshot.store, i);
+    text += '\n';
   }
-  common::WriteCsv(path, header, rows);
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
+  }
+  std::ofstream out(path);
+  if (!out) {
+    throw std::runtime_error("SaveSnapshot: cannot open " + path.string());
+  }
+  out << text;
+  if (!out) {
+    throw std::runtime_error("SaveSnapshot: write failed for " + path.string());
+  }
 }
 
 CoordinateSnapshot LoadSnapshot(const std::filesystem::path& path) {

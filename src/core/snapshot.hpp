@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/coordinate_store.hpp"
@@ -62,7 +63,15 @@ void PredictAllInto(const CoordinateStore& store, std::span<double> out,
 /// Convenience overload for the round-based driver.
 [[nodiscard]] CoordinateSnapshot TakeSnapshot(const DmfsgdSimulation& simulation);
 
-/// Writes a snapshot as CSV (one row per node: u..., v...).
+/// Appends node i's row as CSV fields, u... then v..., each in
+/// common::AppendDouble's round-trip text, with no line break: the row
+/// format of the snapshot image and of the service's delta log.
+void AppendCoordinateRow(std::string& out, const CoordinateStore& store,
+                         std::size_t i);
+
+/// Writes a snapshot as CSV (one row per node: u..., v...).  Throws
+/// std::invalid_argument on a rank-0 snapshot and std::runtime_error on IO
+/// failure.
 void SaveSnapshot(const CoordinateSnapshot& snapshot,
                   const std::filesystem::path& path);
 

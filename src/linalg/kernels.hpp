@@ -1,4 +1,4 @@
-// Pre-validated raw-pointer kernels for the SGD hot path.
+// Pre-validated raw-pointer kernels for the SGD hot path and the peer index.
 //
 // vector_ops.hpp keeps the checked, span-based API used at validation
 // boundaries (message decode, public entry points, tests).  The functions
@@ -7,14 +7,22 @@
 // operands in registers and auto-vectorize, no size branches, no throws, and
 // compile-time trip counts for the paper's canonical ranks (r = 3 — the
 // Vivaldi-comparable embedding — and r = 10, the §6.2 default) with a
-// generic loop as fallback.
+// generic loop as fallback.  The Dot family and DecayAxpy serve the SGD
+// updates and the index's live scores; DistanceSquaredRaw serves the index's
+// snapshot geometry (beam keys, the prune, the coarse k-means) and the
+// store's drift check.
 //
 // Contract (the caller's responsibility, validated upstream):
 //   * every pointer addresses `r` readable (or writable) doubles;
 //   * DecayAxpy's output must not alias its input — DmfsgdNode always
 //     updates its own row against a remote *copy*, a round snapshot or
 //     another node's store row, so every call site satisfies this by
-//     construction.  Read-only arguments (the Dot family) may alias freely.
+//     construction.  Read-only arguments (the Dot family, DistanceSquared)
+//     may alias freely.
+//
+// Every sum runs left to right over d = 0..r-1 and the build compiles with
+// -ffp-contract=off, so the fixed-trip bodies give the same bits as the
+// generic loop on every -march (see kernels_test).
 #pragma once
 
 #include <cstddef>
@@ -52,6 +60,17 @@ template <int R>
     cd += c[k] * d[k];
   }
   return {ab, cd};
+}
+
+template <int R>
+[[nodiscard]] inline double DistanceSquaredFixed(const double* a,
+                                                 const double* b) noexcept {
+  double sum = 0.0;
+  for (int d = 0; d < R; ++d) {
+    const double diff = a[d] - b[d];
+    sum += diff * diff;
+  }
+  return sum;
 }
 
 template <int R>
@@ -110,6 +129,25 @@ inline void AxpyFixed(double alpha, const double* DMFSGD_RESTRICT x,
         cd += c[k] * d[k];
       }
       return {ab, cd};
+    }
+  }
+}
+
+/// ||a - b||² over `r` elements, no validation.
+[[nodiscard]] inline double DistanceSquaredRaw(const double* a, const double* b,
+                                               std::size_t r) noexcept {
+  switch (r) {
+    case 3:
+      return detail::DistanceSquaredFixed<3>(a, b);
+    case 10:
+      return detail::DistanceSquaredFixed<10>(a, b);
+    default: {
+      double sum = 0.0;
+      for (std::size_t d = 0; d < r; ++d) {
+        const double diff = a[d] - b[d];
+        sum += diff * diff;
+      }
+      return sum;
     }
   }
 }

@@ -61,14 +61,8 @@ void SnapshotLogWriter::AppendDelta(const core::CoordinateStore& store,
                               std::to_string(id) + " out of range");
     }
     payload += std::to_string(id);
-    for (const double value : store.U(id)) {
-      payload += ',';
-      common::AppendDouble(payload, value);
-    }
-    for (const double value : store.V(id)) {
-      payload += ',';
-      common::AppendDouble(payload, value);
-    }
+    payload += ',';
+    core::AppendCoordinateRow(payload, store, id);
     payload += '\n';
   }
   deltas_ << payload << "commit," << epoch << "," << HexDigest(Fnv1a64(payload))

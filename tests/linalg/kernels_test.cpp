@@ -5,12 +5,14 @@
 // evaluate fl(decay*y + alpha*x) and the build turns FP contraction off
 // (DESIGN.md §5), whatever -march says.  DotPair must match two independent
 // dots the same way, and the runtime rank dispatch (compile-time bodies for
-// r = 3 and r = 10, generic loop otherwise) must be invisible to results.
+// r = 3 and r = 10, generic loop otherwise) must be invisible to results —
+// for the peer index's DistanceSquared as much as for the dots.
 #include "linalg/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -97,6 +99,33 @@ TEST(Kernels, RankDispatchIsInvisibleToResults) {
       plain += a[d] * b[d];
     }
     EXPECT_EQ(Bits(DotRaw(a.data(), b.data(), r)), Bits(plain));
+  }
+}
+
+TEST(Kernels, DistanceSquaredMatchesTheGenericLoopBitForBit) {
+  // The peer index's graph is a function of these bits (DESIGN.md §18), so
+  // the fixed-trip bodies (r = 3, 10) and the fallback (r = 7 among others)
+  // must round exactly like the left-to-right loop the index used to spell
+  // inline.  Magnitudes spread over six decades so that a reassociated sum
+  // would round differently.
+  common::Rng rng(29);
+  for (const std::size_t r : kRanks) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<double> a = RandomVector(rng, r);
+      const std::vector<double> b = RandomVector(rng, r);
+      for (std::size_t d = 0; d < r; ++d) {
+        a[d] *= std::ldexp(1.0, static_cast<int>(rng.UniformInt(20)) - 10);
+      }
+      double plain = 0.0;
+      for (std::size_t d = 0; d < r; ++d) {
+        const double diff = a[d] - b[d];
+        plain += diff * diff;
+      }
+      EXPECT_EQ(Bits(DistanceSquaredRaw(a.data(), b.data(), r)), Bits(plain))
+          << "rank " << r << " trial " << trial;
+      EXPECT_EQ(Bits(DistanceSquaredRaw(b.data(), a.data(), r)), Bits(plain))
+          << "rank " << r << " trial " << trial << " (swapped)";
+    }
   }
 }
 
