@@ -130,28 +130,60 @@ for cited in $(grep -rhoE '`[a-z0-9]+_[a-z0-9_]+_test`' \
   fi
 done
 
-# Every identifier the docs backtick — qualified (`ann::PeerIndex`, checked
-# by its last component) or PascalCase, with or without `()` — must occur as
-# a whole word in the code, so deleting or renaming a type, function or test
-# cannot strand the prose that names it.  The code's identifiers are
-# collected once, from the C++ and Python sources with their comments
-# stripped: a comment that still spells a deleted name (a removal note, say)
-# must not keep the prose that names it alive.  String and character
-# literals are kept whole, so a "//" inside one starts no comment.
-code_without_comments() {
-  find src bench examples perfbench tests \( -name '*.cpp' -o -name '*.hpp' \) \
-    -exec perl -0777 -pe 's{("(?:[^"\\\n]|\\.)*"|\x27(?:[^\x27\\\n]|\\.)*\x27)|//[^\n]*|/\*.*?\*/}{defined $1 ? $1 : " "}gse' {} +
-  find src bench examples perfbench tests -name '*.py' -exec perl -pe 's/#.*//' {} +
-}
+# Every identifier the docs backtick — qualified (`ann::PeerIndex`) or
+# PascalCase, with or without `()` — must be spelled by the code, so deleting
+# or renaming a type, function or test cannot strand the prose that names
+# it.  The code is the C++ and Python sources under src, bench, examples,
+# perfbench and tests with their comments stripped: a comment that still
+# spells a deleted name (a removal note, say) must not keep the prose that
+# names it alive.  String and character literals are kept whole, so a "//"
+# inside one starts no comment.  A PascalCase name must occur as a whole
+# word.  A qualified name `...Q::M` is checked whole: the code must spell
+# `Q::M`, or a file that defines `class Q` or `struct Q` (an `enum class`
+# too), or opens `namespace ...Q`, must spell `M` as a whole word.  So a
+# member named under the wrong class fails even where another class has it.
 doc_files=(DESIGN.md README.md .claude/skills/verify/SKILL.md)
+stripped_code=$(mktemp -d)
+trap 'rm -rf "$stripped_code"' EXIT
+while IFS= read -r -d '' file; do
+  mkdir -p "$stripped_code/$(dirname "$file")"
+  case "$file" in
+    *.py) perl -pe 's/#.*//' "$file" > "$stripped_code/$file" ;;
+    *) perl -0777 -pe 's{("(?:[^"\\\n]|\\.)*"|\x27(?:[^\x27\\\n]|\\.)*\x27)|//[^\n]*|/\*.*?\*/}{defined $1 ? $1 : " "}gse' \
+         "$file" > "$stripped_code/$file" ;;
+  esac
+done < <(find src bench examples perfbench tests \
+           \( -name '*.cpp' -o -name '*.hpp' -o -name '*.py' \) -print0)
+code_words=$(cat -- $(find "$stripped_code" -type f) |
+             grep -oE '[A-Za-z_~][A-Za-z0-9_]*' | sort -u)
 while IFS= read -r name; do
-  docs_failures+=("the docs name \`$name\`, which no code under src, bench, examples, perfbench or tests spells")
-done < <(awk 'NR == FNR { known[$0] = 1; next }
-              { n = split($0, parts, "::"); if (!(parts[n] in known)) print }' \
-           <(code_without_comments | grep -oE '[A-Za-z_~][A-Za-z0-9_]*' | sort -u) \
-           <(grep -hoE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)*(\(\))?`' \
-               "${doc_files[@]}" 2>/dev/null | tr -d '`' | sed 's/()$//' |
-             grep -E '::|^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$' | sort -u))
+  if [[ "$name" != *::* ]]; then
+    if ! grep -qxF -- "$name" <<<"$code_words"; then
+      docs_failures+=("the docs name \`$name\`, which no code under src, bench, examples, perfbench or tests spells")
+    fi
+    continue
+  fi
+  member=${name##*::}
+  scope=${name%::*}
+  scope=${scope##*::}
+  if grep -rqP -- "(?<![A-Za-z0-9_])\Q${scope}::${member}\E(?![A-Za-z0-9_])" \
+       "$stripped_code"; then
+    continue
+  fi
+  found=0
+  while IFS= read -r -d '' declaring; do
+    if grep -qP -- "(?<![A-Za-z0-9_])\Q${member}\E(?![A-Za-z0-9_])" "$declaring"; then
+      found=1
+      break
+    fi
+  done < <(grep -rlZP -- "\b(class|struct)\s+\Q${scope}\E\b(?!\s*;)|\bnamespace\s+(\w+::)*\Q${scope}\E\b" \
+             "$stripped_code")
+  if [[ $found -eq 0 ]]; then
+    docs_failures+=("the docs name \`$name\`, but no code spells \`${scope}::${member}\` and no file declaring \`${scope}\` spells \`${member}\`")
+  fi
+done < <(grep -hoE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)*(\(\))?`' \
+           "${doc_files[@]}" 2>/dev/null | tr -d '`' | sed 's/()$//' |
+         grep -E '::|^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$' | sort -u)
 
 if [[ ${#docs_failures[@]} -ne 0 ]]; then
   for failure in "${docs_failures[@]}"; do

@@ -60,10 +60,10 @@ AsyncDmfsgdSimulation::AsyncDmfsgdSimulation(const datasets::Dataset& dataset,
       lookahead_s_(config.min_oneway_delay_s) {
   delay_seed_ = engine_.rng()();
   if (dataset.metric == Metric::kRtt) {
-    // One ground-truth scan feeds both lookaheads (DESIGN.md §12).  The
-    // minimum of the block minima is the same double the minimum RTT
-    // converts to: halving and the ms -> s scaling are monotone, so they
-    // commute with min.
+    // One ground-truth scan of the pairs a message can cross feeds both
+    // lookaheads (DESIGN.md §12).  The minimum of the block minima is the
+    // same double the minimum RTT over those pairs converts to: halving and
+    // the ms -> s scaling are monotone, so they commute with min.
     const std::vector<double> cells = BlockMinimumDelays();
     lookahead_s_ = *std::min_element(cells.begin(), cells.end());
     pair_lookaheads_ = LookaheadMatrixOf(cells, events_.ShardCount());
@@ -128,26 +128,39 @@ void AsyncDmfsgdSimulation::RunUntil(double until_s) {
 
 std::vector<double> AsyncDmfsgdSimulation::BlockMinimumDelays() const {
   // Cell (a, b) = the minimum delay any message from block a to block b can
-  // experience.  Messages only ever travel between measurable pairs
-  // (neighbor sets are IsKnown-restricted, through churn too), so blocks
-  // with no measurable pair keep +infinity — no event ever crosses them.
-  // The scan covers ordered pairs: an RTT matrix may differ slightly
-  // between (i, j) and (j, i).
+  // experience, over the ordered pairs a message can cross; block pairs no
+  // such pair joins keep +infinity, as no event ever crosses them.  A
+  // request goes from prober to neighbour and its reply comes back, so
+  // without churn those are both directions of every neighbour pair: O(n·k)
+  // pairs.  Churn redraws a neighbour set from every known node, so with it
+  // on the scan covers all ordered known pairs, O(n²).  Each direction is
+  // scanned: an RTT matrix may differ slightly between (i, j) and (j, i).
   const datasets::Dataset& dataset = engine_.dataset();
   const std::size_t shards = events_.ShardCount();
-  const std::size_t n = dataset.NodeCount();
   std::vector<double> cells(shards * shards,
                             std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = cells.data() + events_.ShardOf(static_cast<NodeId>(i)) * shards;
-    for (std::size_t to = 0; to < shards; ++to) {
-      const auto [first, last] = events_.OwnersOfShard(to);
-      for (std::size_t j = first; j < last; ++j) {
-        if (i == j || !dataset.IsKnown(i, j)) {
-          continue;
+  const auto fold = [&](NodeId from, NodeId to) {
+    if (!dataset.IsKnown(from, to)) {
+      return;
+    }
+    double& cell = cells[events_.ShardOf(from) * shards + events_.ShardOf(to)];
+    cell = std::min(cell, OneWayDelay(from, to));
+  };
+  if (engine_.config().churn_rate > 0.0) {
+    const auto n = static_cast<NodeId>(dataset.NodeCount());
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        if (i != j) {
+          fold(i, j);
         }
-        row[to] = std::min(
-            row[to], OneWayDelay(static_cast<NodeId>(i), static_cast<NodeId>(j)));
+      }
+    }
+  } else {
+    const std::vector<std::vector<NodeId>>& neighbors = engine_.Neighbors();
+    for (NodeId i = 0; i < neighbors.size(); ++i) {
+      for (const NodeId j : neighbors[i]) {
+        fold(i, j);
+        fold(j, i);
       }
     }
   }

@@ -106,18 +106,23 @@ class AsyncDmfsgdSimulation {
   [[nodiscard]] std::size_t ShardCount() const noexcept {
     return events_.ShardCount();
   }
-  /// The deployment's minimum one-way delay, the smallest cell of
-  /// PairLookaheads() (ABW: the configured min_oneway_delay_s).  A uniform
-  /// matrix of it is the global-minimum window bound of DESIGN.md §9.
+  /// The minimum one-way delay any message of the deployment can see, the
+  /// smallest cell of PairLookaheads() (ABW: the configured
+  /// min_oneway_delay_s).  A uniform matrix of it is the global-minimum
+  /// window bound of DESIGN.md §9.
   [[nodiscard]] double LookaheadSeconds() const noexcept { return lookahead_s_; }
   /// The per-shard-pair lookahead matrix the parallel and distributed drains
   /// window with (DESIGN.md §12), built by the constructor.  On RTT datasets
-  /// cell (a, b) is the minimum one-way delay from any owner in shard a's
-  /// block to any owner in shard b's block (+infinity when no measurable
-  /// pair connects the blocks), from the same O(n²) ground-truth scan that
-  /// yields LookaheadSeconds().  On ABW datasets every cell is the
-  /// configured min_oneway_delay_s: the hash-drawn delays come from
-  /// [min, max), so the lower bound is valid for every pair without a scan.
+  /// cell (a, b) is the minimum one-way delay over the ordered pairs (i, j)
+  /// a message can cross with i in shard a's block and j in shard b's
+  /// (+infinity when no such pair joins the blocks), from the same
+  /// ground-truth scan that yields LookaheadSeconds().  Without churn those
+  /// pairs are both directions of every Neighbors() pair (requests out,
+  /// replies back), an O(n·k) scan; with churn_rate > 0 a node can redraw
+  /// its neighbours from every known node, so they are all ordered known
+  /// pairs, an O(n²) scan.  On ABW datasets every cell is the configured
+  /// min_oneway_delay_s: the hash-drawn delays come from [min, max), so the
+  /// lower bound is valid for every pair without a scan.
   [[nodiscard]] const netsim::LookaheadMatrix& PairLookaheads() const noexcept {
     return pair_lookaheads_;
   }
@@ -190,7 +195,8 @@ class AsyncDmfsgdSimulation {
   void StartProbe(NodeId i);
   [[nodiscard]] double OneWayDelay(NodeId i, NodeId j) const;
   /// RTT datasets only: row-major shards x shards minimum one-way delays
-  /// between owner blocks, from one O(n²) scan over ordered known pairs.
+  /// between owner blocks over the ordered known pairs a message can cross
+  /// (see PairLookaheads()).
   [[nodiscard]] std::vector<double> BlockMinimumDelays() const;
 
   AsyncSimulationConfig config_;

@@ -81,14 +81,20 @@ void SaveSnapshot(const CoordinateSnapshot& snapshot,
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }
-  std::ofstream out(path);
+  // Written beside the target and renamed over it, so a process that dies
+  // mid-write leaves the previous image whole: rename replaces atomically.
+  std::filesystem::path staged = path;
+  staged += ".tmp";
+  std::ofstream out(staged);
   if (!out) {
-    throw std::runtime_error("SaveSnapshot: cannot open " + path.string());
+    throw std::runtime_error("SaveSnapshot: cannot open " + staged.string());
   }
   out << text;
+  out.close();
   if (!out) {
-    throw std::runtime_error("SaveSnapshot: write failed for " + path.string());
+    throw std::runtime_error("SaveSnapshot: write failed for " + staged.string());
   }
+  std::filesystem::rename(staged, path);
 }
 
 CoordinateSnapshot LoadSnapshot(const std::filesystem::path& path) {

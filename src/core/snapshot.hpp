@@ -69,9 +69,11 @@ void PredictAllInto(const CoordinateStore& store, std::span<double> out,
 void AppendCoordinateRow(std::string& out, const CoordinateStore& store,
                          std::size_t i);
 
-/// Writes a snapshot as CSV (one row per node: u..., v...).  Throws
-/// std::invalid_argument on a rank-0 snapshot and std::runtime_error on IO
-/// failure.
+/// Writes a snapshot as CSV (one row per node: u..., v...) to
+/// `<path>.tmp`, then renames it over `path`, so a crash mid-write never
+/// leaves a torn image at `path`.  Throws std::invalid_argument on a rank-0
+/// snapshot and std::runtime_error (std::filesystem::filesystem_error for
+/// the rename) on IO failure.
 void SaveSnapshot(const CoordinateSnapshot& snapshot,
                   const std::filesystem::path& path);
 

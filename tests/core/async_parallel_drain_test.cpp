@@ -70,20 +70,19 @@ std::unique_ptr<AsyncDmfsgdSimulation> RunParallel(
   return simulation;
 }
 
-/// The global-minimum baseline: the same deployment drained by a
-/// one-process ShardRuntime that windows with the uniform
-/// LookaheadSeconds() matrix instead of PairLookaheads().
-std::unique_ptr<AsyncDmfsgdSimulation> RunUniform(
+/// The same deployment drained by a one-process ShardRuntime that windows
+/// with the matrix `lookaheads_of` returns for the constructed simulation
+/// instead of PairLookaheads().
+template <typename LookaheadsOf>
+std::unique_ptr<AsyncDmfsgdSimulation> RunThroughRuntime(
     const Dataset& dataset, const AsyncSimulationConfig& config, double until_s,
-    std::size_t threads) {
+    std::size_t threads, LookaheadsOf lookaheads_of) {
   auto simulation = std::make_unique<AsyncDmfsgdSimulation>(dataset, config);
   netsim::LoopbackInterShardHub hub(1);
   netsim::LoopbackInterShardChannel channel(hub, 0);
   ShardedEventQueueDeliveryChannel& delivery = simulation->ShardedChannel();
   netsim::ShardRuntime runtime(
-      simulation->MutableEvents(), channel,
-      netsim::LookaheadMatrix(simulation->ShardCount(),
-                              simulation->LookaheadSeconds()),
+      simulation->MutableEvents(), channel, lookaheads_of(*simulation),
       [&delivery](netsim::ShardedEventQueue::OwnerId owner,
                   std::vector<std::byte> payload) {
         return delivery.DecodeEnvelopeCallback(owner, std::move(payload));
@@ -91,6 +90,19 @@ std::unique_ptr<AsyncDmfsgdSimulation> RunUniform(
   common::ThreadPool pool(threads);
   simulation->RunUntilDistributed(until_s, pool, runtime);
   return simulation;
+}
+
+/// The global-minimum baseline: windows with the uniform LookaheadSeconds()
+/// matrix.
+std::unique_ptr<AsyncDmfsgdSimulation> RunUniform(
+    const Dataset& dataset, const AsyncSimulationConfig& config, double until_s,
+    std::size_t threads) {
+  return RunThroughRuntime(
+      dataset, config, until_s, threads,
+      [](const AsyncDmfsgdSimulation& simulation) {
+        return netsim::LookaheadMatrix(simulation.ShardCount(),
+                                       simulation.LookaheadSeconds());
+      });
 }
 
 void ExpectBitIdentical(const AsyncDmfsgdSimulation& a,
@@ -243,15 +255,47 @@ TEST(AsyncParallelDrain, PairLookaheadsWidenWindowsAndPreserveTheTrajectory) {
             uniform_run->WindowsExecuted());
 }
 
-/// SmallRtt() with gaps and one asymmetric pair.  No measurable pair joins
-/// the first and last of three owner blocks (at three shards, two cells of
-/// the lookahead matrix have no pair at all), a scatter of further pairs is
-/// missing, and the smallest RTT is shaved by 1e-10 relative in its
-/// (high, low) direction only, inside the validator's 1e-9 tolerance: only a
-/// scan over ordered pairs finds the true minimum.
+AsyncSimulationConfig LookaheadConfig(const Dataset& dataset, std::size_t shards) {
+  AsyncSimulationConfig config;
+  config.base.rank = 10;
+  config.base.neighbor_count = 16;
+  config.base.tau = dataset.Procedural() ? datasets::SampledMedianValue(dataset)
+                                         : dataset.MedianValue();
+  config.base.seed = 5;
+  config.shard_count = shards;
+  return config;
+}
+
+/// The unordered pair {lo, hi}, lo < hi, with the smallest (lo, hi) RTT
+/// among the pairs `for_each_pair` hands out.
+template <typename ForEachPair>
+std::pair<std::size_t, std::size_t> SmallestPair(const linalg::Matrix& m,
+                                                 ForEachPair for_each_pair) {
+  std::pair<std::size_t, std::size_t> best{0, 0};
+  double smallest = std::numeric_limits<double>::infinity();
+  for_each_pair([&](std::size_t i, std::size_t j) {
+    const std::size_t lo = std::min(i, j);
+    const std::size_t hi = std::max(i, j);
+    if (m(lo, hi) < smallest) {
+      smallest = m(lo, hi);
+      best = {lo, hi};
+    }
+  });
+  return best;
+}
+
+/// SmallRtt() with gaps and asymmetric pairs.  No measurable pair joins the
+/// first and last of three owner blocks (at three shards, two cells of the
+/// lookahead matrix have no pair at all), a scatter of further pairs is
+/// missing, and two RTTs are shaved by 1e-10 relative in their (high, low)
+/// direction only, inside the validator's 1e-9 tolerance: the smallest
+/// known pair's and the smallest neighbour pair's under LookaheadConfig
+/// (picked on the unshaved matrix; shaving leaves IsKnown, and so the
+/// neighbour sets, as they were).  Only a scan over ordered pairs finds
+/// either minimum.
 Dataset GappyAsymmetricRtt() {
   Dataset dataset = SmallRtt();
-  dataset.name += " with gaps and an asymmetric pair";
+  dataset.name += " with gaps and asymmetric pairs";
   linalg::Matrix& m = dataset.ground_truth;
   const std::size_t n = m.Rows();
   const netsim::ShardedEventQueue thirds(n, 3);
@@ -265,93 +309,147 @@ Dataset GappyAsymmetricRtt() {
       }
     }
   }
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  double smallest = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dataset.IsKnown(i, j) && m(i, j) < smallest) {
-        smallest = m(i, j);
-        lo = i;
-        hi = j;
+  const auto known = SmallestPair(m, [&](auto visit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (dataset.IsKnown(i, j)) {
+          visit(i, j);
+        }
       }
     }
+  });
+  const AsyncDmfsgdSimulation unshaved(dataset, LookaheadConfig(dataset, 1));
+  const auto neighbour = SmallestPair(m, [&](auto visit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const NodeId j : unshaved.Neighbors()[i]) {
+        visit(i, j);
+      }
+    }
+  });
+  for (const auto& [lo, hi] : {known, neighbour}) {
+    m(hi, lo) = m(lo, hi) * (1.0 - 1e-10);
+    EXPECT_LT(m(hi, lo), m(lo, hi));
   }
-  m(hi, lo) = smallest * (1.0 - 1e-10);
-  EXPECT_LT(m(hi, lo), m(lo, hi));
   datasets::ValidateDataset(dataset);
   return dataset;
 }
 
-/// The lookaheads an in-test scan over the ordered known pairs (i, j),
-/// i != j, of an RTT dataset gives: the global minimum one-way delay and
-/// the per-owner-block minima of a `shards`-shard queue.
+/// The lookaheads an in-test scan over ordered known pairs (i, j), i != j,
+/// of an RTT dataset gives: the global minimum one-way delay and the
+/// per-owner-block minima of a `shards`-shard queue.
 struct ScannedLookaheads {
-  double global = 0.0;
+  double global = std::numeric_limits<double>::infinity();
   std::vector<double> cells;  ///< row-major shards x shards, +inf if no pair
 };
 
-ScannedLookaheads ScanRttLookaheads(const Dataset& dataset, std::size_t shards) {
-  const std::size_t n = dataset.NodeCount();
-  const netsim::ShardedEventQueue queue(n, shards);
+/// Scans the ordered pairs `for_each_pair` hands out, skipping unknown ones.
+template <typename ForEachPair>
+ScannedLookaheads ScanRttLookaheads(const Dataset& dataset, std::size_t shards,
+                                    ForEachPair for_each_pair) {
+  const netsim::ShardedEventQueue queue(dataset.NodeCount(), shards);
   ScannedLookaheads scanned;
-  scanned.global = std::numeric_limits<double>::infinity();
   scanned.cells.assign(shards * shards, std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || !dataset.IsKnown(i, j)) {
-        continue;
-      }
-      const double delay = dataset.Quantity(i, j) / 2.0 / 1000.0;
-      double& cell = scanned.cells[queue.ShardOf(static_cast<NodeId>(i)) * shards +
-                                    queue.ShardOf(static_cast<NodeId>(j))];
-      cell = std::min(cell, delay);
-      scanned.global = std::min(scanned.global, delay);
+  for_each_pair([&](std::size_t i, std::size_t j) {
+    if (i == j || !dataset.IsKnown(i, j)) {
+      return;
     }
-  }
+    const double delay = dataset.Quantity(i, j) / 2.0 / 1000.0;
+    double& cell = scanned.cells[queue.ShardOf(static_cast<NodeId>(i)) * shards +
+                                 queue.ShardOf(static_cast<NodeId>(j))];
+    cell = std::min(cell, delay);
+    scanned.global = std::min(scanned.global, delay);
+  });
   return scanned;
 }
 
-AsyncSimulationConfig LookaheadConfig(const Dataset& dataset, std::size_t shards) {
-  AsyncSimulationConfig config;
-  config.base.rank = 10;
-  config.base.neighbor_count = 16;
-  config.base.tau = dataset.Procedural() ? datasets::SampledMedianValue(dataset)
-                                         : dataset.MedianValue();
-  config.base.seed = 5;
-  config.shard_count = shards;
-  return config;
+/// Every ordered known pair: what a message can cross once churn can redraw
+/// a neighbour set from any known node.
+ScannedLookaheads ScanAllKnownPairs(const Dataset& dataset, std::size_t shards) {
+  const std::size_t n = dataset.NodeCount();
+  return ScanRttLookaheads(dataset, shards, [n](auto visit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        visit(i, j);
+      }
+    }
+  });
+}
+
+/// Both directions of every neighbour pair: what a message can cross
+/// without churn (requests out to a neighbour, replies back).
+ScannedLookaheads ScanNeighbourPairs(const AsyncDmfsgdSimulation& simulation) {
+  const auto& neighbors = simulation.Neighbors();
+  return ScanRttLookaheads(
+      simulation.dataset(), simulation.ShardCount(), [&](auto visit) {
+        for (std::size_t i = 0; i < neighbors.size(); ++i) {
+          for (const NodeId j : neighbors[i]) {
+            visit(i, j);
+            visit(j, i);
+          }
+        }
+      });
+}
+
+/// Expects the simulation's lookaheads to equal `scanned` cell for cell;
+/// returns how many cells were +infinity.
+std::size_t ExpectLookaheadsEqual(const AsyncDmfsgdSimulation& simulation,
+                                  const ScannedLookaheads& scanned) {
+  const std::size_t shards = simulation.ShardCount();
+  EXPECT_EQ(simulation.LookaheadSeconds(), scanned.global);
+  const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
+  EXPECT_EQ(matrix.ShardCount(), shards);
+  std::size_t unconnected = 0;
+  for (std::size_t from = 0; from < shards; ++from) {
+    for (std::size_t to = 0; to < shards; ++to) {
+      const double expected = scanned.cells[from * shards + to];
+      EXPECT_EQ(matrix.At(from, to), expected)
+          << "cell (" << from << ", " << to << ")";
+      unconnected += std::isinf(expected) ? 1 : 0;
+    }
+  }
+  return unconnected;
+}
+
+netsim::LookaheadMatrix MatrixOf(const ScannedLookaheads& scanned,
+                                 std::size_t shards) {
+  netsim::LookaheadMatrix matrix(shards, std::numeric_limits<double>::infinity());
+  for (std::size_t from = 0; from < shards; ++from) {
+    for (std::size_t to = 0; to < shards; ++to) {
+      matrix.Set(from, to, scanned.cells[from * shards + to]);
+    }
+  }
+  return matrix;
 }
 
 TEST(AsyncParallelDrain, LookaheadsMatchABruteForceScan) {
   // RTT: the constructor's matrix equals an independent scan, cell for
-  // cell, at every shard count.
+  // cell, at every shard count: over both directions of every neighbour
+  // pair without churn, over every ordered known pair with churn on.
   datasets::EuclideanRttConfig complete;
   complete.node_count = 90;
   complete.seed = 12;
   const Dataset rtt_datasets[] = {GappyAsymmetricRtt(),
                                   datasets::MakeEuclideanRtt(complete)};
   std::size_t unconnected_cells = 0;
+  std::size_t unconnected_churn_cells = 0;
   for (const Dataset& dataset : rtt_datasets) {
     for (const std::size_t shards : {1u, 2u, 3u}) {
       SCOPED_TRACE(dataset.name + " shards=" + std::to_string(shards));
-      const ScannedLookaheads scanned = ScanRttLookaheads(dataset, shards);
-      const AsyncDmfsgdSimulation simulation(dataset,
-                                             LookaheadConfig(dataset, shards));
-      EXPECT_EQ(simulation.LookaheadSeconds(), scanned.global);
-      const netsim::LookaheadMatrix& matrix = simulation.PairLookaheads();
-      ASSERT_EQ(matrix.ShardCount(), shards);
-      for (std::size_t from = 0; from < shards; ++from) {
-        for (std::size_t to = 0; to < shards; ++to) {
-          const double expected = scanned.cells[from * shards + to];
-          EXPECT_EQ(matrix.At(from, to), expected)
-              << "cell (" << from << ", " << to << ")";
-          unconnected_cells += std::isinf(expected) ? 1 : 0;
-        }
-      }
+      AsyncSimulationConfig config = LookaheadConfig(dataset, shards);
+      const AsyncDmfsgdSimulation simulation(dataset, config);
+      unconnected_cells +=
+          ExpectLookaheadsEqual(simulation, ScanNeighbourPairs(simulation));
+
+      SCOPED_TRACE("churn_rate > 0");
+      config.base.churn_rate = 0.01;
+      const AsyncDmfsgdSimulation churning(dataset, config);
+      unconnected_churn_cells +=
+          ExpectLookaheadsEqual(churning, ScanAllKnownPairs(dataset, shards));
     }
   }
-  EXPECT_GT(unconnected_cells, 0u) << "no cell without a measurable pair was checked";
+  EXPECT_GT(unconnected_cells, 0u) << "no cell without a neighbour pair was checked";
+  EXPECT_GT(unconnected_churn_cells, 0u)
+      << "no cell without a measurable pair was checked";
 
   // ABW: hash-drawn delays lie in [min_oneway_delay_s, max_oneway_delay_s),
   // so every cell is the configured lower bound.
@@ -370,6 +468,37 @@ TEST(AsyncParallelDrain, LookaheadsMatchABruteForceScan) {
       }
     }
   }
+}
+
+TEST(AsyncParallelDrain, NeighbourPairLookaheadsWidenWindowsAndPreserveTheTrajectory) {
+  // The same churn-free seed drained with the all-known-pairs matrix and
+  // with the default neighbour-pair one: bit-identical results (windowing
+  // only reorders across shards, never within one), strictly fewer windows
+  // with the default, whose cells are minima over a subset of the pairs.
+  datasets::EuclideanRttConfig space;
+  space.node_count = 512;
+  space.seed = 41;
+  const Dataset dataset = datasets::MakeEuclideanRtt(space);
+  const AsyncSimulationConfig config = LookaheadConfig(dataset, 4);
+  const auto all_pairs_run = RunThroughRuntime(
+      dataset, config, 10.0, 2, [&](const AsyncDmfsgdSimulation& simulation) {
+        return MatrixOf(ScanAllKnownPairs(dataset, simulation.ShardCount()),
+                        simulation.ShardCount());
+      });
+  const auto neighbour_run = RunParallel(dataset, config, 10.0, 2);
+  EXPECT_GT(all_pairs_run->MeasurementCount(), 0u);
+  ExpectBitIdentical(*all_pairs_run, *neighbour_run);
+  EXPECT_LT(neighbour_run->WindowsExecuted(), all_pairs_run->WindowsExecuted());
+}
+
+TEST(AsyncParallelDrain, NeighbourPairScanAtSixtyFourKNodes) {
+  // The churn-free scan is O(n·k), so construction stays cheap at a node
+  // count whose all-pairs scan (4.3e9 pairs) would take minutes.
+  datasets::EuclideanRttConfig space;
+  space.node_count = 65536;
+  const Dataset dataset = datasets::MakeEuclideanRtt(space);
+  const AsyncDmfsgdSimulation simulation(dataset, LookaheadConfig(dataset, 4));
+  ExpectLookaheadsEqual(simulation, ScanNeighbourPairs(simulation));
 }
 
 TEST(AsyncParallelDrain, PairLookaheadViolationStillFires) {

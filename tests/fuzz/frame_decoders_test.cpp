@@ -23,6 +23,7 @@
 #include "core/delivery.hpp"
 #include "core/multiprocess.hpp"
 #include "core/wire.hpp"
+#include "mutator.hpp"
 #include "netsim/event_queue.hpp"
 #include "netsim/reliable_channel.hpp"
 #include "netsim/shard_runtime.hpp"
@@ -30,7 +31,7 @@
 namespace dmfsgd {
 namespace {
 
-using Bytes = std::vector<std::byte>;
+using fuzz::Bytes;
 
 constexpr std::size_t kMutantsPerTarget = 20000;
 constexpr std::uint64_t kSweepSeed = 0xf022u;
@@ -122,94 +123,12 @@ std::vector<Bytes> AllSeeds() {
   return seeds;
 }
 
-/// Seeded source of mutants of a seed set; every mutant is one edit of one
-/// seed (or a splice of two).
-class Mutator {
- public:
-  Mutator(std::vector<Bytes> seeds, std::uint64_t rng_seed)
-      : seeds_(std::move(seeds)), rng_(rng_seed) {}
-
-  Bytes Next() {
-    Bytes bytes = Pick();
-    switch (rng_.UniformInt(6)) {
-      case 0: {  // flip one to three bytes
-        const std::uint64_t flips = 1 + rng_.UniformInt(3);
-        for (std::uint64_t f = 0; f < flips && !bytes.empty(); ++f) {
-          bytes[Index(bytes.size())] ^= static_cast<std::byte>(1 + rng_.UniformInt(255));
-        }
-        break;
-      }
-      case 1:  // truncate
-        bytes.resize(rng_.UniformInt(bytes.size() + 1));
-        break;
-      case 2: {  // splice: this seed's head onto another seed's tail
-        const Bytes other = Pick();
-        bytes.resize(rng_.UniformInt(bytes.size() + 1));
-        bytes.insert(bytes.end(),
-                     other.begin() + static_cast<std::ptrdiff_t>(
-                                         rng_.UniformInt(other.size() + 1)),
-                     other.end());
-        break;
-      }
-      case 3:  // a boundary value over a count or length field
-        Inflate(bytes);
-        break;
-      case 4: {  // insert random bytes anywhere
-        const std::uint64_t count = 1 + rng_.UniformInt(4);
-        const auto at = static_cast<std::ptrdiff_t>(rng_.UniformInt(bytes.size() + 1));
-        for (std::uint64_t b = 0; b < count; ++b) {
-          bytes.insert(bytes.begin() + at, static_cast<std::byte>(rng_.UniformInt(256)));
-        }
-        break;
-      }
-      default: {  // trailing bytes
-        const std::uint64_t count = 1 + rng_.UniformInt(4);
-        for (std::uint64_t b = 0; b < count; ++b) {
-          bytes.push_back(static_cast<std::byte>(rng_.UniformInt(256)));
-        }
-        break;
-      }
-    }
-    return bytes;
-  }
-
-  common::Rng& rng() { return rng_; }
-
- private:
-  const Bytes& Pick() { return seeds_[rng_.UniformInt(seeds_.size())]; }
-
-  std::size_t Index(std::size_t size) {
-    return static_cast<std::size_t>(rng_.UniformInt(size));
-  }
-
-  /// Writes a little-endian u16 or u32 boundary value at a random offset.
-  void Inflate(Bytes& bytes) {
-    const std::uint64_t boundaries[] = {
-        0,
-        1,
-        bytes.size(),
-        bytes.size() + 1,
-        core::kMaxWireVectorSize + 1,
-        core::kMaxWireBatchItems + 1,
-        0x7fff,
-        0xffff,
-        0x7fffffff,
-        0xffffffff,
-    };
-    const std::uint64_t value = boundaries[rng_.UniformInt(std::size(boundaries))];
-    const std::size_t width = rng_.UniformInt(2) == 0 ? 2 : 4;
-    if (bytes.size() < width) {
-      return;
-    }
-    const std::size_t at = Index(bytes.size() - width + 1);
-    for (std::size_t b = 0; b < width; ++b) {
-      bytes[at + b] = static_cast<std::byte>((value >> (8 * b)) & 0xffu);
-    }
-  }
-
-  std::vector<Bytes> seeds_;
-  common::Rng rng_;
-};
+/// The frame codecs' own count limits, written over a field as further
+/// boundary values.
+fuzz::Mutator FrameMutator(std::vector<Bytes> seeds, std::uint64_t rng_seed) {
+  return fuzz::Mutator(std::move(seeds), rng_seed,
+                       {core::kMaxWireVectorSize + 1, core::kMaxWireBatchItems + 1});
+}
 
 /// Feeds every seed, then kMutantsPerTarget mutants, to `reencode` (decode,
 /// then encode the result again).  A DecodeError is a rejection; any other
@@ -220,7 +139,7 @@ void Sweep(const char* target, const std::vector<Bytes>& seeds,
   for (const Bytes& seed : seeds) {
     ASSERT_EQ(reencode(seed), seed) << target << " seed " << Hex(seed);
   }
-  Mutator mutator(seeds, rng_seed);
+  fuzz::Mutator mutator = FrameMutator(seeds, rng_seed);
   std::size_t accepted = 0;
   std::size_t rejected = 0;
   for (std::size_t m = 0; m < kMutantsPerTarget; ++m) {
@@ -334,7 +253,7 @@ TEST(FrameDecoders, DecodeFoldStats) {
 // either throws DecodeError or returns the bytes it consumed, which the
 // writer must reproduce exactly.
 TEST(FrameDecoders, ByteReader) {
-  Mutator mutator(AllSeeds(), kSweepSeed + 5);
+  fuzz::Mutator mutator = FrameMutator(AllSeeds(), kSweepSeed + 5);
   common::Rng& rng = mutator.rng();
   std::size_t accepted = 0;
   std::size_t rejected = 0;

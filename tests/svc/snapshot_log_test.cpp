@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/coordinate_store.hpp"
+#include "core/snapshot.hpp"
 
 namespace dmfsgd::svc {
 namespace {
@@ -187,6 +188,95 @@ TEST_F(SnapshotLogTest, EveryTruncationPointRecoversTheLastGoodEpoch) {
     ASSERT_EQ(recovery->truncated_tail, !at_boundary) << "cut at byte " << cut;
     ExpectStoresIdentical(recovery->store, state_after[expected_epoch]);
   }
+}
+
+/// A generation with three epochs over MakeStore(8, 3); returns the store
+/// its log recovers to.
+core::CoordinateStore WriteGeneration(const std::filesystem::path& dir) {
+  core::CoordinateStore store = MakeStore(8, 3);
+  SnapshotLogWriter writer(dir, store);
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    const auto row = static_cast<core::NodeId>(2 * epoch);
+    store.U(row)[1] = static_cast<double>(epoch) / 9.0;
+    store.V(row + 1)[2] = -static_cast<double>(epoch) / 11.0;
+    writer.AppendDelta(store, std::vector<core::NodeId>{row, row + 1u});
+  }
+  return store;
+}
+
+// A restart writes the recovered state as the new base, then truncates the
+// delta log.  A crash between the two leaves the new base under the old
+// generation's epochs; their rows are absolute values, and the new base
+// already holds the last of each, so replaying them changes nothing.
+TEST_F(SnapshotLogTest, CrashBeforeTheDeltaTruncationRecoversTheSameState) {
+  const core::CoordinateStore live = WriteGeneration(dir_);
+  const auto before = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(before.has_value());
+  ExpectStoresIdentical(before->store, live);
+
+  // The writer's first step, and then the crash.
+  core::SaveSnapshot(core::CoordinateSnapshot{before->store}, dir_ / "base.csv");
+  const auto after = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->epochs, 3u);
+  EXPECT_FALSE(after->truncated_tail);
+  ExpectStoresIdentical(after->store, live);
+}
+
+// A crash while the next base image is written leaves a torn
+// base.csv.tmp beside the previous generation, which stays whole.
+TEST_F(SnapshotLogTest, TornStagedBaseLeavesTheGenerationWhole) {
+  const core::CoordinateStore live = WriteGeneration(dir_);
+  const std::filesystem::path other = dir_ / "other";
+  core::SaveSnapshot(core::CoordinateSnapshot{MakeStore(8, 3, 0.5)},
+                     other / "base.csv");
+  std::string image;
+  {
+    std::ifstream in(other / "base.csv", std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  {
+    std::ofstream out(dir_ / "base.csv.tmp", std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size() / 2));
+  }
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  EXPECT_EQ(recovery->epochs, 3u);
+  EXPECT_FALSE(recovery->truncated_tail);
+  ExpectStoresIdentical(recovery->store, live);
+}
+
+// The old base image is the only copy of the state until the new one is
+// whole, so a new generation must never write into its file: a hard link
+// to it still reads the old image once the new writer has started.
+TEST_F(SnapshotLogTest, NewGenerationNeverWritesIntoTheOldBaseImage) {
+  const core::CoordinateStore old_state = MakeStore(8, 3);
+  { SnapshotLogWriter writer(dir_, old_state); }
+  std::filesystem::create_hard_link(dir_ / "base.csv", dir_ / "old_base.csv");
+  const core::CoordinateStore new_state = MakeStore(8, 3, 0.25);
+  { SnapshotLogWriter writer(dir_, new_state); }
+  ExpectStoresIdentical(core::LoadSnapshot(dir_ / "old_base.csv").store, old_state);
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  ExpectStoresIdentical(recovery->store, new_state);
+}
+
+// A writer stages its base image and renames it into place, over a stale
+// torn one too: nothing is left beside base.csv.
+TEST_F(SnapshotLogTest, NewWriterLeavesNoStagedBase) {
+  {
+    std::ofstream out(dir_ / "base.csv.tmp", std::ios::trunc);
+    out << "dmfsgd-snapshot,3,8\n0.5,";
+  }
+  const core::CoordinateStore store = MakeStore(8, 3);
+  { SnapshotLogWriter writer(dir_, store); }
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "base.csv.tmp"));
+  { SnapshotLogWriter writer(dir_, store); }  // over an existing generation
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "base.csv.tmp"));
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  ExpectStoresIdentical(recovery->store, store);
 }
 
 /// An epoch frame with a valid commit line (the writer's FNV-1a 64 over the
